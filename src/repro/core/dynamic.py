@@ -558,9 +558,10 @@ class IncrementalMatcher:
         if not (dirty & reg.query_labels):
             # Label-disjoint fast path: every data-graph read the
             # builder, CandVerify, and root selection make is gated on
-            # query labels, and the kernel's baked CSR rows for
-            # candidate-labeled vertices are untouched — the whole plan
-            # is provably still exact.
+            # query labels, and the kernel plan's data-CSR snapshot
+            # differs from the current graph only in rows of touched-label
+            # vertices, none of which is a candidate — the whole plan is
+            # provably still exact.
             reg.version = data.version
             reg.build_stats.cpi_repairs += 1
             reg.phase_dict["cpi_repair"] += monotonic_now() - sync_started
@@ -587,9 +588,6 @@ class IncrementalMatcher:
         stats.cpi_repairs += 1
         stats.dirty_region_size += len(region)
         repair_elapsed = monotonic_now() - sync_started
-        # The kernel plan bakes the data CSR; drop the cached encoding so
-        # reassembly compiles against the mutated graph.
-        self._matcher._data_csr = None
         scratch = empty_phase_times()
         prepared = self._matcher._assemble_plan(
             query, decomposition, root, cpi, sync_started,
@@ -606,7 +604,6 @@ class IncrementalMatcher:
         """Full re-preparation, keeping the registration's lifetime stats."""
         query = reg.query
         stats = reg.build_stats
-        self._matcher._data_csr = None
         phase_times = empty_phase_times()
         build_started = monotonic_now()
         decomposition = cfl_decompose(

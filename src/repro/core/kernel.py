@@ -71,7 +71,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 try:  # gated: the scalar paths need no numpy (see _intersect_numpy)
@@ -79,7 +78,7 @@ try:  # gated: the scalar paths need no numpy (see _intersect_numpy)
 except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
-from ..graph.graph import Graph
+from ..graph.graph import AdjacencyCSR, Graph, IntVector
 from .core_match import _CEMR_MEMO_CAP, OrderedVertex, SearchTimeout
 from .cpi import CPI
 from .stats import SearchStats, WorkBudget, monotonic_now
@@ -93,12 +92,6 @@ __all__ = [
     "compile_kernel_plan",
     "compile_stage",
 ]
-
-#: A sorted int32 vector the kernel can bisect and slice: a plain
-#: ``array('i')`` (in-process compilation) or a zero-copy ``memoryview``
-#: over a shared segment (:mod:`repro.core.shm`).  Both support the only
-#: operations the hot loops use — ``len``, indexing, slicing, iteration.
-IntVector = Union["array[int]", memoryview]
 
 #: Slot candidate-source modes.  ``MODE_ROOT``: candidates come straight
 #: from ``candidates[u]`` (no anchored adjacency list).  ``MODE_TREE``:
@@ -141,28 +134,19 @@ _EMPTY_RANKS: Dict[int, int] = {}
 _NO_CHECKS: List[int] = []
 
 
-def build_data_csr(data: Graph) -> Tuple[IntVector, IntVector]:
+def build_data_csr(data: Graph) -> AdjacencyCSR:
     """Data-graph adjacency as one CSR pair of int32 vectors.
 
     Rows keep :class:`~repro.graph.graph.Graph`'s sorted-neighbor order,
     so ``adj_flat[adj_indptr[v]:adj_indptr[v+1]]`` is a sorted array and
-    membership is a ``bisect``.  Built once per data graph and shared by
-    every compiled plan (see ``CFLMatch._kernel_data_csr``).  A graph
-    whose storage already *is* this CSR — a
-    :class:`~repro.core.shm.SharedGraph` over a shared segment or an
-    mmap'd ingest file — hands back its views instead: the per-worker
-    build becomes a pointer handoff.
+    membership is a ``bisect``.  The pair is the graph's own
+    (:meth:`~repro.graph.graph.Graph.adjacency_csr`): lowered once per
+    static graph, handed out as views by a shared-memory or mmap'd
+    graph, and patched per edge delta by a
+    :class:`~repro.graph.dynamic.DynamicGraph` — so every compiled plan
+    of every matcher over one graph version shares it.
     """
-    shared = getattr(data, "shared_data_csr", None)
-    if shared is not None:
-        indptr_view, flat_view = shared()
-        return indptr_view, flat_view
-    indptr = array("i", [0])
-    flat = array("i")
-    for row in data.adj:
-        flat.extend(row)
-        indptr.append(len(flat))
-    return indptr, flat
+    return data.adjacency_csr()
 
 
 class CompiledStage:
@@ -444,12 +428,12 @@ def compile_kernel_plan(
     cpi: CPI,
     core_slots: Sequence[OrderedVertex],
     forest_slots: Sequence[OrderedVertex],
-    data_csr: Optional[Tuple[array[int], array[int]]] = None,
+    data_csr: Optional[AdjacencyCSR] = None,
 ) -> KernelPlan:
     """Compile a prepared plan's stages into a :class:`KernelPlan`.
 
-    ``data_csr`` (from :func:`build_data_csr`) is per data graph, not per
-    plan — pass a cached pair to amortize it across queries.
+    ``data_csr`` (from :func:`build_data_csr`) defaults to the CPI's
+    data graph's current pair.
     """
     if data_csr is None:
         data_csr = build_data_csr(cpi.data)

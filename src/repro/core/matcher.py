@@ -306,9 +306,6 @@ class CFLMatch:
         self.adaptive = adaptive
         self.adaptive_ratio = adaptive_ratio
         self.adaptive_min_nodes = adaptive_min_nodes
-        # Data-graph CSR for kernel compilation: one pair per matcher,
-        # shared by every compiled plan (built lazily on first use).
-        self._data_csr: Optional[tuple] = None
         self._plan_cache: "OrderedDict[tuple, PreparedQuery]" = OrderedDict()
         #: number of full (uncached) ordering-phase runs; tests and the
         #: parallel engine assert "prepare ran exactly once" against it.
@@ -328,7 +325,10 @@ class CFLMatch:
         """Decompose, build the CPI and compute the matching order.
 
         With ``use_cache`` (the default) a structurally identical query
-        returns the LRU-cached plan without re-running any of it; pass
+        against the same data-graph version returns the LRU-cached plan
+        without re-running any of it (a mutation of a
+        :class:`~repro.graph.dynamic.DynamicGraph` bumps the version, so
+        a plan never outlives the graph it was built on); pass
         ``use_cache=False`` for a fresh, honestly timed plan (what
         :meth:`run` does for benchmarking).
 
@@ -340,7 +340,7 @@ class CFLMatch:
         """
         caching = use_cache and self.plan_cache_size > 0
         if caching:
-            key = query.signature()
+            key = (query.signature(), self.data.version)
             cached = self._plan_cache.get(key)
             if cached is not None:
                 self._plan_cache.move_to_end(key)
@@ -495,7 +495,7 @@ class CFLMatch:
             # (A kernel decoded from a shared plan segment arrives via
             # ``kernel_plan`` and skips this entirely.)
             kernel = compile_kernel_plan(
-                cpi, core_slots, forest_slots, data_csr=self._kernel_data_csr()
+                cpi, core_slots, forest_slots, data_csr=build_data_csr(self.data)
             )
         now = time.perf_counter()
         phase_times["ordering"] = now - ordering_started
@@ -516,14 +516,6 @@ class CFLMatch:
             kernel=kernel,
         )
 
-    def _kernel_data_csr(self) -> tuple:
-        """Lazily built data-graph CSR shared by every compiled plan."""
-        csr = self._data_csr
-        if csr is None:
-            csr = build_data_csr(self.data)
-            self._data_csr = csr
-        return csr
-
     def _ensure_kernel(self, plan: PreparedQuery) -> KernelPlan:
         """The plan's compiled form, compiling on first use.
 
@@ -537,7 +529,7 @@ class CFLMatch:
         if kernel is None:
             kernel = compile_kernel_plan(
                 plan.cpi, plan.core_slots, plan.forest_slots,
-                data_csr=self._kernel_data_csr(),
+                data_csr=build_data_csr(self.data),
             )
             plan.kernel = kernel
         return kernel

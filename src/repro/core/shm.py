@@ -330,22 +330,17 @@ def section_sizes(buffer: object) -> Dict[str, int]:
 # ----------------------------------------------------------------------
 # Graph -> sections
 # ----------------------------------------------------------------------
-def graph_sections(graph: Graph) -> List["array[int]"]:
+def graph_sections(graph: Graph) -> List[Section]:
     """Lower a data graph to its int32 sections.
 
-    The adjacency CSR is byte-identical to
-    :func:`~repro.core.kernel.build_data_csr` output (rows sorted
-    ascending); the label index, per-vertex NLF tables (``(label,
-    count)`` pairs sorted by label) and MND array ride along so no
-    derived structure is rebuilt worker-side.
+    The adjacency CSR *is* :func:`~repro.core.kernel.build_data_csr`'s
+    pair (rows sorted ascending); the label index, per-vertex NLF
+    tables (``(label, count)`` pairs sorted by label) and MND array ride
+    along so no derived structure is rebuilt worker-side.
     """
     n = graph.num_vertices
     labels = array("i", graph.labels)
-    adj_indptr = array("i", [0])
-    adj_flat = array("i")
-    for row in graph.adj:
-        adj_flat.extend(row)
-        adj_indptr.append(len(adj_flat))
+    adj_indptr, adj_flat = build_data_csr(graph)
     index = graph.label_index()
     keys = sorted(index)
     label_keys = array("i", keys)
@@ -473,8 +468,11 @@ class SharedGraph(Graph):
 
     Construction never copies the CSR payload: ``labels``, adjacency
     rows, the label index, NLF tables and MND are read through
-    memoryview slices.  The instance keeps the backing segment (or
-    mmap) alive via ``_resources``; it is immutable like every Graph.
+    memoryview slices, and :meth:`~repro.graph.graph.Graph.adjacency_csr`
+    starts out holding the segment's adjacency views, so the kernel's
+    data CSR is a pointer handoff.  The instance keeps the backing
+    segment (or mmap) alive via ``_resources``; it is immutable like
+    every Graph.
     """
 
     __slots__ = (
@@ -484,7 +482,6 @@ class SharedGraph(Graph):
         "_nlf_indptr",
         "_nlf_flat",
         "_nlf_tables",
-        "_csr_pair",
     )
 
     @classmethod
@@ -505,6 +502,7 @@ class SharedGraph(Graph):
         graph._nlf = None
         graph._mnd = views[_G_MND]
         graph._csr = None
+        graph._adjacency_csr = (views[_G_ADJ_INDPTR], views[_G_ADJ_FLAT])
         graph._signature = None
         graph._label_pairs = None
         graph._label_bits = None
@@ -515,7 +513,6 @@ class SharedGraph(Graph):
         graph._nlf_indptr = views[_G_NLF_INDPTR]
         graph._nlf_flat = views[_G_NLF_FLAT]
         graph._nlf_tables = {}
-        graph._csr_pair = (views[_G_ADJ_INDPTR], views[_G_ADJ_FLAT])
         graph._origin = origin
         graph._resources = resources
         return graph
@@ -544,12 +541,6 @@ class SharedGraph(Graph):
         return table
 
     # -- shm plumbing --------------------------------------------------
-    def shared_data_csr(self) -> Tuple[memoryview, memoryview]:
-        """The adjacency CSR views, byte-identical to
-        :func:`~repro.core.kernel.build_data_csr` output — the kernel's
-        per-graph CSR build becomes a pointer handoff."""
-        return self._csr_pair
-
     def worker_handle(self) -> Optional[GraphHandle]:
         """How another process re-opens this graph (``None`` if the
         backing store is anonymous/not re-attachable)."""
@@ -937,7 +928,7 @@ def decode_plan_segment(
     cpi = CPI(tree, matcher.data, candidates, adjacency)
     kernel: Optional[KernelPlan] = None
     if has_kernel:
-        adj_indptr, adj_flat = matcher._kernel_data_csr()
+        adj_indptr, adj_flat = build_data_csr(matcher.data)
         kernel = KernelPlan(
             core=_decode_stage(views, _PLAN_FIXED, candidates, adjacency),
             forest=_decode_stage(

@@ -9,9 +9,17 @@ place while *incrementally* maintaining every derived structure the
 matchers read — the sorted adjacency rows and neighbor sets, the label
 index, the NLF / MND filter tables (Section A.6), and the optimizer
 round-2 label-pair index and NLI bitmasks — instead of invalidating and
-rebuilding them.  Only the CSR views and the structural
-signature are dropped on mutation (they are array snapshots with no
-cheap incremental form).
+rebuilding them.
+
+The kernel's int32 adjacency CSR (:meth:`~DynamicGraph.adjacency_csr`)
+is patched rather than rebuilt: edge deltas record the vertices whose
+rows changed, and the next request splices only those rows into a
+*new* snapshot, shifting ``indptr`` past them.  Snapshots are
+copy-on-write — a compiled plan keeps the pair it was compiled against,
+and no later delta writes into it.  Vertex deltas change the row count
+(and ``remove_vertex`` may renumber ids), so after one the next request
+lowers the whole adjacency again.  Only the numpy CSR views and the
+structural signature are dropped on mutation.
 
 Every mutation bumps a monotonically increasing ``version`` and appends
 a :class:`TouchSet` to a bounded mutation log: the set of data labels
@@ -33,6 +41,7 @@ consumers holding vertex-id-based caches to rebuild.
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -49,7 +58,12 @@ from typing import (
     cast,
 )
 
-from .graph import Graph, GraphError
+try:  # gated: the pure-array shift below gives byte-identical output
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is optional
+    _np = None
+
+from .graph import AdjacencyCSR, Graph, GraphError, IntVector
 
 #: The four mutation kinds, in the order the compact codes list them.
 DELTA_OPS = ("add_edge", "remove_edge", "add_vertex", "remove_vertex")
@@ -163,11 +177,12 @@ class DynamicGraph(Graph):
 
     All read accessors behave exactly like the frozen base class at
     every version; the differential suite asserts that each derived
-    structure (label index, NLF, MND, neighbor sets) stays equal to a
-    from-scratch rebuild after arbitrary mutation streams.
+    structure (label index, NLF, MND, neighbor sets, adjacency CSR)
+    stays equal to a from-scratch rebuild after arbitrary mutation
+    streams.
     """
 
-    __slots__ = ("_version", "_log")
+    __slots__ = ("_version", "_log", "_csr_dirty")
 
     def __init__(
         self,
@@ -178,6 +193,9 @@ class DynamicGraph(Graph):
         super().__init__(labels, edges)
         self._version = 0
         self._log: Deque[TouchSet] = deque(maxlen=log_limit)
+        #: vertices whose adjacency rows changed since the current
+        #: ``adjacency_csr`` snapshot (empty while there is none)
+        self._csr_dirty: Set[int] = set()
 
     @classmethod
     def from_graph(cls, graph: Graph, log_limit: int = 4096) -> "DynamicGraph":
@@ -208,6 +226,23 @@ class DynamicGraph(Graph):
         if not log or log[0].version > version + 1:
             return None
         return [touch for touch in log if touch.version > version]
+
+    def adjacency_csr(self) -> AdjacencyCSR:
+        """The kernel's adjacency CSR for the current version.
+
+        Edge deltas since the last snapshot are spliced into a new pair
+        (:func:`patch_adjacency`); with no snapshot — none taken yet, or
+        a vertex delta dropped it — the whole adjacency is lowered.  A
+        pair handed out earlier is never modified.
+        """
+        snapshot = self._adjacency_csr
+        if snapshot is None:
+            snapshot = super().adjacency_csr()
+        elif self._csr_dirty:
+            snapshot = patch_adjacency(snapshot, self.adj, sorted(self._csr_dirty))
+            self._adjacency_csr = snapshot
+        self._csr_dirty.clear()
+        return snapshot
 
     # ------------------------------------------------------------------
     # Mutations
@@ -255,6 +290,7 @@ class DynamicGraph(Graph):
             cast(List[int], self._mnd).append(0)
         if self._nli_masks is not None:
             self._nli_masks.append(0)
+        self._drop_adjacency_csr()
         self._commit(frozenset((label,)))
         return v
 
@@ -271,6 +307,7 @@ class DynamicGraph(Graph):
         adj = cast(List[List[int]], self.adj)
         insort(adj[u], v)
         insort(adj[v], u)
+        self._mark_rows(u, v)
         adj_sets = cast(List[Set[int]], self._adj_sets)
         adj_sets[u].add(v)
         adj_sets[v].add(u)
@@ -365,6 +402,7 @@ class DynamicGraph(Graph):
             cast(List[int], self._mnd).pop()
         if self._nli_masks is not None:
             self._nli_masks.pop()
+        self._drop_adjacency_csr()
         self._commit(frozenset(touched), renumbered=renumbered)
 
     # ------------------------------------------------------------------
@@ -395,6 +433,7 @@ class DynamicGraph(Graph):
         adj_sets = cast(List[Set[int]], self._adj_sets)
         adj[u].remove(v)
         adj[v].remove(u)
+        self._mark_rows(u, v)
         adj_sets[u].discard(v)
         adj_sets[v].discard(u)
         self._num_edges -= 1
@@ -433,6 +472,17 @@ class DynamicGraph(Graph):
                     mask |= 1 << self._nli_bit(labels[w])
                 self._nli_masks[a] = mask
 
+    def _mark_rows(self, u: int, v: int) -> None:
+        """Record rows ``u`` and ``v`` for the next CSR patch."""
+        if self._adjacency_csr is not None:
+            self._csr_dirty.add(u)
+            self._csr_dirty.add(v)
+
+    def _drop_adjacency_csr(self) -> None:
+        """Forget the CSR snapshot: the row count or the ids changed."""
+        self._adjacency_csr = None
+        self._csr_dirty.clear()
+
     def _label_index_remove(self, label: int, v: int) -> None:
         index = cast(Dict[int, List[int]], self._label_index)
         row = index[label]
@@ -446,3 +496,54 @@ class DynamicGraph(Graph):
         self._signature = None
         self._version += 1
         self._log.append(TouchSet(self._version, labels, renumbered))
+
+
+def patch_adjacency(
+    snapshot: AdjacencyCSR,
+    rows: Sequence[Sequence[int]],
+    dirty: Sequence[int],
+) -> Tuple["array[int]", "array[int]"]:
+    """A new CSR pair equal to lowering ``rows``, built from ``snapshot``.
+
+    ``snapshot`` is the lowering of an earlier state whose rows differ
+    from ``rows`` only at the sorted vertex ids ``dirty`` (same vertex
+    count).  The unchanged stretches of ``flat`` are block copies; the
+    ``dirty`` rows are taken from ``rows``; every ``indptr`` entry past a
+    dirty row shifts by that row's change in length.  ``snapshot`` is
+    not modified.
+    """
+    old_indptr, old_flat = snapshot
+    blocks = memoryview(old_flat).cast("B")
+    width = old_flat.itemsize
+    flat = array("i")
+    growth: List[int] = []
+    start = 0  # first vertex whose row is not yet in ``flat``
+    for v in dirty:
+        flat.frombytes(blocks[width * old_indptr[start]:width * old_indptr[v]])
+        row = rows[v]
+        flat.extend(row)
+        growth.append(len(row) - (old_indptr[v + 1] - old_indptr[v]))
+        start = v + 1
+    flat.frombytes(blocks[width * old_indptr[start]:])
+    return _shift_indptr(old_indptr, dirty, growth), flat
+
+
+def _shift_indptr(
+    indptr: IntVector, dirty: Sequence[int], growth: Sequence[int]
+) -> "array[int]":
+    """``indptr`` with every entry after ``dirty[i]`` raised by the
+    running sum of ``growth[:i + 1]``; numpy does it in one pass when
+    present, and the pure ``array`` path produces the same bytes."""
+    if _np is not None:
+        shift = _np.zeros(len(indptr), dtype=_np.intc)
+        shift[_np.asarray(dirty, dtype=_np.intp) + 1] = growth
+        _np.cumsum(shift, dtype=_np.intc, out=shift)
+        shift += _np.frombuffer(indptr, dtype=_np.intc)
+        return array("i", shift.tobytes())
+    bounds = [*dirty[1:], len(indptr) - 1]
+    shifted = array("i", indptr[:dirty[0] + 1])
+    total = 0
+    for v, end, grown in zip(dirty, bounds, growth):
+        total += grown
+        shifted.extend(map(total.__add__, indptr[v + 1:end + 1]))
+    return shifted

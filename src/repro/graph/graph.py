@@ -10,6 +10,8 @@ and Maximum Neighbor Degree (MND) used by the CandVerify filter
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain
 from typing import (
     AbstractSet,
     Any,
@@ -21,11 +23,20 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
     cast,
 )
 
 #: lazy CSR cache: (indptr, indices, labels, degrees) numpy arrays
 CSRArrays = Tuple[Any, Any, Any, Any]
+#: A sorted int32 vector the kernel can bisect and slice: a plain
+#: ``array('i')`` (in-process lowering) or a zero-copy ``memoryview``
+#: over a shared segment (:mod:`repro.core.shm`).  Both support the only
+#: operations the hot loops use — ``len``, indexing, slicing, iteration.
+IntVector = Union["array[int]", memoryview]
+#: The kernel's data adjacency ``(indptr, flat)``: row ``v`` is
+#: ``flat[indptr[v]:indptr[v + 1]]``, sorted ascending.
+AdjacencyCSR = Tuple[IntVector, IntVector]
 #: exact structural key: (labels, sorted edge list)
 Signature = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 
@@ -56,6 +67,7 @@ class Graph:
         "_nlf",
         "_mnd",
         "_csr",
+        "_adjacency_csr",
         "_signature",
         "_label_pairs",
         "_label_bits",
@@ -95,6 +107,7 @@ class Graph:
         self._nlf: Optional[List[Dict[int, int]]] = None
         self._mnd: Optional[Sequence[int]] = None
         self._csr: Optional[CSRArrays] = None
+        self._adjacency_csr: Optional[AdjacencyCSR] = None
         self._signature: Optional[Signature] = None
         self._label_pairs: Optional[Dict[Tuple[int, int], int]] = None
         self._label_bits: Optional[Dict[int, int]] = None
@@ -112,6 +125,16 @@ class Graph:
     def num_edges(self) -> int:
         """Number of edges |E(g)|."""
         return self._num_edges
+
+    @property
+    def version(self) -> int:
+        """Mutation counter; always 0, since a static graph never changes.
+
+        Caches keyed by ``(structure, data.version)`` therefore stay
+        valid for a static graph and miss after any mutation of a
+        :class:`~repro.graph.dynamic.DynamicGraph`.
+        """
+        return 0
 
     def vertices(self) -> range:
         """All vertex ids."""
@@ -305,6 +328,25 @@ class Graph:
             labels = np.asarray(self.labels, dtype=np.int64)
             self._csr = (indptr, indices, labels, degrees)
         return self._csr
+
+    def adjacency_csr(self) -> AdjacencyCSR:
+        """The kernel's int32 adjacency CSR ``(indptr, flat)``, lowered once.
+
+        One pair per graph, shared by every compiled plan of every
+        matcher over it.  A graph whose storage already *is* this CSR (a
+        shared segment or an mmap'd ingest file) starts with its views
+        in the slot, so the lowering never runs for it; a
+        :class:`~repro.graph.dynamic.DynamicGraph` keeps the pair
+        current for its version.  The arrays are never written after
+        they are handed out.
+        """
+        if self._adjacency_csr is None:
+            rows = self.adj
+            self._adjacency_csr = (
+                array("i", accumulate(map(len, rows), initial=0)),
+                array("i", list(chain.from_iterable(rows))),
+            )
+        return self._adjacency_csr
 
     # ------------------------------------------------------------------
     # Structure helpers

@@ -2,11 +2,13 @@
 
 The only trustworthy oracle for incremental CPI repair is full
 recomputation: after every delta, an
-:class:`~repro.core.dynamic.IncrementalMatcher` must produce exactly
-what a cold :class:`~repro.core.matcher.CFLMatch` over a from-scratch
-copy of the mutated graph produces — the same embeddings, in the same
-enumeration order, with the same enumeration counters, and (stronger
-still) the same CPI contents.  This module packages that oracle as
+:class:`~repro.core.dynamic.IncrementalMatcher` — and a plain
+:class:`~repro.core.matcher.CFLMatch` reused over the live graph — must
+produce exactly what a cold :class:`~repro.core.matcher.CFLMatch` over
+a from-scratch copy of the mutated graph produces — the same
+embeddings, in the same enumeration order, with the same enumeration
+counters, and (stronger still) the same CPI contents.  This module
+packages that oracle as
 
 * :func:`incremental_differential_check` — one ``(data, query, stream)``
   instance, replayed step-by-step under every requested engine;
@@ -26,7 +28,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.dynamic import IncrementalMatcher
 from ..core.matcher import CFLMatch
@@ -104,6 +106,48 @@ def _cpi_payload(prepared) -> Tuple[List[List[int]], List[Dict[int, List[int]]]]
     )
 
 
+_Run = Tuple[Optional[Exception], List[Tuple[int, ...]], SearchStats]
+
+
+def _run(matcher: Union[IncrementalMatcher, CFLMatch], query: Graph) -> _Run:
+    """``(rejection, embeddings, stats)`` of one full enumeration."""
+    stats = SearchStats()
+    try:
+        return None, list(matcher.search(query, stats=stats)), stats
+    except (GraphError, ValueError) as exc:
+        return exc, [], stats
+
+
+def _divergence(
+    matcher: Union[IncrementalMatcher, CFLMatch],
+    query: Graph,
+    cold: CFLMatch,
+    cold_run: _Run,
+    check_cpi: bool,
+) -> Optional[str]:
+    """How ``matcher`` disagrees with the cold matcher, or ``None``."""
+    error, embeddings, stats = _run(matcher, query)
+    cold_error, cold_embeddings, cold_stats = cold_run
+    if (error is None) != (cold_error is None):
+        return f"rejection disagreement (got={error!r}, cold={cold_error!r})"
+    if error is not None:
+        return None
+    if embeddings != cold_embeddings:
+        return (
+            f"embeddings diverge "
+            f"(got={len(embeddings)}, cold={len(cold_embeddings)})"
+        )
+    got, want = stats.to_dict(), cold_stats.to_dict()
+    if got != want:
+        diffs = {name: (got[name], want[name]) for name in got if got[name] != want[name]}
+        return f"enumeration counters diverge: {diffs}"
+    if check_cpi and _cpi_payload(matcher.prepare(query)) != _cpi_payload(
+        cold.prepare(query, use_cache=False)
+    ):
+        return "served CPI differs from rebuilt CPI"
+    return None
+
+
 def incremental_differential_check(
     data: Graph,
     query: Graph,
@@ -112,80 +156,46 @@ def incremental_differential_check(
     rebuild_threshold: float = 0.75,
     check_cpi: bool = True,
 ) -> List[Mismatch]:
-    """Replay ``deltas`` against incremental repair and cold recompute.
+    """Replay ``deltas`` against matchers over the live graph and cold recompute.
 
-    For every engine, and at every step (initial state plus one per
-    delta), an :class:`IncrementalMatcher` over the mutating graph is
+    For every engine, two matchers follow the mutating graph: an
+    :class:`IncrementalMatcher` (tag ``incremental/{engine}``), which
+    repairs its plans, and one plain :class:`CFLMatch` with its plan
+    cache on (tag ``live/{engine}``), which must notice every mutation
+    through the data version and compile against the graph's patched
+    CSR.  At every step (initial state plus one per delta) each is
     compared with a freshly constructed :class:`CFLMatch` over a
     from-scratch copy: embeddings, enumeration order, full enumeration
     ``SearchStats`` and (with ``check_cpi``) CPI candidates + adjacency
     must be identical.  Queries both sides reject (e.g. disconnected)
-    count as agreement.  Returns one :class:`Mismatch` per divergence.
+    count as agreement.  Returns one :class:`Mismatch` per divergence;
+    a matcher stops being compared after its first.
     """
     mismatches: List[Mismatch] = []
     for engine in engines:
-        tag = f"incremental/{engine}"
         dynamic = DynamicGraph.from_graph(data)
-        matcher = IncrementalMatcher(
-            dynamic, engine=engine, rebuild_threshold=rebuild_threshold
-        )
+        matchers: Dict[str, Union[IncrementalMatcher, CFLMatch]] = {
+            f"incremental/{engine}": IncrementalMatcher(
+                dynamic, engine=engine, rebuild_threshold=rebuild_threshold
+            ),
+            f"live/{engine}": CFLMatch(dynamic, engine=engine),
+        }
         for step in range(len(deltas) + 1):
+            if not matchers:
+                break
             if step > 0:
                 dynamic.apply(deltas[step - 1])
             at = "initial" if step == 0 else f"after delta {step - 1} ({deltas[step - 1].format()})"
-            inc_stats = SearchStats()
-            inc_error: Optional[Exception] = None
-            inc_embeddings: List[Tuple[int, ...]] = []
-            try:
-                inc_embeddings = list(matcher.search(query, stats=inc_stats))
-            except (GraphError, ValueError) as exc:
-                inc_error = exc
             cold = CFLMatch(dynamic.to_static(), engine=engine)
-            cold_stats = SearchStats()
-            cold_error: Optional[Exception] = None
-            cold_embeddings: List[Tuple[int, ...]] = []
-            try:
-                cold_embeddings = list(cold.search(query, stats=cold_stats))
-            except (GraphError, ValueError) as exc:
-                cold_error = exc
-            if (inc_error is None) != (cold_error is None):
-                mismatches.append(Mismatch(
-                    tag, "dynamic-differential",
-                    f"{at}: rejection disagreement "
-                    f"(incremental={inc_error!r}, cold={cold_error!r})",
-                ))
-                break
-            if inc_error is not None:
-                # Both reject (same class of unsupported input): nothing
-                # further to compare, now or after later deltas.
-                break
-            if inc_embeddings != cold_embeddings:
-                mismatches.append(Mismatch(
-                    tag, "dynamic-differential",
-                    f"{at}: embeddings diverge "
-                    f"(incremental={len(inc_embeddings)}, cold={len(cold_embeddings)})",
-                ))
-                break
-            if inc_stats.to_dict() != cold_stats.to_dict():
-                diffs = {
-                    name: (inc_stats.to_dict()[name], cold_stats.to_dict()[name])
-                    for name in inc_stats.to_dict()
-                    if inc_stats.to_dict()[name] != cold_stats.to_dict()[name]
-                }
-                mismatches.append(Mismatch(
-                    tag, "dynamic-differential",
-                    f"{at}: enumeration counters diverge: {diffs}",
-                ))
-                break
-            if check_cpi:
-                inc_cpi = _cpi_payload(matcher.prepare(query))
-                cold_cpi = _cpi_payload(cold.prepare(query, use_cache=False))
-                if inc_cpi != cold_cpi:
-                    mismatches.append(Mismatch(
-                        tag, "dynamic-differential",
-                        f"{at}: repaired CPI differs from rebuilt CPI",
-                    ))
-                    break
+            cold_run = _run(cold, query)
+            for tag, matcher in list(matchers.items()):
+                detail = _divergence(matcher, query, cold, cold_run, check_cpi)
+                if detail is not None:
+                    mismatches.append(Mismatch(tag, "dynamic-differential", f"{at}: {detail}"))
+                if detail is not None or cold_run[0] is not None:
+                    # Diverged, or both reject (the same class of
+                    # unsupported input): nothing further to compare.
+                    del matchers[tag]
     return mismatches
 
 

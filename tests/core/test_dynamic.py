@@ -124,6 +124,58 @@ class TestIncrementalDifferential:
 
 
 # ----------------------------------------------------------------------
+# A plain CFLMatch reused over a mutating graph
+# ----------------------------------------------------------------------
+class TestLiveMatcher:
+    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
+    def test_reused_matcher_sees_mutation(self, engine):
+        """Path 0-1-2 labeled (0, 1, 0) plus an isolated label-1 vertex 3;
+        the query is one 0-1 edge.  After ``add_edge(2, 3)`` the matcher
+        that answered 2 must answer 3 like a fresh one: its plan cache
+        is keyed by the data version, and the kernel compiles against
+        the graph's current CSR."""
+        data = DynamicGraph([0, 1, 0, 1], [(0, 1), (1, 2)])
+        query = Graph([0, 1], [(0, 1)])
+        matcher = CFLMatch(data, engine=engine)
+        assert matcher.count(query) == 2
+        data.add_edge(2, 3)
+        assert matcher.count(query) == 3
+        assert CFLMatch(data, engine=engine).count(query) == 3
+        assert matcher.prepare_count == 2
+
+    def test_kernel_reads_patched_csr(self):
+        """Dense enough (rows over the kernel's galloping threshold) that
+        backward-edge checks bisect the data CSR: each flip is patched
+        into the graph's CSR, and the reused kernel matcher agrees with
+        the reference engine on a cold copy."""
+        rng = random.Random("dense-flips")
+        n = 40
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9]
+        data = DynamicGraph([0] * n, edges)
+        triangle = Graph([0, 0, 0], [(0, 1), (1, 2), (0, 2)])
+        matcher = CFLMatch(data, engine="kernel")
+        for _ in range(6):
+            u, v = rng.sample(range(n), 2)
+            if data.has_edge(u, v):
+                data.remove_edge(u, v)
+            else:
+                data.add_edge(u, v)
+            cold = CFLMatch(data.to_static(), engine="reference")
+            assert list(matcher.search(triangle)) == list(cold.search(triangle))
+
+    def test_differential_gates_the_live_matcher(self, monkeypatch):
+        """With the version pinned, plans go stale, and the differential
+        harness reports the live-matcher variant."""
+        data = DynamicGraph([0, 1, 0, 1], [(0, 1), (1, 2)])
+        query = Graph([0, 1], [(0, 1)])
+        deltas = [Delta.add_edge(2, 3)]
+        assert incremental_differential_check(data, query, deltas) == []
+        monkeypatch.setattr(DynamicGraph, "version", property(lambda self: 0))
+        found = incremental_differential_check(data, query, deltas)
+        assert {m.matcher for m in found} >= {"live/kernel", "live/reference"}
+
+
+# ----------------------------------------------------------------------
 # Repair/rebuild dispatch and accounting
 # ----------------------------------------------------------------------
 class TestRepairDispatch:

@@ -250,15 +250,17 @@ class TestCompiledPlanStructure:
                 MODE_ROOT, MODE_TREE, MODE_CROSS,
             )
 
-    def test_data_csr_cached_per_matcher(self):
+    def test_data_csr_cached_per_graph(self):
+        """The data CSR belongs to the graph: two matchers over one
+        static graph compile against the same arrays."""
         case = generate_case(0, 0, DENSE_SPEC)
-        matcher = CFLMatch(case.data, engine="kernel")
-        first = matcher.prepare(case.query).kernel
-        matcher.clear_plan_cache()
-        second = matcher.prepare(case.query, use_cache=False).kernel
+        first = CFLMatch(case.data, engine="kernel").prepare(case.query).kernel
+        second = CFLMatch(case.data, engine="kernel").prepare(case.query).kernel
         assert first is not second
         assert first.adj_indptr is second.adj_indptr
         assert first.adj_flat is second.adj_flat
+        indptr, flat = case.data.adjacency_csr()
+        assert indptr is first.adj_indptr and flat is first.adj_flat
 
     def test_plan_cache_reuses_compiled_kernel(self):
         case = generate_case(0, 0, DENSE_SPEC)

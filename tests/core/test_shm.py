@@ -29,6 +29,7 @@ import pytest
 
 import repro.core.parallel
 from repro.core import CFLMatch
+from repro.core.kernel import build_data_csr
 from repro.core.parallel import (
     MatcherPool,
     parallel_count,
@@ -54,6 +55,7 @@ from repro.core.shm import (
 )
 from repro.core.stats import SearchStats, aggregate_stage_stats
 from repro.graph import Graph, load_graph, save_graph
+from repro.graph.dynamic import DynamicGraph
 from repro.graph.graph import GraphError
 from repro.graph.ingest import ingest_graph, load_graph_csr, write_graph_csr
 from repro.testing import SCENARIOS, WorkloadSpec, generate_case, generate_cases
@@ -246,10 +248,31 @@ class TestSharedGraphStore:
                     assert shared.nlf(v) == data.nlf(v)
                     assert shared.mnd(v) == data.mnd(v)
 
+    def test_adjacency_sections_equal_in_process_csr(self, rng):
+        """The segment's adjacency sections are the in-process kernel CSR
+        byte for byte, also for a patched DynamicGraph snapshot."""
+        for _ in range(5):
+            data, _ = random_instance(rng)
+            dynamic = DynamicGraph.from_graph(data)
+            dynamic.adjacency_csr()
+            u, v = rng.sample(range(dynamic.num_vertices), 2)
+            if dynamic.has_edge(u, v):
+                dynamic.remove_edge(u, v)
+            else:
+                dynamic.add_edge(u, v)
+            for graph in (data, dynamic):
+                indptr, flat = build_data_csr(graph)
+                with SharedGraphStore.create(graph) as store:
+                    shared_indptr, shared_flat = build_data_csr(store.graph)
+                    assert bytes(shared_indptr) == bytes(indptr)
+                    assert bytes(shared_flat) == bytes(flat)
+                    assert [list(r) for r in store.graph.adj] == \
+                        [list(r) for r in graph.adj]
+
     def test_rows_are_read_only_zero_copy_views(self):
         ex = figure1_example(6, 6)
         with SharedGraphStore.create(ex.data) as store:
-            indptr, flat = store.graph.shared_data_csr()
+            indptr, flat = store.graph.adjacency_csr()
             assert isinstance(indptr, memoryview) and isinstance(flat, memoryview)
             assert indptr.readonly and flat.readonly
             with pytest.raises(TypeError):

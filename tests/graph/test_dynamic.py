@@ -6,18 +6,24 @@ lazily-cached label index, NLF and MND — equals a from-scratch
 :class:`Graph` built from the current labels and edges, whether the
 caches were materialized before the stream (incremental maintenance) or
 after it (cold build).  The touch log records exactly what a plan-level
-consumer must re-examine.
+consumer must re-examine.  The kernel's adjacency CSR, patched per edge
+delta, equals a full lowering at every version, and a snapshot handed
+out earlier never changes.
 """
 
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import repro.graph.dynamic as dynamic_module
 from repro.graph.dynamic import (
     DELTA_OPS,
     Delta,
     DynamicGraph,
     parse_delta_stream,
+    patch_adjacency,
 )
 from repro.graph.graph import Graph, GraphError
 from repro.testing.workloads import (
@@ -174,3 +180,86 @@ class TestTouchLog:
                 with pytest.raises(GraphError):
                     dynamic.apply(delta)
                 assert dynamic.version == before
+
+
+def csr_bytes(csr):
+    indptr, flat = csr
+    return bytes(indptr), bytes(flat)
+
+
+def delta_for(dynamic: DynamicGraph, op: str, x: int, y: int):
+    """Map a drawn ``(op, x, y)`` onto a valid delta, or ``None``."""
+    n = dynamic.num_vertices
+    if op == "add_vertex":
+        return Delta.add_vertex(y % 3)
+    if n == 0:
+        return None
+    if op == "remove_vertex":
+        return Delta.remove_vertex(x % n)
+    if op == "remove_edge":
+        edges = list(dynamic.edges())
+        return Delta.remove_edge(*edges[x % len(edges)]) if edges else None
+    u, v = x % n, y % n
+    return Delta.add_edge(u, v) if u != v and not dynamic.has_edge(u, v) else None
+
+
+def flip_edges(dynamic: DynamicGraph, rng: random.Random, count: int) -> None:
+    """Toggle ``count`` random vertex pairs: edge deltas only."""
+    for _ in range(count):
+        u, v = rng.sample(range(dynamic.num_vertices), 2)
+        if dynamic.has_edge(u, v):
+            dynamic.remove_edge(u, v)
+        else:
+            dynamic.add_edge(u, v)
+
+
+class TestAdjacencyCSR:
+    @given(
+        labels=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+        pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12),
+        steps=st.lists(
+            st.tuples(st.sampled_from(DELTA_OPS), st.integers(0, 63), st.integers(0, 63)),
+            max_size=25,
+        ),
+    )
+    def test_patched_csr_equals_full_lowering(self, labels, pairs, steps):
+        """Interleaved edge and vertex deltas: after every delta the CSR
+        equals a full lowering of ``to_static()``, and the snapshot
+        taken before the delta is unchanged (copy-on-write)."""
+        n = len(labels)
+        edges = {(min(u % n, v % n), max(u % n, v % n)) for u, v in pairs}
+        dynamic = DynamicGraph(labels, sorted((u, v) for u, v in edges if u != v))
+        for op, x, y in steps:
+            delta = delta_for(dynamic, op, x, y)
+            if delta is None:
+                continue
+            before = dynamic.adjacency_csr()
+            frozen = csr_bytes(before)
+            dynamic.apply(delta)
+            assert csr_bytes(dynamic.adjacency_csr()) == \
+                csr_bytes(dynamic.to_static().adjacency_csr())
+            assert csr_bytes(before) == frozen
+
+    def test_several_edge_deltas_patch_into_one_snapshot(self):
+        case = generate_case(4, 2, WorkloadSpec())
+        dynamic = DynamicGraph.from_graph(case.data)
+        first = dynamic.adjacency_csr()
+        flip_edges(dynamic, random.Random("batched"), 30)
+        latest = dynamic.adjacency_csr()
+        assert latest is not first
+        assert dynamic.adjacency_csr() is latest    # no delta since: cached
+        assert csr_bytes(latest) == csr_bytes(dynamic.to_static().adjacency_csr())
+
+    def test_pure_shift_is_byte_identical_to_numpy(self, monkeypatch):
+        pytest.importorskip("numpy")
+        case = generate_case(6, 0, WorkloadSpec())
+        dynamic = DynamicGraph.from_graph(case.data)
+        snapshot = dynamic.adjacency_csr()
+        flip_edges(dynamic, random.Random("shift"), 12)
+        dirty = sorted(dynamic._csr_dirty)
+        assert dirty
+        with_numpy = patch_adjacency(snapshot, dynamic.adj, dirty)
+        monkeypatch.setattr(dynamic_module, "_np", None)
+        pure = patch_adjacency(snapshot, dynamic.adj, dirty)
+        assert csr_bytes(pure) == csr_bytes(with_numpy)
+        assert csr_bytes(pure) == csr_bytes(dynamic.to_static().adjacency_csr())
