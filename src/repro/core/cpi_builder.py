@@ -33,7 +33,13 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from ..graph.graph import Graph
 from .core_match import SearchTimeout
 from .cpi import CPI, QueryBFSTree
-from .filters import cand_verify, make_counting_verify
+from .filters import (
+    VerifiedCandidates,
+    cand_verify,
+    has_cand_verify_verdict,
+    make_counting_verify,
+    record_rejections,
+)
 from .stats import SearchStats, monotonic_now
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -75,6 +81,28 @@ def _root_candidates(
     return cands
 
 
+def _handed_root_candidates(
+    query: Graph,
+    data: Graph,
+    root: int,
+    verify: Optional[VerifyFn],
+    stats: Optional[SearchStats],
+    root_verified: Optional[VerifiedCandidates],
+) -> Optional[List[int]]:
+    """The root's candidates from root selection's CandVerify run, with
+    the counters :func:`_root_candidates` would have recorded; ``None``
+    when there is no handoff or ``verify`` would judge differently."""
+    if root_verified is None or not has_cand_verify_verdict(verify):
+        return None
+    if stats is not None:
+        structural = root_verified.structural
+        bucket = len(data.vertices_with_label(query.label(root)))
+        stats.filter_degree_pruned += bucket - structural
+        stats.cpi_candidates_structural += structural
+        record_rejections(verify, stats, query, data, root, root_verified)
+    return list(root_verified.passed)
+
+
 def _record_build_totals(cpi: CPI, stats: Optional[SearchStats]) -> None:
     if stats is None:
         return
@@ -93,6 +121,7 @@ def build_cpi(
     stats: Optional[SearchStats] = None,
     deadline: Optional[float] = None,
     aux: Optional["AuxAdjacencyCache"] = None,
+    root_verified: Optional[VerifiedCandidates] = None,
 ) -> CPI:
     """Build a small, sound CPI for ``query`` over ``data``.
 
@@ -100,11 +129,20 @@ def build_cpi(
     variant); ``verify=None`` disables the CandVerify MND/NLF filtering.
     ``aux`` (a :class:`~repro.core.batch.AuxAdjacencyCache`) serves
     pre-intersected label-pair adjacency rows during construction; the
-    resulting CPI is identical with or without it.
+    resulting CPI is identical with or without it.  ``root_verified`` is
+    root selection's CandVerify outcome for ``root`` (see
+    :func:`~repro.core.root_selection.select_root`): the root step takes
+    its candidates and counters from it instead of verifying again; the
+    CPI and every counter are identical either way.
     """
     tree = QueryBFSTree.build(query, root)
     counted = make_counting_verify(verify, stats)
-    cpi = _top_down_construct(tree, data, counted, stats, deadline, aux)
+    root_candidates = _handed_root_candidates(
+        query, data, root, verify, stats, root_verified
+    )
+    cpi = _top_down_construct(
+        tree, data, counted, stats, deadline, aux, root_candidates
+    )
     if stats is not None:
         stats.cpi_candidates_topdown += sum(len(c) for c in cpi.candidates)
     if refine:
@@ -157,6 +195,7 @@ def _top_down_construct(
     stats: Optional[SearchStats] = None,
     deadline: Optional[float] = None,
     aux: Optional["AuxAdjacencyCache"] = None,
+    root_candidates: Optional[List[int]] = None,
 ) -> CPI:
     query = tree.query
     n_q = query.num_vertices
@@ -165,7 +204,9 @@ def _top_down_construct(
     candidates: List[List[int]] = [[] for _ in range(n_q)]
     adjacency: List[Dict[int, List[int]]] = [dict() for _ in range(n_q)]
 
-    candidates[root] = _root_candidates(query, data, root, verify, stats)
+    if root_candidates is None:
+        root_candidates = _root_candidates(query, data, root, verify, stats)
+    candidates[root] = root_candidates
 
     visited = [False] * n_q
     visited[root] = True

@@ -30,10 +30,11 @@ from .cpi import CPI, QueryBFSTree
 from .cpi_builder import (
     VerifyFn,
     _check_deadline,
+    _handed_root_candidates,
     _record_build_totals,
     _root_candidates,
 )
-from .filters import cand_verify, make_counting_verify, nlf_ok
+from .filters import VerifiedCandidates, cand_verify, make_counting_verify, nlf_ok
 from .stats import SearchStats
 
 
@@ -184,6 +185,7 @@ def build_cpi_numpy(
     stats: Optional[SearchStats] = None,
     deadline: Optional[float] = None,
     aux: Optional["AuxAdjacencyCache"] = None,
+    root_verified: Optional[VerifiedCandidates] = None,
 ) -> CPI:
     """Vectorized equivalent of :func:`repro.core.cpi_builder.build_cpi`.
 
@@ -194,7 +196,10 @@ def build_cpi_numpy(
     """
     tree = QueryBFSTree.build(query, root)
     state = _NumpyBuildState(query, data, verify, stats)
-    cpi = _top_down(tree, state, deadline, aux)
+    root_candidates = _handed_root_candidates(
+        query, data, root, verify, stats, root_verified
+    )
+    cpi = _top_down(tree, state, deadline, aux, root_candidates)
     if stats is not None:
         stats.cpi_candidates_topdown += sum(len(c) for c in cpi.candidates)
     if refine:
@@ -210,6 +215,7 @@ def _top_down(
     state: _NumpyBuildState,
     deadline: Optional[float] = None,
     aux: Optional["AuxAdjacencyCache"] = None,
+    root_candidates: Optional[List[int]] = None,
 ) -> CPI:
     query, data = state.query, state.data
     n_q = query.num_vertices
@@ -217,10 +223,12 @@ def _top_down(
     candidates: List[List[int]] = [[] for _ in range(n_q)]
     adjacency: List[Dict[int, List[int]]] = [dict() for _ in range(n_q)]
 
-    candidates[root] = _root_candidates(
-        query, data, root, make_counting_verify(state.verify, state.stats),
-        state.stats,
-    )
+    if root_candidates is None:
+        root_candidates = _root_candidates(
+            query, data, root, make_counting_verify(state.verify, state.stats),
+            state.stats,
+        )
+    candidates[root] = root_candidates
 
     visited = [False] * n_q
     visited[root] = True

@@ -67,7 +67,7 @@ from .cpi_builder import (
     _record_build_totals,
     _root_candidates,
 )
-from .decomposition import cfl_decompose
+from .decomposition import CFLDecomposition, cfl_decompose
 from .filters import cand_verify, make_counting_verify
 from .matcher import CFLMatch, MatchReport, PreparedQuery
 from .root_selection import select_root
@@ -502,16 +502,25 @@ class IncrementalMatcher:
         """Drop ``query``'s registration; ``True`` if one existed."""
         return self._plans.pop(id(query), None) is not None
 
+    def _decompose(self, query: Graph) -> Tuple[CFLDecomposition, int]:
+        """The CFL decomposition and the CPI root, chosen once: a tree
+        query's root is the core vertex the decomposition picked."""
+        decomposition = cfl_decompose(
+            query, root_chooser=lambda q: select_root(q, self.data)
+        )
+        if decomposition.is_tree_query:
+            return decomposition, decomposition.core[0]
+        return decomposition, select_root(
+            query, self.data, eligible=decomposition.core
+        )
+
     def _register(self, query: Graph) -> _Registration:
         if query.num_vertices == 0:
             raise GraphError("cannot match an empty query")
         build_stats = SearchStats()
         phase_times = empty_phase_times()
         started = monotonic_now()
-        decomposition = cfl_decompose(
-            query, root_chooser=lambda q: select_root(q, self.data)
-        )
-        root = select_root(query, self.data, eligible=decomposition.core)
+        decomposition, root = self._decompose(query)
         phase_times["decomposition"] = monotonic_now() - started
         cpi_started = monotonic_now()
         cpi, state = _repair_sweep(
@@ -571,10 +580,7 @@ class IncrementalMatcher:
         if len(region) > self.rebuild_threshold * query.num_vertices:
             self._rebuild_registration(reg, sync_started)
             return
-        decomposition = cfl_decompose(
-            query, root_chooser=lambda q: select_root(q, self.data)
-        )
-        root = select_root(query, self.data, eligible=decomposition.core)
+        decomposition, root = self._decompose(query)
         if root != reg.root:
             # The BFS tree would change shape; repair memoization is
             # keyed on the old tree, so start over.
@@ -606,10 +612,7 @@ class IncrementalMatcher:
         stats = reg.build_stats
         phase_times = empty_phase_times()
         build_started = monotonic_now()
-        decomposition = cfl_decompose(
-            query, root_chooser=lambda q: select_root(q, self.data)
-        )
-        root = select_root(query, self.data, eligible=decomposition.core)
+        decomposition, root = self._decompose(query)
         phase_times["decomposition"] = monotonic_now() - build_started
         cpi_started = monotonic_now()
         cpi, state = _repair_sweep(

@@ -33,11 +33,16 @@ Both are pruning-only: every vertex they reject is also rejected by the
 NLF filter, so enabling them never changes the built CPI — only how
 cheaply rejected candidates are discarded (and which counter records
 the rejection).
+
+Root selection runs CandVerify over a whole run of candidates at once
+(:func:`verify_candidates`) and hands the chosen root's outcome to the
+CPI builder, which counts its rejections per filter with
+:func:`record_rejections` instead of verifying the root again.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, NamedTuple, Optional
 
 from ..graph.graph import Graph
 from .stats import SearchStats
@@ -67,6 +72,48 @@ def cand_verify(query: Graph, data: Graph, u: int, v: int) -> bool:
     if data.mnd(v) < query.mnd(u):
         return False
     return nlf_ok(query, data, u, v)
+
+
+class VerifiedCandidates(NamedTuple):
+    """CandVerify's verdict on a run of label+degree survivors of ``u``.
+
+    ``passed`` keeps the input order; the rejected vertices are split by
+    the check of Algorithm 6 that rejected them, which is all a counting
+    wrapper needs to attribute them (:func:`record_rejections`).
+    """
+
+    passed: List[int]
+    mnd_failed: List[int]
+    nlf_failed: List[int]
+
+    @property
+    def structural(self) -> int:
+        """How many vertices were verified."""
+        return len(self.passed) + len(self.mnd_failed) + len(self.nlf_failed)
+
+
+def verify_candidates(
+    query: Graph, data: Graph, u: int, vertices: Iterable[int]
+) -> VerifiedCandidates:
+    """Run :func:`cand_verify` over ``vertices`` for query vertex ``u``."""
+    mnd_u = query.mnd(u)
+    needed = list(query.nlf(u).items())
+    data_mnd, data_nlf = data.mnd, data.nlf
+    passed: List[int] = []
+    mnd_failed: List[int] = []
+    nlf_failed: List[int] = []
+    for v in vertices:
+        if data_mnd(v) < mnd_u:
+            mnd_failed.append(v)
+            continue
+        have = data_nlf(v)
+        for lab, count in needed:
+            if have.get(lab, 0) < count:
+                nlf_failed.append(v)
+                break
+        else:
+            passed.append(v)
+    return VerifiedCandidates(passed, mnd_failed, nlf_failed)
 
 
 def full_candidate_check(query: Graph, data: Graph, u: int, v: int) -> bool:
@@ -179,3 +226,41 @@ def make_counting_verify(
         return True
 
     return counted_other
+
+
+def has_cand_verify_verdict(verify: object) -> bool:
+    """True iff ``verify`` accepts exactly what :func:`cand_verify` does
+    (the label-pair and NLI filters only reject what NLF rejects)."""
+    return verify is cand_verify or isinstance(verify, ExtendedCandVerify)
+
+
+def record_rejections(
+    verify: object,
+    stats: SearchStats,
+    query: Graph,
+    data: Graph,
+    u: int,
+    verified: VerifiedCandidates,
+) -> None:
+    """Count ``verified``'s rejections as :func:`make_counting_verify`'s
+    wrapper of ``verify`` would have counted them, without re-running
+    NLF.  ``verify`` must pass :func:`has_cand_verify_verdict`."""
+    mnd_failed, nlf_failed = verified.mnd_failed, verified.nlf_failed
+    mnd_pruned, nlf_pruned = len(mnd_failed), len(nlf_failed)
+    if isinstance(verify, ExtendedCandVerify):
+        if verify.label_pair and not verify.pair_ok[u]:
+            stats.filter_label_pair_pruned += mnd_pruned + nlf_pruned
+            return
+        if verify.nli:
+            required = verify.masks[u]
+            if required is None:
+                stats.filter_nli_pruned += mnd_pruned + nlf_pruned
+                return
+            nli_mask = data.nli_mask
+            mnd_nli = sum(1 for v in mnd_failed if required & ~nli_mask(v))
+            nlf_nli = sum(1 for v in nlf_failed if required & ~nli_mask(v))
+            stats.filter_nli_pruned += mnd_nli + nlf_nli
+            mnd_pruned -= mnd_nli
+            nlf_pruned -= nlf_nli
+    stats.filter_mnd_pruned += mnd_pruned
+    stats.filter_nlf_pruned += nlf_pruned

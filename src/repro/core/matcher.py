@@ -39,7 +39,7 @@ from .core_match import (
 from .cpi import CPI
 from .cpi_builder import _record_build_totals, build_cpi, build_naive_cpi
 from .decomposition import CFLDecomposition, cfl_decompose
-from .filters import ExtendedCandVerify, cand_verify
+from .filters import ExtendedCandVerify, VerifiedCandidates, cand_verify
 from .kernel import KernelBacktracker, KernelPlan, build_data_csr, compile_kernel_plan
 from .leaf_match import LeafPlan, build_leaf_plan, count_leaf_matches, enumerate_leaf_matches
 from .ordering import estimate_tree_embeddings, order_structure
@@ -377,18 +377,25 @@ class CFLMatch:
             build_stats = SearchStats()
         phase_times = empty_phase_times()
         started = time.perf_counter()
+        verified: Dict[int, VerifiedCandidates] = {}
         decomposition = cfl_decompose(
             query,
-            root_chooser=lambda q: select_root(q, self.data),
+            root_chooser=lambda q: select_root(q, self.data, verified=verified),
         )
-        if self.mode == "match":
-            # No decomposition: the whole query is matched like a core.
-            root = select_root(query, self.data)
+        if decomposition.is_tree_query:
+            # The chooser above ranked every query vertex, which is the
+            # pool "match" mode uses too, so its pick is the root.
+            root = decomposition.core[0]
         else:
-            root = select_root(query, self.data, eligible=decomposition.core)
+            # "match" mode matches the whole query like a core.
+            eligible = None if self.mode == "match" else decomposition.core
+            root = select_root(query, self.data, eligible, verified=verified)
         phase_times["decomposition"] = time.perf_counter() - started
         cpi_started = time.perf_counter()
-        cpi = self._build_cpi(query, root, stats=build_stats, deadline=deadline)
+        cpi = self._build_cpi(
+            query, root, stats=build_stats, deadline=deadline,
+            root_verified=verified.get(root),
+        )
         phase_times["cpi_build"] = time.perf_counter() - cpi_started
         return self._assemble_plan(
             query, decomposition, root, cpi, started,
@@ -423,10 +430,7 @@ class CFLMatch:
         phase_times = empty_phase_times()
         phase_times["segment_attach"] = segment_attach
         started = time.perf_counter()
-        decomposition = cfl_decompose(
-            query,
-            root_chooser=lambda q: select_root(q, self.data),
-        )
+        decomposition = cfl_decompose(query, tree_root=cpi.root)
         phase_times["decomposition"] = time.perf_counter() - started
         # The CPI arrived prebuilt (cpi_build stays 0.0) but its size
         # counters are still recorded so worker-side profiles are never
@@ -629,6 +633,7 @@ class CFLMatch:
         root: int,
         stats: Optional[SearchStats] = None,
         deadline: Optional[float] = None,
+        root_verified: Optional[VerifiedCandidates] = None,
     ) -> CPI:
         if self.cpi_mode == "naive":
             return build_naive_cpi(
@@ -642,11 +647,11 @@ class CFLMatch:
             return build_cpi_numpy(
                 query, self.data, root,
                 refine=refine, verify=verify, stats=stats, deadline=deadline,
-                aux=self.aux_cache,
+                aux=self.aux_cache, root_verified=root_verified,
             )
         return build_cpi(
             query, self.data, root, refine=refine, verify=verify, stats=stats,
-            deadline=deadline, aux=self.aux_cache,
+            deadline=deadline, aux=self.aux_cache, root_verified=root_verified,
         )
 
     def _forest_order(

@@ -5,34 +5,37 @@ matching order) and should have few candidates but high degree.  Following
 the paper: first rank every eligible vertex by ``|C(u)| / d(u)`` using the
 light-weight label+degree candidate count, keep the top 3, then recompute
 ``C(u)`` for those with the full CandVerify filter and pick the minimum.
+
+Both counts read the data graph's per-label degree index
+(:meth:`~repro.graph.graph.Graph.degree_index`): the light count is one
+bisection, and CandVerify walks only the degree-passing suffix.  The
+winner's verified candidates can be handed to the CPI builder
+(``verified``), which then skips re-verifying the root.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from bisect import bisect_left
+from typing import Dict, Iterable, List, Optional
 
 from ..graph.graph import Graph, GraphError
-from .filters import cand_verify
+from .filters import VerifiedCandidates, verify_candidates
 
 
 def _light_candidate_count(query: Graph, data: Graph, u: int) -> int:
     """|C(u)| using only the label and degree filters."""
-    u_degree = query.degree(u)
-    return sum(
-        1
-        for v in data.vertices_with_label(query.label(u))
-        if data.degree(v) >= u_degree
-    )
+    _, degrees = data.degree_index(query.label(u))
+    return len(degrees) - bisect_left(degrees, query.degree(u))
 
 
-def _verified_candidate_count(query: Graph, data: Graph, u: int) -> int:
-    """|C(u)| after the full CandVerify (MND + NLF) filtering."""
-    u_degree = query.degree(u)
-    return sum(
-        1
-        for v in data.vertices_with_label(query.label(u))
-        if data.degree(v) >= u_degree and cand_verify(query, data, u, v)
-    )
+def _verified_candidates(query: Graph, data: Graph, u: int) -> VerifiedCandidates:
+    """CandVerify (MND + NLF) over the label+degree survivors of ``u``,
+    with ``passed`` in vertex-id order like the label bucket."""
+    vertices, degrees = data.degree_index(query.label(u))
+    start = bisect_left(degrees, query.degree(u))
+    verified = verify_candidates(query, data, u, vertices[start:])
+    verified.passed.sort()
+    return verified
 
 
 def select_root(
@@ -40,11 +43,15 @@ def select_root(
     data: Graph,
     eligible: Optional[Iterable[int]] = None,
     top_k: int = 3,
+    *,
+    verified: Optional[Dict[int, VerifiedCandidates]] = None,
 ) -> int:
     """Pick the BFS root as ``arg min |C(u)| / d(u)`` (Section A.6).
 
     ``eligible`` restricts the pool (the CFL framework passes the
-    core-set); by default all query vertices compete.
+    core-set); by default all query vertices compete.  When the
+    CandVerify step runs and ``verified`` is given, the chosen root's
+    verification outcome is stored in it under the root's id.
     """
     pool: List[int] = list(eligible) if eligible is not None else list(query.vertices())
     if not pool:
@@ -58,7 +65,11 @@ def select_root(
     if len(shortlist) == 1:
         return shortlist[0]
 
-    def verified_ratio(u: int) -> float:
-        return _verified_candidate_count(query, data, u) / max(query.degree(u), 1)
-
-    return min(shortlist, key=lambda u: (verified_ratio(u), u))
+    outcomes = {u: _verified_candidates(query, data, u) for u in shortlist}
+    root = min(
+        shortlist,
+        key=lambda u: (len(outcomes[u].passed) / max(query.degree(u), 1), u),
+    )
+    if verified is not None:
+        verified[root] = outcomes[root]
+    return root

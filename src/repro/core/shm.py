@@ -139,17 +139,18 @@ def _segment_name() -> str:
 class _Segment(shared_memory.SharedMemory):
     """``SharedMemory`` with a deterministic, tracker-free lifecycle.
 
-    Python 3.11 registers every segment with the ``resource_tracker`` on
-    attach as well as on create, and the tracker's cache is a *set of
-    names shared by the whole process tree* — so an attacher's cleanup
-    deletes the creator's entry, the creator's ``unlink`` then
-    unregisters a name the tracker no longer knows, and the tracker
-    prints ``KeyError`` tracebacks.  Segment lifetime here is owned
-    explicitly (create/attach/close/unlink threaded through pool
-    shutdown and dispatcher cancellation), so we opt out of tracking
-    entirely: every construction immediately unregisters, and
-    :meth:`unlink` calls ``shm_unlink`` directly instead of the stock
-    implementation's unlink-plus-unregister.
+    Python 3.11's constructor registers every segment with the
+    ``resource_tracker`` on attach as well as on create.  One tracker
+    serves the whole process tree and keeps a *set* of names, not a
+    count, so two workers attaching the same segment at once can send
+    ``REGISTER, REGISTER, UNREGISTER, UNREGISTER``: the second
+    unregister finds no entry and the tracker prints a ``KeyError``
+    traceback.  Segment lifetime here is owned explicitly
+    (create/attach/close/unlink threaded through pool shutdown and
+    dispatcher cancellation), so a segment is never registered: on
+    POSIX the constructor opens and maps the segment itself, without the
+    stock constructor's ``register`` call, and :meth:`unlink` calls
+    ``shm_unlink`` directly instead of the stock unlink-plus-unregister.
 
     The finalizer also tolerates exported views: plans hold memoryview
     slices of the segment for their whole life, and if the interpreter
@@ -159,15 +160,31 @@ class _Segment(shared_memory.SharedMemory):
     the leak tests treat *any* stderr warning as a failure.
     """
 
-    def __init__(self, name: Optional[str] = None, create: bool = False,
-                 size: int = 0) -> None:
-        super().__init__(name=name, create=create, size=size)
+    def __init__(self, name: str, create: bool = False, size: int = 0) -> None:
+        if _posixshmem is None:  # pragma: no cover - non-POSIX platforms
+            super().__init__(name=name, create=create, size=size)
+            try:
+                resource_tracker.unregister(self._name, "shared_memory")
+            except Exception:
+                pass
+            return
+        posix_name = "/" + name
+        flags = os.O_CREAT | os.O_EXCL | os.O_RDWR if create else os.O_RDWR
+        fd = _posixshmem.shm_open(posix_name, flags, mode=0o600)
         try:
-            resource_tracker.unregister(
-                getattr(self, "_name", "/" + self.name), "shared_memory"
-            )
-        except Exception:  # pragma: no cover - tracker may be absent
-            pass
+            if create:
+                os.ftruncate(fd, size)
+            mapped = mmap.mmap(fd, os.fstat(fd).st_size)
+        except OSError:
+            os.close(fd)
+            if create:
+                _posixshmem.shm_unlink(posix_name)
+            raise
+        self._name = posix_name
+        self._fd = fd
+        self._mmap = mapped
+        self._size = len(mapped)
+        self._buf = memoryview(mapped)
 
     def unlink(self) -> None:
         posix_name = getattr(self, "_name", None)
@@ -499,6 +516,7 @@ class SharedGraph(Graph):
         graph._adj_sets = _RowSets(rows)
         graph._num_edges = int(meta[1])
         graph._label_index = None
+        graph._degree_index = None
         graph._nlf = None
         graph._mnd = views[_G_MND]
         graph._csr = None

@@ -18,8 +18,12 @@ rows changed, and the next request splices only those rows into a
 copy-on-write — a compiled plan keeps the pair it was compiled against,
 and no later delta writes into it.  Vertex deltas change the row count
 (and ``remove_vertex`` may renumber ids), so after one the next request
-lowers the whole adjacency again.  Only the numpy CSR views and the
-structural signature are dropped on mutation.
+lowers the whole adjacency again.  The per-label degree index
+(:meth:`~repro.graph.graph.Graph.degree_index`) is kept per label: an
+edge delta drops the entries of its two endpoint labels (the only
+vertices whose degree changed), which the next request re-derives,
+while a vertex delta drops the whole index.  Only the numpy CSR views
+and the structural signature are dropped on every mutation.
 
 Every mutation bumps a monotonically increasing ``version`` and appends
 a :class:`TouchSet` to a bounded mutation log: the set of data labels
@@ -177,12 +181,16 @@ class DynamicGraph(Graph):
 
     All read accessors behave exactly like the frozen base class at
     every version; the differential suite asserts that each derived
-    structure (label index, NLF, MND, neighbor sets, adjacency CSR)
-    stays equal to a from-scratch rebuild after arbitrary mutation
-    streams.
+    structure (label index, degree index, NLF, MND, neighbor sets,
+    adjacency CSR) stays equal to a from-scratch rebuild after arbitrary
+    mutation streams.
     """
 
     __slots__ = ("_version", "_log", "_csr_dirty")
+
+    # Equality is structural and changes with every delta, so a mutable
+    # graph has no stable hash: it cannot be a dict key or set member.
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self,
@@ -291,6 +299,7 @@ class DynamicGraph(Graph):
         if self._nli_masks is not None:
             self._nli_masks.append(0)
         self._drop_adjacency_csr()
+        self._degree_index = None
         self._commit(frozenset((label,)))
         return v
 
@@ -308,6 +317,7 @@ class DynamicGraph(Graph):
         insort(adj[u], v)
         insort(adj[v], u)
         self._mark_rows(u, v)
+        self._drop_degree_entries(u, v)
         adj_sets = cast(List[Set[int]], self._adj_sets)
         adj_sets[u].add(v)
         adj_sets[v].add(u)
@@ -403,6 +413,7 @@ class DynamicGraph(Graph):
         if self._nli_masks is not None:
             self._nli_masks.pop()
         self._drop_adjacency_csr()
+        self._degree_index = None
         self._commit(frozenset(touched), renumbered=renumbered)
 
     # ------------------------------------------------------------------
@@ -434,6 +445,7 @@ class DynamicGraph(Graph):
         adj[u].remove(v)
         adj[v].remove(u)
         self._mark_rows(u, v)
+        self._drop_degree_entries(u, v)
         adj_sets[u].discard(v)
         adj_sets[v].discard(u)
         self._num_edges -= 1
@@ -477,6 +489,14 @@ class DynamicGraph(Graph):
         if self._adjacency_csr is not None:
             self._csr_dirty.add(u)
             self._csr_dirty.add(v)
+
+    def _drop_degree_entries(self, u: int, v: int) -> None:
+        """Forget the degree-index entries of the labels of ``u`` and
+        ``v``, the two vertices whose degree an edge delta changed."""
+        index = self._degree_index
+        if index is not None:
+            index.pop(self.labels[u], None)
+            index.pop(self.labels[v], None)
 
     def _drop_adjacency_csr(self) -> None:
         """Forget the CSR snapshot: the row count or the ids changed."""

@@ -37,6 +37,10 @@ IntVector = Union["array[int]", memoryview]
 #: The kernel's data adjacency ``(indptr, flat)``: row ``v`` is
 #: ``flat[indptr[v]:indptr[v + 1]]``, sorted ascending.
 AdjacencyCSR = Tuple[IntVector, IntVector]
+#: One label's vertices ordered by ``(degree, id)`` and their degrees,
+#: ascending: the vertices of degree at least ``d`` are the suffix from
+#: ``bisect_left(degrees, d)``.
+DegreeIndex = Tuple[Sequence[int], Sequence[int]]
 #: exact structural key: (labels, sorted edge list)
 Signature = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 
@@ -64,6 +68,7 @@ class Graph:
         "_adj_sets",
         "_num_edges",
         "_label_index",
+        "_degree_index",
         "_nlf",
         "_mnd",
         "_csr",
@@ -104,6 +109,7 @@ class Graph:
         self._adj_sets: Sequence[AbstractSet[int]] = adj_sets
         self._num_edges = num_edges
         self._label_index: Optional[Dict[int, Sequence[int]]] = None
+        self._degree_index: Optional[Dict[int, DegreeIndex]] = None
         self._nlf: Optional[List[Dict[int, int]]] = None
         self._mnd: Optional[Sequence[int]] = None
         self._csr: Optional[CSRArrays] = None
@@ -206,6 +212,26 @@ class Graph:
     def vertices_with_label(self, label: int) -> Sequence[int]:
         """All vertices with the given label (empty if none)."""
         return self.label_index().get(label, [])
+
+    def degree_index(self, label: int) -> DegreeIndex:
+        """``(vertices, degrees)`` of ``label`` ordered by degree, ties by id.
+
+        Derived per label on first request from the label index and the
+        adjacency, then kept; root selection counts the label+degree
+        candidates of a query vertex of degree ``d`` as
+        ``len(degrees) - bisect_left(degrees, d)`` and CandVerifies only
+        that suffix of ``vertices``.  Both sequences are empty for a
+        label no vertex carries.
+        """
+        index = self._degree_index
+        if index is None:
+            index = self._degree_index = {}
+        entry = index.get(label)
+        if entry is None:
+            degree = self.degree
+            ranked = sorted(self.vertices_with_label(label), key=degree)
+            entry = index[label] = (ranked, [degree(v) for v in ranked])
+        return entry
 
     def label_frequency(self, label: int) -> int:
         """Number of vertices carrying ``label``."""
@@ -445,8 +471,8 @@ class Graph:
             return NotImplemented
         return self.labels == other.labels and self.adj == other.adj
 
-    def __hash__(self) -> int:  # graphs are mutated never, hash by identity
-        return id(self)
+    def __hash__(self) -> int:  # consistent with __eq__: equal graphs share a signature
+        return hash(self.signature())
 
     def __repr__(self) -> str:
         return (

@@ -1,7 +1,16 @@
 """Unit tests for candidate filters (CandVerify, Section A.6)."""
 
 from repro.core import cand_verify, full_candidate_check, label_degree_ok, mnd_ok, nlf_ok
+from repro.core.filters import (
+    ExtendedCandVerify,
+    has_cand_verify_verdict,
+    make_counting_verify,
+    record_rejections,
+    verify_candidates,
+)
+from repro.core.stats import SearchStats
 from repro.graph import Graph
+from repro.testing.workloads import SCENARIOS, generate_case
 
 
 def star(center_label, leaf_labels):
@@ -87,3 +96,62 @@ class TestCandVerify:
             for emb in nx_monomorphisms(query, data):
                 for u, v in enumerate(emb):
                     assert full_candidate_check(query, data, u, v)
+
+
+class TestRecordRejections:
+    """``record_rejections`` over a :func:`verify_candidates` outcome
+    counts exactly what the counting wrapper counts per vertex."""
+
+    STACKS = [(False, False), (True, False), (False, True), (True, True)]
+
+    @staticmethod
+    def _both_ways(query, data, u, verify):
+        vertices = [
+            v for v in data.vertices_with_label(query.label(u))
+            if data.degree(v) >= query.degree(u)
+        ]
+        per_vertex = SearchStats()
+        counted = make_counting_verify(verify, per_vertex)
+        passed = [v for v in vertices if counted(query, data, u, v)]
+        outcome = verify_candidates(query, data, u, vertices)
+        recorded = SearchStats()
+        record_rejections(verify, recorded, query, data, u, outcome)
+        assert outcome.passed == passed
+        assert outcome.structural == len(vertices)
+        return recorded.to_dict(), per_vertex.to_dict()
+
+    def _check(self, query, data):
+        for label_pair, nli in self.STACKS:
+            if label_pair or nli:
+                verify = ExtendedCandVerify(query, data, label_pair=label_pair, nli=nli)
+            else:
+                verify = cand_verify
+            assert has_cand_verify_verdict(verify)
+            for u in query.vertices():
+                recorded, expected = self._both_ways(query, data, u, verify)
+                assert recorded == expected, (label_pair, nli, u)
+
+    def test_fuzz_cases(self):
+        for seed in range(3):
+            for index in range(len(SCENARIOS)):
+                case = generate_case(seed, index)
+                self._check(case.query, case.data)
+
+    def test_label_pair_nli_and_absent_labels(self):
+        """Query vertex 0 (label 0) needs neighbors labeled 1, 2 and 3.
+        No data edge joins labels 0 and 2, and label 3 is absent, so
+        every filter stack rejects vertex 0's candidates differently; the
+        data also has vertices failing MND and NLI together."""
+        query = Graph([0, 1, 2, 3, 1], [(0, 1), (0, 2), (0, 3), (1, 4)])
+        data = Graph(
+            [0, 0, 0, 1, 1, 2, 1, 0],
+            [(0, 3), (0, 4), (0, 6), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4),
+             (2, 6), (3, 4), (5, 6), (7, 3), (7, 4), (7, 6)],
+        )
+        self._check(query, data)
+        self._check(Graph([0, 1, 2], [(0, 1), (0, 2)]), data)
+        self._check(Graph([0, 1, 1, 1], [(0, 1), (0, 2), (0, 3)]), data)
+
+    def test_foreign_verify_has_no_verdict_guarantee(self):
+        assert not has_cand_verify_verdict(nlf_ok)
+        assert not has_cand_verify_verdict(None)

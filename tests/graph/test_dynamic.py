@@ -2,7 +2,7 @@
 
 The contract under test (see ``repro/graph/dynamic.py``): after any
 valid mutation stream, every accessor — adjacency, neighbor sets, the
-lazily-cached label index, NLF and MND — equals a from-scratch
+lazily-cached label index, degree index, NLF and MND — equals a from-scratch
 :class:`Graph` built from the current labels and edges, whether the
 caches were materialized before the stream (incremental maintenance) or
 after it (cold build).  The touch log records exactly what a plan-level
@@ -40,6 +40,8 @@ def assert_indexes_match_rebuild(dynamic: DynamicGraph) -> None:
     assert dynamic.num_edges == rebuilt.num_edges
     assert {k: list(v) for k, v in dynamic.label_index().items()} == \
         {k: list(v) for k, v in rebuilt.label_index().items()}
+    for label in set(rebuilt.labels):
+        assert dynamic.degree_index(label) == rebuilt.degree_index(label)
     for v in rebuilt.vertices():
         assert list(dynamic.neighbors(v)) == list(rebuilt.neighbors(v))
         assert set(dynamic.neighbor_set(v)) == set(rebuilt.neighbor_set(v))
@@ -78,6 +80,8 @@ class TestIndexMaintenance:
         dynamic = DynamicGraph.from_graph(case.data)
         # Materialize all lazy caches so the incremental paths run.
         dynamic.label_index()
+        for label in set(dynamic.labels):
+            dynamic.degree_index(label)
         if dynamic.num_vertices:
             dynamic.nlf(0)
             dynamic.mnd(0)
@@ -101,6 +105,28 @@ class TestIndexMaintenance:
         dynamic.remove_vertex(0)        # vertex 2 takes over id 0
         assert list(dynamic.labels) == [2, 1]
         assert dynamic.has_edge(0, 1)
+        assert_indexes_match_rebuild(dynamic)
+
+    def test_edge_delta_drops_only_endpoint_label_entries(self):
+        """An edge delta re-derives the entries of its endpoints' labels
+        only; a vertex delta drops the whole degree index."""
+        dynamic = DynamicGraph([0, 1, 2, 3, 0], [(0, 1), (1, 2), (2, 3)])
+        before = {label: dynamic.degree_index(label) for label in range(4)}
+        dynamic.add_edge(0, 2)
+        for label in (1, 3):
+            assert dynamic.degree_index(label) is before[label]
+        assert dynamic.degree_index(0) == ([4, 0], [0, 2])
+        assert dynamic.degree_index(2) == ([2], [3])
+        kept = dynamic.degree_index(1)
+        dynamic.remove_edge(2, 3)
+        assert dynamic.degree_index(1) is kept
+        assert dynamic.degree_index(3) == ([3], [0])
+        assert_indexes_match_rebuild(dynamic)
+        dynamic.add_vertex(1)
+        assert dynamic.degree_index(1) is not kept
+        assert dynamic.degree_index(1) == ([5, 1], [0, 2])
+        dynamic.remove_vertex(0)        # vertex 5 takes over id 0
+        assert dynamic.degree_index(1) == ([0, 1], [0, 1])
         assert_indexes_match_rebuild(dynamic)
 
     def test_to_static_is_independent(self):

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.core.shm import SharedGraph, SharedGraphStore
 from repro.graph import Graph, GraphError, graph_from_edge_list
+from repro.graph.dynamic import DynamicGraph
+from repro.graph.ingest import write_graph_csr
+from repro.graph.io import load_graph
+from repro.testing.workloads import generate_case
 
 
 class TestConstruction:
@@ -133,3 +138,69 @@ class TestStructure:
         assert a == b
         assert a != c
         assert a != "not a graph"
+
+
+def _derived_degree_index(graph, label):
+    """The degree index derived from scratch: the label's vertices by
+    ``(degree, id)`` and their degrees."""
+    ranked = sorted(graph.vertices_with_label(label), key=lambda v: (graph.degree(v), v))
+    return ranked, [graph.degree(v) for v in ranked]
+
+
+def assert_degree_index_fresh(graph):
+    labels = set(graph.labels)
+    for label in labels | {max(labels, default=0) + 1}:
+        vertices, degrees = graph.degree_index(label)
+        assert (list(vertices), list(degrees)) == _derived_degree_index(graph, label)
+
+
+class TestDegreeIndex:
+    def test_orders_by_degree_then_id(self):
+        g = Graph([0, 0, 0, 1, 0], [(0, 3), (1, 3), (1, 4), (2, 1)])
+        assert g.degree_index(0) == ([0, 2, 4, 1], [1, 1, 1, 3])
+        assert g.degree_index(1) == ([3], [2])
+        assert g.degree_index(7) == ([], [])
+
+    def test_static_graph(self, small_data):
+        assert_degree_index_fresh(small_data)
+        for seed in range(3):
+            assert_degree_index_fresh(generate_case(seed, 0).data)
+
+    def test_entry_is_kept(self, small_data):
+        assert small_data.degree_index(0) is small_data.degree_index(0)
+
+    def test_csr_loaded_and_shared_graphs(self, tmp_path):
+        data = generate_case(2, 1).data
+        write_graph_csr(data, tmp_path / "g.csr")
+        loaded = load_graph(tmp_path / "g.csr")
+        assert isinstance(loaded, SharedGraph)
+        assert_degree_index_fresh(loaded)
+        with SharedGraphStore.create(data) as store:
+            assert_degree_index_fresh(store.graph)
+            for label in set(data.labels):
+                assert store.graph.degree_index(label) == data.degree_index(label)
+
+
+class TestHash:
+    def test_equal_graphs_hash_equal(self):
+        a = Graph([0, 1, 2], [(0, 1), (1, 2)])
+        b = Graph([0, 1, 2], [(2, 1), (1, 0)])
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_csr_loaded_graph_hashes_like_its_twin(self, tmp_path):
+        data = generate_case(1, 0).data
+        write_graph_csr(data, tmp_path / "g.csr")
+        loaded = load_graph(tmp_path / "g.csr")
+        assert loaded == data
+        assert hash(loaded) == hash(data)
+        with SharedGraphStore.create(data) as store:
+            assert hash(store.graph) == hash(data)
+
+    def test_dynamic_graph_is_unhashable(self):
+        dynamic = DynamicGraph([0, 1], [(0, 1)])
+        with pytest.raises(TypeError):
+            hash(dynamic)
+        with pytest.raises(TypeError):
+            {dynamic}
