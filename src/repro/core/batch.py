@@ -128,6 +128,10 @@ class AuxAdjacencyCache:
     ``aux_adj_hits``/``aux_adj_misses``/``aux_adj_bytes`` counters; they
     are deliberately *not* charged to per-query build stats so a batch
     run's per-query counters stay bit-identical to one-at-a-time runs.
+
+    Entries belong to the ``data.version`` they were built at: a lookup
+    at any other version (the graph is a mutated
+    :class:`~repro.graph.dynamic.DynamicGraph`) drops every entry first.
     """
 
     def __init__(
@@ -142,6 +146,7 @@ class AuxAdjacencyCache:
         self.max_bytes = max_bytes
         self.stats = stats if stats is not None else SearchStats()
         self._entries: "OrderedDict[AuxKey, AuxEntry]" = OrderedDict()
+        self._version = data.version
         self.bytes_in_use = 0
         self.evictions = 0
 
@@ -151,6 +156,9 @@ class AuxAdjacencyCache:
     def lookup(self, parent_label: int, child_label: int, degree: int) -> AuxEntry:
         """The entry serving ``(parent_label, child_label, degree)``,
         building (and possibly evicting) on miss."""
+        if self.data.version != self._version:
+            self.clear()
+            self._version = self.data.version
         key = (parent_label, child_label, degree_bucket(degree))
         entry = self._entries.get(key)
         if entry is not None:

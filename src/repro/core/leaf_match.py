@@ -10,17 +10,39 @@ parent, which share one candidate set.
 Counting treats an NEC of size m as a combination (multiplying by ``m!``)
 instead of enumerating permutations, which is the paper's on-the-fly
 compression of redundant leaf Cartesian products.
+
+Enumeration has two forms.  :func:`enumerate_leaf_matches` walks the
+product one leaf assignment at a time with nested generators; it is the
+reference engine's path and the differential oracle.
+:func:`build_leaf_block` instead enumerates each label class's
+assignments once per core+forest mapping, in the same nested order, and
+:meth:`LeafBlock.stream` produces every embedding of that *block* with a
+C-level ``product`` and the plan's ``itemgetter``; the block records
+enough per-class node counts to replay the oracle's ``nodes`` counter
+exactly for any number of embeddings consumed.  A block is held in
+memory, so it is built only when a bound taken from the candidate
+counts fits the caller's allowance; otherwise the caller streams that
+mapping through the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations, permutations, product
+from math import factorial, perm
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cpi import CPI, EMPTY_CANDIDATES
 from .stats import SearchStats, WorkBudget
+
+#: Largest leaf-node bound (see :func:`build_leaf_block`) a block may
+#: have, whatever the consumer.  A block is held in memory while it is
+#: consumed, so this caps that memory and the work done between two of
+#: the search's deadline polls; a larger block streams through
+#: :func:`enumerate_leaf_matches`.
+BLOCK_NODE_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -36,11 +58,23 @@ class LeafPlan:
     """Query-only leaf structure, computed once per query.
 
     ``classes[i]`` holds the NECs of one label class; class order is by
-    label for determinism.
+    label for determinism.  A class's *assignment tuple* lists its
+    leaves' images with NECs in plan order and members in order;
+    ``slots[u]`` is leaf ``u``'s position in it.  ``getter`` maps
+    ``tuple(mapping)`` followed by every class's assignment tuple, in
+    class order, to the embedding in query-vertex order (``None`` when
+    there are no leaves).  ``flat`` lists ``(parent, leaf)`` per class
+    when every class is a single one-leaf NEC (then an assignment is a
+    bare vertex), and is empty otherwise.
     """
 
     classes: Tuple[Tuple[LeafNEC, ...], ...]
     leaf_vertices: Tuple[int, ...]
+    slots: Dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+    getter: Optional[Callable[[tuple], Tuple[int, ...]]] = field(
+        default=None, compare=False, repr=False
+    )
+    flat: Tuple[Tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
 
 def build_leaf_plan(cpi: CPI, leaves: Sequence[int]) -> LeafPlan:
@@ -59,7 +93,32 @@ def build_leaf_plan(cpi: CPI, leaves: Sequence[int]) -> LeafPlan:
         )
         for _, parents in sorted(by_label.items())
     )
-    return LeafPlan(classes=classes, leaf_vertices=tuple(sorted(leaves)))
+    if not classes:
+        return LeafPlan(classes=classes, leaf_vertices=())
+    width = query.num_vertices
+    layout = list(range(width))
+    slots: Dict[int, int] = {}
+    for cls in classes:
+        slot = width
+        for nec in cls:
+            for u in nec.members:
+                slots[u] = slot - width
+                layout[u] = slot
+                slot += 1
+        width = slot
+    # A class with one leaf is one single-member NEC.
+    flat: Tuple[Tuple[int, int], ...] = ()
+    if len(slots) == len(classes):
+        flat = tuple((cls[0].parent, cls[0].members[0]) for cls in classes)
+    # A leaf has a parent, so the layout has at least two indices and the
+    # getter returns a tuple (a one-index itemgetter returns a scalar).
+    return LeafPlan(
+        classes=classes,
+        leaf_vertices=tuple(sorted(leaves)),
+        slots=slots,
+        getter=itemgetter(*layout),
+        flat=flat,
+    )
 
 
 def _nec_candidates(
@@ -142,6 +201,188 @@ def enumerate_leaf_matches(
                 used[v] = 0
 
     yield from assign_class(0, 0)
+
+
+class LeafBlock:
+    """Every leaf assignment for one completed core+forest mapping.
+
+    ``rows[c]`` lists class ``c``'s assignments in the order
+    :func:`enumerate_leaf_matches` reaches them: tuples in the plan's
+    slot order, or bare vertices when ``flat``.  ``cum[c][i]`` is the
+    number of leaf nodes that class's own traversal has expanded when
+    assignment ``i`` completes, and ``totals[c]`` those of its full
+    traversal (dead ends after the last assignment included); a flat
+    block passes ``cum=None``, since each of its assignments is one
+    node and there are no dead ends.  Building stops at the first class
+    without assignments, so ``size`` is 0 and later classes are absent.
+    ``nodes`` is the oracle's leaf ``nodes`` for the whole block: each
+    class is traversed once per assignment of the classes before it.
+    """
+
+    __slots__ = ("rows", "cum", "totals", "flat", "size", "nodes")
+
+    def __init__(
+        self,
+        rows: List[list],
+        cum: Optional[List[Sequence[int]]],
+        totals: List[int],
+        flat: bool,
+    ) -> None:
+        self.rows = rows
+        self.cum = cum
+        self.totals = totals
+        self.flat = flat
+        size = 1
+        nodes = 0
+        for assignments, total in zip(reversed(rows), reversed(totals)):
+            size *= len(assignments)
+            nodes = total + len(assignments) * nodes
+        self.size = size
+        self.nodes = nodes
+
+    def stream(
+        self, prefix: Tuple[int, ...], getter: Callable[[tuple], Tuple[int, ...]]
+    ) -> Iterator[Tuple[int, ...]]:
+        """The block's embeddings in oracle order; ``prefix`` is
+        ``tuple(mapping)`` of the core+forest mapping (``size`` > 0)."""
+        rows = self.rows
+        if self.flat:
+            return map(getter, map(prefix.__add__, product(*rows)))
+        return map(getter, map(partial(sum, start=prefix), product(*rows)))
+
+    def nodes_through(self, consumed: int) -> int:
+        """Leaf nodes the oracle has expanded when its ``consumed``-th
+        embedding of this block is yielded (``0 < consumed <= size``).
+
+        The embedding's index, written in the mixed radix of the class
+        sizes, gives each class's assignment index ``i``; class ``c``
+        contributes ``cum[c][i]`` plus ``i`` full traversals of the
+        classes after it.
+        """
+        cums = self.cum
+        if cums is None:
+            cums = [range(1, len(assignments) + 1) for assignments in self.rows]
+        index = consumed - 1
+        nodes = 0
+        tail = 0
+        for assignments, cum, total in zip(
+            reversed(self.rows), reversed(cums), reversed(self.totals)
+        ):
+            index, digit = divmod(index, len(assignments))
+            nodes += cum[digit] + digit * tail
+            tail = total + len(assignments) * tail
+        return nodes
+
+
+def _class_assignments(
+    rows: List[Tuple[LeafNEC, List[int]]],
+    slots: Dict[int, int],
+    used: bytearray,
+) -> Tuple[List[Tuple[int, ...]], Sequence[int], int]:
+    """One class's assignment tuples, cumulative and total node counts.
+
+    Walks the NECs in ``rows`` order exactly as ``assign_class`` does
+    within a class (permutations per NEC, the ``used`` filter), writing
+    images at the plan's slots.  ``used`` is restored on return.
+    """
+    if len(rows) == 1:
+        # One NEC: its candidates already exclude every used vertex, and
+        # its slots are 0..m-1 in member order.
+        nec, candidates = rows[0]
+        m = len(nec.members)
+        assignments = list(permutations(candidates, m))
+        total = m * len(assignments)
+        return assignments, range(m, total + 1, m), total
+    assignments: List[Tuple[int, ...]] = []
+    cum: List[int] = []
+    scratch = [0] * sum(len(nec.members) for nec, _ in rows)
+    nodes = 0
+    last = len(rows) - 1
+
+    def visit(depth: int) -> None:
+        nonlocal nodes
+        nec, candidates = rows[depth]
+        members = nec.members
+        m = len(members)
+        available = [v for v in candidates if not used[v]]
+        if len(available) < m:
+            return
+        positions = [slots[u] for u in members]
+        for images in permutations(available, m):
+            nodes += m
+            for slot, v in zip(positions, images):
+                scratch[slot] = v
+            if depth == last:
+                assignments.append(tuple(scratch))
+                cum.append(nodes)
+                continue
+            for v in images:
+                used[v] = 1
+            visit(depth + 1)
+            for v in images:
+                used[v] = 0
+
+    visit(0)
+    return assignments, cum, nodes
+
+
+def build_leaf_block(
+    cpi: CPI, plan: LeafPlan, mapping: List[int], used: bytearray, allowance: int
+) -> Optional[LeafBlock]:
+    """The block of ``mapping``, or ``None`` when the caller should run
+    :func:`enumerate_leaf_matches` instead: some NEC cannot be filled
+    (the oracle's ``leaf_shortcircuits`` case), or building could cost
+    more than ``allowance`` leaf nodes.  ``plan`` must have leaves.
+
+    The cost bound is, summed over classes, the class's leaf count times
+    the product of its NECs' falling factorials ``P(|C(u)|, m)`` — what
+    the class's traversal would expand if the ``used`` filter never
+    removed a candidate.  It is known from the candidate lengths before
+    anything is enumerated.  Classes are label-disjoint (Lemma 4.3), so
+    each class is enumerated on its own against the core+forest
+    ``used`` set.
+    """
+    if plan.flat:
+        # One leaf per class: its candidates are its assignments, one
+        # node each.
+        adjacency = cpi.adjacency
+        rows: List[list] = []
+        for parent, leaf in plan.flat:
+            row = adjacency[leaf].get(mapping[parent], EMPTY_CANDIDATES)
+            candidates = [v for v in row if not used[v]]
+            if not candidates:
+                return None
+            rows.append(candidates)
+        totals = [len(candidates) for candidates in rows]
+        if sum(totals) > allowance:
+            return None
+        return LeafBlock(rows, None, totals, True)
+    prepared = _prepared_classes(cpi, plan, mapping, used)
+    if prepared is None:
+        return None
+    bound = 0
+    for class_rows in prepared:
+        assignments = 1
+        leaves = 0
+        for nec, candidates in class_rows:
+            assignments *= perm(len(candidates), len(nec.members))
+            leaves += len(nec.members)
+        bound += leaves * assignments
+    if bound > allowance:
+        return None
+    rows = []
+    cum: List[Sequence[int]] = []
+    totals = []
+    for class_rows in prepared:
+        assignments, class_cum, total = _class_assignments(
+            class_rows, plan.slots, used
+        )
+        rows.append(assignments)
+        cum.append(class_cum)
+        totals.append(total)
+        if not assignments:
+            break
+    return LeafBlock(rows, cum, totals, False)
 
 
 def count_leaf_matches(

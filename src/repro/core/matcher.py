@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import compress, count, islice
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -41,7 +42,14 @@ from .cpi_builder import _record_build_totals, build_cpi, build_naive_cpi
 from .decomposition import CFLDecomposition, cfl_decompose
 from .filters import ExtendedCandVerify, VerifiedCandidates, cand_verify
 from .kernel import KernelBacktracker, KernelPlan, build_data_csr, compile_kernel_plan
-from .leaf_match import LeafPlan, build_leaf_plan, count_leaf_matches, enumerate_leaf_matches
+from .leaf_match import (
+    BLOCK_NODE_CAP,
+    LeafPlan,
+    build_leaf_block,
+    build_leaf_plan,
+    count_leaf_matches,
+    enumerate_leaf_matches,
+)
 from .ordering import estimate_tree_embeddings, order_structure
 from .root_selection import select_root
 from .stats import (
@@ -707,6 +715,23 @@ class CFLMatch:
         that candidate subset — the partitioning hook used by
         :mod:`repro.core.parallel` (each embedding maps the root to
         exactly one candidate, so restrictions partition the result set).
+
+        The kernel engine emits Leaf-Match in blocks: all embeddings that
+        share one core+forest mapping come from one C-level iterator
+        (:meth:`~repro.core.leaf_match.LeafBlock.stream`).  A block is
+        built only when a bound on its leaf nodes, known from the
+        candidate counts, fits in the remaining ``limit``, the remaining
+        budget and :data:`~repro.core.leaf_match.BLOCK_NODE_CAP`; any
+        other block streams through the reference path, so neither
+        ``limit`` nor ``budget`` lets a block cost more than the
+        reference path would.  Embeddings, their order and every counter
+        equal the reference engine's once the search is exhausted,
+        stopped by ``limit``, closed, or stopped by an exception (a
+        budget that would run out inside a block sends that block
+        through the reference path, so the truncation point is exact).
+        Between two yields inside a block, ``embeddings`` and the leaf
+        ``nodes`` lag: they are added when the block ends or the
+        generator closes.
         """
         if limit is not None and limit <= 0:
             return
@@ -729,6 +754,7 @@ class CFLMatch:
         mapping = [-1] * query.num_vertices
         used = bytearray(self.data.num_vertices)
         emitted = 0
+        blocks = self.engine == "kernel"
         for sub_plan in self._plan_sequence(
             query, plan, roots, core_stats, forest_stats, leaf_stats,
             stage_stats is not None, stats,
@@ -736,17 +762,71 @@ class CFLMatch:
             core_bt, forest_bt = self._backtrackers(
                 sub_plan, core_stats, forest_stats, deadline, budget
             )
+            cpi = sub_plan.cpi
+            leaf_plan = sub_plan.leaf_plan
             for _ in core_bt.extend(mapping, used):
                 for _ in forest_bt.extend(mapping, used):
-                    for _ in enumerate_leaf_matches(
-                        sub_plan.cpi, sub_plan.leaf_plan, mapping, used,
-                        leaf_stats, budget=budget,
-                    ):
-                        stats.embeddings += 1
-                        emitted += 1
-                        yield tuple(mapping)
-                        if limit is not None and emitted >= limit:
-                            return
+                    block = None
+                    if blocks and leaf_plan.classes:
+                        # Build no more than the consumer may take: the
+                        # oracle expands at least one leaf node per
+                        # embedding, so the remaining ``limit`` and
+                        # budget bound the build's cost too.
+                        allowance = BLOCK_NODE_CAP
+                        if limit is not None:
+                            allowance = min(allowance, limit - emitted)
+                        if budget is not None:
+                            allowance = min(allowance, budget.remaining)
+                        block = build_leaf_block(
+                            cpi, leaf_plan, mapping, used, allowance
+                        )
+                        if block is not None and budget is not None:
+                            if budget.remaining < block.nodes:
+                                # The budget runs out inside this block:
+                                # the oracle finds the exact point.
+                                block = None
+                            else:
+                                budget.charge(block.nodes)
+                    if block is None:
+                        for _ in enumerate_leaf_matches(
+                            cpi, leaf_plan, mapping, used,
+                            leaf_stats, budget=budget,
+                        ):
+                            stats.embeddings += 1
+                            emitted += 1
+                            yield tuple(mapping)
+                            if limit is not None and emitted >= limit:
+                                return
+                        continue
+                    if not block.size:
+                        leaf_stats.nodes += block.nodes
+                        continue
+                    stream = block.stream(tuple(mapping), leaf_plan.getter)
+                    if limit is not None:
+                        stream = islice(stream, limit - emitted)
+                    # compress() passes every item and advances the
+                    # counter once per item consumed, never past it.
+                    consumed = count(1)
+                    exhausted = False
+                    try:
+                        yield from compress(stream, consumed)
+                        exhausted = True
+                    finally:
+                        taken = next(consumed) - 1
+                        stats.embeddings += taken
+                        emitted += taken
+                        # A block cut by ``limit`` ends where the oracle
+                        # stops: at its last yield, before trailing dead
+                        # ends.
+                        if exhausted and (limit is None or emitted < limit):
+                            leaf_nodes = block.nodes
+                        else:
+                            leaf_nodes = block.nodes_through(taken) if taken else 0
+                            if budget is not None:
+                                budget.remaining += block.nodes - leaf_nodes
+                        leaf_stats.nodes += leaf_nodes
+                    if limit is not None and emitted >= limit:
+                        return
 
     def _with_root_candidates(
         self, plan: PreparedQuery, filtered: List[int]

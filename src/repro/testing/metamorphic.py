@@ -39,6 +39,18 @@ Two relations cover the round-2 optimizer features (PR 10):
                                 as the pinned-order run (both engines)
 ==============================  ========================================
 
+One relation pins the two enumeration engines to each other:
+
+==============================  ========================================
+``engine-identity``             the kernel and reference engines return
+                                the same embedding *list* with identical
+                                ``nodes``/``backtracks``/``embeddings``/
+                                ``leaf_shortcircuits`` and per-stage
+                                nodes, for a full search, a random
+                                ``limit`` and a generator closed after a
+                                random number of embeddings
+==============================  ========================================
+
 Two dynamic relations (PR 8) extend the oracle to the mutation layer:
 
 ==========================  ===========================================
@@ -59,6 +71,7 @@ disconnected query for ``disjoint-union``).
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..bench.harness import make_matcher
@@ -396,6 +409,66 @@ def relation_adaptive_replanning(data, query, matcher_name, rng) -> Optional[str
     return None
 
 
+#: Counters the two engines must agree on in every search, truncated or
+#: not (the rejection-cause split may differ; see repro.core.kernel).
+_ENGINE_COUNTERS = ("nodes", "backtracks", "embeddings", "leaf_shortcircuits")
+
+
+def _engine_run(data, query, engine, limit=None, close_after=None):
+    """One search's embedding list, engine counters and per-stage nodes."""
+    stats = SearchStats()
+    stage_stats: dict = {}
+    search = CFLMatch(data, engine=engine).search(
+        query, limit=limit, stats=stats, stage_stats=stage_stats
+    )
+    found = list(islice(search, close_after))
+    search.close()
+    return (
+        found,
+        {name: getattr(stats, name) for name in _ENGINE_COUNTERS},
+        {stage: part.nodes for stage, part in sorted(stage_stats.items())},
+    )
+
+
+def relation_engine_identity(data, query, matcher_name, rng) -> Optional[str]:
+    """The kernel engine is the reference engine, observably.
+
+    Both engines must return the same embeddings in the same order with
+    the same engine counters and per-stage node counts: for a full
+    search, under a random ``limit``, and when the consumer closes the
+    generator after a random number of embeddings (the kernel emits
+    Leaf-Match in blocks and settles its counters when a block ends or
+    the generator closes).  Matcher-independent.
+    """
+    if not query.is_connected():
+        return None
+    full = _engine_run(data, query, "reference")
+    total = len(full[0])
+    runs = (
+        ("full search", {}),
+        ("limit", {"limit": rng.randint(1, total + 1)}),
+        ("closed", {"close_after": rng.randint(1, total + 1)}),
+    )
+    for tag, kwargs in runs:
+        reference = full if not kwargs else _engine_run(
+            data, query, "reference", **kwargs
+        )
+        kernel = _engine_run(data, query, "kernel", **kwargs)
+        label = tag + "".join(f" {key}={value}" for key, value in kwargs.items())
+        if kernel[0] != reference[0]:
+            return (
+                f"{label}: kernel embeddings differ from the reference "
+                f"({len(kernel[0])} vs {len(reference[0])}, same set: "
+                f"{set(kernel[0]) == set(reference[0])})"
+            )
+        if kernel[1:] != reference[1:]:
+            return (
+                f"{label}: kernel counters {kernel[1]} / stages {kernel[2]} "
+                f"differ from the reference {reference[1]} / {reference[2]}"
+            )
+    return None
+
+
 def relation_delta_commutativity(data, query, matcher_name, rng) -> Optional[str]:
     """Applying a delta stream then matching equals matching on the final
     graph built from scratch.
@@ -477,6 +550,7 @@ METAMORPHIC_RELATIONS: Dict[str, Relation] = {
     "stats-filter-ablation": relation_stats_filter_ablation,
     "stats-optimizer-identity": relation_stats_optimizer_identity,
     "adaptive-replanning": relation_adaptive_replanning,
+    "engine-identity": relation_engine_identity,
     "delta-commutativity": relation_delta_commutativity,
     "insert-remove-inverse": relation_insert_remove_inverse,
 }

@@ -27,6 +27,8 @@ from repro.core.batch import (
     label_signature,
 )
 from repro.core.stats import SearchStats
+from repro.graph import Graph
+from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import random_walk_query
 from repro.testing.workloads import (
     CONNECTED_QUERY_SCENARIOS,
@@ -208,6 +210,26 @@ class TestAuxCache:
             after.results[0].build_stats.to_dict()
             == fresh.build_stats.to_dict()
         )
+
+    def test_mutation_drops_stale_entries(self):
+        # path 0-1-2 labelled (0, 1, 0) plus an isolated label-1 vertex 3;
+        # the query is one edge between labels 0 and 1
+        data = DynamicGraph.from_graph(Graph([0, 1, 0, 1], [(0, 1), (1, 2)]))
+        query = Graph([0, 1], [(0, 1)])
+        batch = BatchMatcher(data)
+        assert batch.run([query]).results[0].embeddings == 2
+        data.add_edge(2, 3)
+        report = batch.run([query], count_only=False, collect=True)
+        fresh = one_at_a_time(data, [query])[0]
+        assert report.results[0].embeddings == 3
+        assert report.results[0].results == fresh.results
+        assert report.results[0].stats.to_dict() == fresh.stats.to_dict()
+        assert (
+            report.results[0].build_stats.to_dict()
+            == fresh.build_stats.to_dict()
+        )
+        without = BatchMatcher(data, use_aux=False).run([query])
+        assert without.results[0].embeddings == 3
 
 
 class TestExecutionOrder:

@@ -2,13 +2,20 @@
 
 from math import factorial
 
+import pytest
+
 from repro.core import (
+    CFLMatch,
     build_cpi,
     build_leaf_plan,
     cfl_decompose,
     count_leaf_matches,
     enumerate_leaf_matches,
 )
+from repro.core import leaf_match
+from repro.core.core_match import CPIBacktracker
+from repro.core.leaf_match import BLOCK_NODE_CAP, build_leaf_block
+from repro.core.stats import BudgetExhausted, SearchStats, WorkBudget
 from repro.graph import Graph
 from repro.workloads.paper_graphs import figure4_query
 
@@ -174,3 +181,289 @@ class TestEnumerateAndCount:
             pass
         assert mapping == [0, -1, -1, -1]
         assert used[1:] == bytearray(data.num_vertices - 1)
+
+
+# ----------------------------------------------------------------------
+# Block emission (the kernel engine's Leaf-Match) against the oracle
+# ----------------------------------------------------------------------
+#: Query of the "nested" and "empty-tail" cases: root 0 with internal
+#: children 1 and 2 (all label 0).  Label class 1 has three one-leaf
+#: NECs (3 under 0, 4 under 1, 5 under 2) whose candidates overlap, so
+#: injectivity leaves dead ends; label class 2 is the two-member NEC
+#: {6, 7} under the root.
+_BLOCK_QUERY_LABELS = [0, 0, 0, 1, 1, 1, 2, 2]
+_BLOCK_QUERY_EDGES = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (0, 6), (0, 7)]
+#: Data: a0=0 adjacent to a1=1 and a2=2 (label 0); label-1 vertices
+#: p=3, q=4, r=5 with a0~{p,q}, a1~{p,r}, a2~{q,r}; label-2 vertices
+#: 6-8 around a0.
+_BLOCK_DATA_LABELS = [0, 0, 0, 1, 1, 1, 2, 2, 2]
+_BLOCK_DATA_EDGES = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5),
+    (0, 6), (0, 7), (0, 8),
+]
+
+BLOCK_CASES = ("nested", "empty-tail", "shortcircuit", "wide", "wide-flat")
+
+
+def _block_case(name):
+    """``(query, data)`` of a crafted block case."""
+    if name.startswith("wide"):
+        # Two hubs (label 0), each adjacent to three label-1 and eight
+        # label-2 vertices.  A block's size is the product of its class
+        # sizes but its build bound only their sum, so a ``limit`` can
+        # stop a search inside a block it built.  "wide": the two-member
+        # label-1 NEC {1, 2} and leaf 3 (6 x 8 per block); "wide-flat":
+        # one leaf per label (3 x 8).
+        if name == "wide":
+            query = Graph([0, 1, 1, 2], [(0, 1), (0, 2), (0, 3)])
+        else:
+            query = Graph([0, 1, 2], [(0, 1), (0, 2)])
+        data = Graph(
+            [0, 0] + [1] * 3 + [2] * 8,
+            [(hub, v) for hub in (0, 1) for v in range(2, 13)],
+        )
+        return query, data
+    if name == "shortcircuit":
+        # Data: a0=0, a1=1, a2=2 (label 0), s=3, t=4, u=5, w=6 (label 2)
+        # and p=7 (label 1).  Query vertex 1 (label 2, with a label-1
+        # leaf) can only map to s.  The label-2 NEC {4, 5} hangs off
+        # query vertex 2: with 2 -> a1, whose label-2 neighbors are
+        # {s, t}, one candidate is left for two leaves; 2 -> a2 ({u, w})
+        # fills it.
+        query = Graph([0, 2, 0, 1, 2, 2], [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5)])
+        data = Graph(
+            [0, 0, 0, 2, 2, 2, 2, 1],
+            [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 5), (2, 6), (3, 7)],
+        )
+        return query, data
+    q_labels, q_edges = list(_BLOCK_QUERY_LABELS), list(_BLOCK_QUERY_EDGES)
+    d_labels, d_edges = list(_BLOCK_DATA_LABELS), list(_BLOCK_DATA_EDGES)
+    if name == "nested":
+        # a third class: one label-3 leaf, one candidate per parent image
+        q_labels.append(3)
+        q_edges.append((1, 8))
+        d_labels += [3, 3]
+        d_edges += [(1, 9), (2, 10)]
+    else:
+        # class 3: NEC {8, 9} under 0 and leaf 10 under 1 share the same
+        # two candidates, so the class has dead ends and no assignment
+        q_labels += [3, 3, 3]
+        q_edges += [(0, 8), (0, 9), (1, 10)]
+        d_labels += [3, 3]
+        d_edges += [(v, w) for v in (0, 1, 2) for w in (9, 10)]
+    return Graph(q_labels, q_edges), Graph(d_labels, d_edges)
+
+
+def _leaf_states(query, data):
+    """The matcher's plan and every core+forest mapping it reaches, as
+    ``(cpi, leaf_plan, mapping, used)`` at the start of Leaf-Match."""
+    plan = CFLMatch(data, engine="reference").prepare(query)
+    core = CPIBacktracker(plan.cpi, plan.core_slots, SearchStats())
+    forest = CPIBacktracker(plan.cpi, plan.forest_slots, SearchStats())
+    mapping = [-1] * query.num_vertices
+    used = bytearray(data.num_vertices)
+    for _ in core.extend(mapping, used):
+        for _ in forest.extend(mapping, used):
+            yield plan.cpi, plan.leaf_plan, mapping, used
+
+
+def _observe(engine, query, data, limit=None, close_after=None,
+             max_expansions=None, split=True):
+    """Embeddings, truncation flag, counters and budget left of a search."""
+    stats = SearchStats()
+    stage_stats = {} if split else None
+    budget = WorkBudget(max_expansions) if max_expansions is not None else None
+    search = CFLMatch(data, engine=engine).search(
+        query, limit=limit, stats=stats, stage_stats=stage_stats, budget=budget
+    )
+    found = []
+    exhausted = False
+    try:
+        for embedding in search:
+            found.append(embedding)
+            if len(found) == close_after:
+                break
+    except BudgetExhausted:
+        exhausted = True
+    search.close()
+    stages = (
+        {stage: part.to_dict() for stage, part in stage_stats.items()}
+        if split else None
+    )
+    remaining = budget.remaining if budget is not None else None
+    return found, exhausted, stats.to_dict(), stages, remaining
+
+
+class TestLeafBlock:
+    def test_block_cases_have_their_shape(self):
+        query, data = _block_case("nested")
+        states = list(_leaf_states(query, data))
+        plan = states[0][1]
+        assert [[nec.members for nec in cls] for cls in plan.classes] == [
+            [(3,), (4,), (5,)], [(6, 7)], [(8,)],
+        ]
+        assert plan.flat == ()
+        blocks = [build_leaf_block(*state, BLOCK_NODE_CAP) for state in _leaf_states(query, data)]
+        assert len(blocks) == 2
+        # class 1 has a dead end: its traversal expands nodes after its
+        # last assignment completes
+        assert blocks[0].totals[0] > blocks[0].cum[0][-1]
+        assert [len(rows) for rows in blocks[0].rows] == [2, 6, 1]
+        query, data = _block_case("empty-tail")
+        blocks = [build_leaf_block(*state, BLOCK_NODE_CAP) for state in _leaf_states(query, data)]
+        assert [len(rows) for rows in blocks[0].rows] == [2, 6, 0]
+        assert blocks[0].size == 0 and blocks[0].nodes > 0
+        query, data = _block_case("shortcircuit")
+        blocks = [build_leaf_block(*state, BLOCK_NODE_CAP) for state in _leaf_states(query, data)]
+        assert None in blocks and any(block is not None for block in blocks)
+
+    def test_flat_plan(self):
+        _, data = _prepare_figure4_style()
+        query = Graph([0, 1, 2], [(0, 1), (0, 2)])
+        cpi = build_cpi(query, data, 0)
+        plan = build_leaf_plan(cpi, cfl_decompose(query, tree_root=0).leaves)
+        assert plan.flat == ((0, 1), (0, 2))
+        mapping = [0, -1, -1]
+        used = bytearray(data.num_vertices)
+        used[0] = 1
+        block = build_leaf_block(cpi, plan, mapping, used, BLOCK_NODE_CAP)
+        assert block.rows == [[1, 2, 3], [4, 5]]
+        assert list(block.stream(tuple(mapping), plan.getter)) == [
+            (0, v, w) for v in (1, 2, 3) for w in (4, 5)
+        ]
+        assert [block.nodes_through(k) for k in range(1, 7)] == [2, 3, 5, 6, 8, 9]
+        assert block.nodes == 3 + 3 * 2
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_block_replays_the_oracle(self, name):
+        """Same embeddings in order, same ``nodes`` at every yield and at
+        the end, and ``None`` exactly where the oracle short-circuits."""
+        query, data = _block_case(name)
+        for cpi, plan, mapping, used in _leaf_states(query, data):
+            before = (list(mapping), bytes(used))
+            stats = SearchStats()
+            seen = [
+                (tuple(mapping), stats.nodes)
+                for _ in enumerate_leaf_matches(cpi, plan, mapping, used, stats)
+            ]
+            block = build_leaf_block(cpi, plan, mapping, used, BLOCK_NODE_CAP)
+            # the builder leaves the search state as it found it
+            assert (list(mapping), bytes(used)) == before
+            if stats.leaf_shortcircuits:
+                assert block is None
+                continue
+            assert block.size == len(seen)
+            assert block.nodes == stats.nodes
+            if block.size:
+                emitted = list(block.stream(tuple(mapping), plan.getter))
+                assert emitted == [embedding for embedding, _ in seen]
+            assert [
+                block.nodes_through(k) for k in range(1, block.size + 1)
+            ] == [nodes for _, nodes in seen]
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    @pytest.mark.parametrize("split", [True, False])
+    def test_search_matches_reference(self, name, split):
+        query, data = _block_case(name)
+        full = _observe("reference", query, data, split=split)
+        assert _observe("kernel", query, data, split=split) == full
+        total = len(full[0])
+        assert (total == 0) == (name == "empty-tail")
+        if name == "shortcircuit":
+            leaf = full[3]["leaf"] if split else full[2]
+            assert leaf["leaf_shortcircuits"] == 1
+        for k in range(1, total + 2):
+            for kwargs in ({"limit": k}, {"close_after": k}):
+                expected = _observe("reference", query, data, split=split, **kwargs)
+                assert _observe("kernel", query, data, split=split, **kwargs) == expected
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_budget_parity(self, name):
+        """Every ``max_expansions`` up to past the full search's nodes —
+        so the budget runs out inside blocks, on their boundaries and
+        not at all — truncates both engines at the same point."""
+        query, data = _block_case(name)
+        nodes = _observe("reference", query, data, split=False)[2]["nodes"]
+        assert nodes > 0
+        for budget in range(nodes + 2):
+            expected = _observe("reference", query, data, max_expansions=budget)
+            assert _observe("kernel", query, data, max_expansions=budget) == expected
+            reports = [
+                CFLMatch(data, engine=engine).run(
+                    query, collect=True, max_expansions=budget
+                )
+                for engine in ("reference", "kernel")
+            ]
+            assert reports[0].results == reports[1].results
+            assert reports[0].counters() == reports[1].counters()
+            assert reports[0].stage_nodes == reports[1].stage_nodes
+            assert reports[0].budget_exhausted == reports[1].budget_exhausted
+        # a budget that covers every block, with a limit or a close
+        # inside a block: the unspent part of the block is refunded
+        for k in (1, 5, 13, 30):
+            for kwargs in ({"limit": k}, {"close_after": k}):
+                expected = _observe(
+                    "reference", query, data, max_expansions=nodes + 5, **kwargs
+                )
+                assert _observe(
+                    "kernel", query, data, max_expansions=nodes + 5, **kwargs
+                ) == expected
+
+
+class TestBlockAllowance:
+    """A block is built only when its bound fits the allowance, so
+    ``limit``, ``max_expansions`` and :data:`BLOCK_NODE_CAP` bound what
+    Leaf-Match holds in memory and expands up front."""
+
+    @staticmethod
+    def _star(neighbours):
+        """Center (label 0) with a four-leaf label-1 NEC; the data hub
+        has ``neighbours`` label-1 neighbours."""
+        query = Graph([0, 1, 1, 1, 1], [(0, u) for u in range(1, 5)])
+        data = Graph([0] + [1] * neighbours, [(0, v) for v in range(1, neighbours + 1)])
+        return query, data
+
+    def test_bound_decides_before_building(self):
+        _, data = _prepare_figure4_style()
+        query = Graph([0, 1, 2], [(0, 1), (0, 2)])
+        cpi = build_cpi(query, data, 0)
+        plan = build_leaf_plan(cpi, cfl_decompose(query, tree_root=0).leaves)
+        mapping = [0, -1, -1]
+        used = bytearray(data.num_vertices)
+        used[0] = 1
+        # flat: 3 + 2 candidates
+        assert build_leaf_block(cpi, plan, mapping, used, 4) is None
+        assert build_leaf_block(cpi, plan, mapping, used, 5).size == 6
+        # one NEC of 4 leaves over 5 candidates: 4 * P(5, 4) = 480
+        states = _leaf_states(*self._star(5))
+        cpi, plan, mapping, used = next(states)
+        assert build_leaf_block(cpi, plan, mapping, used, 479) is None
+        assert build_leaf_block(cpi, plan, mapping, used, 480).size == 120
+
+    def test_large_class_is_never_materialized(self, monkeypatch):
+        """``limit=1`` and a small ``max_expansions`` stream a class
+        below the cap (4 leaves over 8 candidates: 1,680 assignments)
+        through the oracle; so does any consumer of a class over the
+        cap (over 60 candidates: 11.7M), as the reference engine does."""
+        assert 4 * 8 * 7 * 6 * 5 <= BLOCK_NODE_CAP < 4 * 60 * 59 * 58 * 57
+
+        def refuse(*args):
+            raise AssertionError("the class was materialized")
+
+        monkeypatch.setattr(leaf_match, "_class_assignments", refuse)
+        for neighbours, kwargs in (
+            (8, {"limit": 1}),
+            (8, {"max_expansions": 10}),
+            (60, {"close_after": 3}),
+        ):
+            query, data = self._star(neighbours)
+            expected = _observe("reference", query, data, **kwargs)
+            assert _observe("kernel", query, data, **kwargs) == expected
+        query, data = self._star(8)
+        reports = [
+            CFLMatch(data, engine=engine).run(query, collect=True, max_expansions=10)
+            for engine in ("reference", "kernel")
+        ]
+        assert reports[0].results == reports[1].results
+        assert reports[0].counters() == reports[1].counters()
+        assert reports[1].budget_exhausted

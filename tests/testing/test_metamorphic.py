@@ -202,6 +202,7 @@ class TestMetamorphicCheck:
             "delta-commutativity",
             "disjoint-union",
             "edge-monotonicity",
+            "engine-identity",
             "filter-ablation",
             "insert-remove-inverse",
             "label-renaming",
