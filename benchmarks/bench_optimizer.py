@@ -1,4 +1,4 @@
-"""Benchmark the round-2 optimizer: filters, CEMR, adaptive re-planning.
+"""Benchmark the round-2 optimizer: filters and adaptive re-planning.
 
 Two workloads, two gates:
 
@@ -6,7 +6,7 @@ Two workloads, two gates:
   is adversarially wrong (the cost-model-chosen core order with its
   suffix reversed, exactly the Cartesian-product trap the paper's
   ordering exists to avoid).  The baseline runs the bad plan as pinned;
-  the optimized configuration (label-pair + NLI filters, CEMR, adaptive
+  the optimized configuration (label-pair + NLI filters, adaptive
   re-planning) must recover by re-planning mid-search:
   ``--min-speedup`` gates the aggregate wall-clock ratio (target 1.3x).
 * **Dense regression** — the ``BENCH_kernel.json`` dense workload with
@@ -43,7 +43,6 @@ from repro.testing.workloads import WorkloadSpec, generate_case
 OPTIMIZED = {
     "label_pair_filter": True,
     "nli_filter": True,
-    "cemr": True,
     "adaptive": True,
     "adaptive_ratio": 2.0,
     "adaptive_min_nodes": 256,
@@ -52,7 +51,6 @@ OPTIMIZED = {
 #: Single-feature configurations for the ablation sweep.
 ABLATIONS = {
     "label-pair+nli": {"label_pair_filter": True, "nli_filter": True},
-    "cemr": {"cemr": True},
     "adaptive": {
         "adaptive": True, "adaptive_ratio": 2.0, "adaptive_min_nodes": 256,
     },
@@ -94,7 +92,7 @@ def _timed_count(matcher: CFLMatch, query, plan, repeats: int) -> Dict:
         "embeddings": count,
         "nodes": stats.nodes,
         "adaptive_replans": stats.adaptive_replans,
-        "cemr_memo_hits": stats.cemr_memo_hits,
+        "backjumps": stats.backjumps,
     }
 
 

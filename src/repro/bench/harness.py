@@ -42,13 +42,11 @@ MATCHERS: Dict[str, Callable[[Graph], object]] = {
     # Optimizer round-2 variants: each toggles one feature so the fuzz
     # differential exercises them against the plain engines.
     "CFL-Match-LPF": lambda g: CFLMatch(g, label_pair_filter=True, nli_filter=True),
-    "CFL-Match-CEMR": lambda g: CFLMatch(g, cemr=True),
-    "CFL-Match-CEMR-Reference": lambda g: CFLMatch(g, engine="reference", cemr=True),
     "CFL-Match-Adaptive": lambda g: CFLMatch(
         g, adaptive=True, adaptive_ratio=2.0, adaptive_min_nodes=64
     ),
     "CFL-Match-Optimized": lambda g: CFLMatch(
-        g, label_pair_filter=True, nli_filter=True, cemr=True,
+        g, label_pair_filter=True, nli_filter=True,
         adaptive=True, adaptive_ratio=2.0, adaptive_min_nodes=64,
     ),
     "TurboISO": lambda g: TurboISOMatch(g),

@@ -16,7 +16,7 @@ generators without materializing intermediate result sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..graph.graph import Graph
 from .cpi import CPI, EMPTY_CANDIDATES
@@ -30,6 +30,7 @@ __all__ = [
     "SearchTimeout",
     "WorkBudget",
     "build_ordered_vertices",
+    "failing_set_masks",
     "validate_embedding",
 ]
 
@@ -99,17 +100,46 @@ def build_ordered_vertices(
     return result
 
 
-#: Per-depth cap on CEMR dead-signature memo entries (shared with the
-#: kernel engine).  Adversarial orders can visit millions of distinct
-#: dead signatures that never repeat; unbounded insertion then costs
-#: more than the work it would save.  Hits on already-recorded
-#: signatures are unaffected by the cap, so counters stay bit-identical
-#: — the cap only bounds the bookkeeping.
-_CEMR_MEMO_CAP = 1 << 16
+def failing_set_masks(ordered: Sequence[OrderedVertex]) -> Optional[Dict[int, int]]:
+    """Ancestor masks for failing-set backjumping, or ``None`` to skip it.
+
+    ``anc(u) = {u} | anc(tree parent) | anc(each backward neighbor)`` as
+    an int bitmask over query-vertex ids, keyed by ``u`` in slot order.
+    A vertex mapped by an enclosing stage contributes only its own bit:
+    it is constant for the whole stage, so its ancestors are never
+    tested.  A stage without a backward edge (every forest stage, every
+    tree core) returns ``None`` and runs the plain loop: there a dead
+    end's failing set nearly always holds the vertex one level up (on
+    perfbench's ``dense-tree`` the rule would save 39 of 79,411 forest
+    nodes), so the bookkeeping would only tax searches that emit.
+    """
+    if not any(slot.backward_neighbors for slot in ordered):
+        return None
+    masks: Dict[int, int] = {}
+    for slot in ordered:
+        mask = 1 << slot.u
+        if slot.tree_parent is not None:
+            mask |= masks.get(slot.tree_parent, 1 << slot.tree_parent)
+        for w in slot.backward_neighbors:
+            mask |= masks.get(w, 1 << w)
+        masks[slot.u] = mask
+    return masks
 
 
 class CPIBacktracker:
-    """Iterative backtracking over one stage's matching order."""
+    """Iterative backtracking over one stage's matching order.
+
+    In a stage with a backward edge the search backjumps on failing sets
+    (DAF, Han et al., SIGMOD 2019).  A finished node with no yielded
+    descendant has a failing set ``F``: the query vertices whose images
+    alone doom it.  With no candidate surviving the backward checks it
+    is ``anc(u)``; otherwise it is the union of ``anc(u) | anc(u')`` per
+    candidate occupied by ``u'`` and of the children's failing sets.
+    When ``F`` excludes the node's own vertex, re-mapping that vertex
+    cannot help, so the remaining siblings are skipped (``backjumps``)
+    and ``F`` passes to the parent.  Skipped subtrees hold no embedding,
+    so embeddings and their order are unchanged; ``nodes`` can only fall.
+    """
 
     def __init__(
         self,
@@ -118,24 +148,13 @@ class CPIBacktracker:
         stats: Optional[SearchStats] = None,
         deadline: Optional[float] = None,
         budget: Optional[WorkBudget] = None,
-        cemr: bool = False,
     ):
         self.cpi = cpi
         self.ordered = list(ordered)
         self.stats = stats if stats is not None else SearchStats()
         self.deadline = deadline
         self.budget = budget
-        #: CEMR-style redundant-extension elimination: memoize extension
-        #: sets proven dead (every candidate failed ValidateNT with no
-        #: injectivity conflict and no acceptance) keyed by the slot's
-        #: pruned-parent signature, so sibling subtrees that reach the
-        #: same signature skip the intersection.  A hit replays the
-        #: sweep's counter attribution candidate-by-candidate (occupied
-        #: -> injectivity conflict, else the deterministic ValidateNT
-        #: failure) without the set probes, so every counter except
-        #: ``cemr_memo_hits`` stays bit-identical even when the
-        #: occupancy of the candidates differs between visits.
-        self.cemr = cemr
+        self.ancestors = failing_set_masks(self.ordered)
 
     def extend(self, mapping: List[int], used: bytearray) -> Iterator[None]:
         """Yield once per complete assignment of this stage's vertices.
@@ -157,47 +176,16 @@ class CPIBacktracker:
         adjacency = cpi.adjacency
         stats = self.stats
         budget = self.budget
-        cemr = self.cemr
-        # CEMR bookkeeping (one extend call's lifetime): per-depth dead
-        # memo, plus per-depth-visit tracking of whether the sweep stayed
-        # "clean" (no injectivity conflict, no acceptance) so exhaustion
-        # proves the extension set dead independent of ``used``.
-        dead_memo: List[dict] = [{} for _ in range(k)] if cemr else []
-        memo_keys: List[Optional[tuple]] = [None] * k
-        clean: List[bool] = [False] * k
-
-        def slot_iter(d: int) -> Iterator[int]:
-            slot = ordered[d]
-            source = self._slot_candidates(slot, mapping, candidates, adjacency)
-            if cemr and slot.backward_neighbors:
-                parent = slot.tree_parent
-                key = (
-                    mapping[parent] if parent is not None else -1,
-                    tuple(mapping[w] for w in slot.backward_neighbors),
-                )
-                if key in dead_memo[d]:
-                    stats.cemr_memo_hits += 1
-                    # The key pins the parent image, so ``source`` is the
-                    # same list the recording sweep saw; replay its
-                    # attribution without the ValidateNT set probes.  An
-                    # occupied candidate is what the plain run rejects as
-                    # an injectivity conflict *before* probing; the rest
-                    # re-fail the deterministic backward check.
-                    for v in source:
-                        if used[v]:
-                            stats.injectivity_conflicts += 1
-                        else:
-                            stats.edge_check_failures += 1
-                    memo_keys[d] = None
-                    return iter(())
-                memo_keys[d] = key
-                clean[d] = True
-            else:
-                memo_keys[d] = None
-            return iter(source)
+        ancestors = self.ancestors
+        # Backjumping state (gated stages only): ``acc[d]`` accumulates
+        # the failing set of depth d's parent node; ``found`` is the
+        # deepest depth whose parent node has a yielded descendant (every
+        # node on the path above it has one too).
+        acc = [0] * k if ancestors is not None else []
+        found = -1
 
         iterators: List[Optional[Iterator[int]]] = [None] * k
-        iterators[0] = slot_iter(0)
+        iterators[0] = iter(self._slot_candidates(ordered[0], mapping, candidates, adjacency))
         depth = 0
         while depth >= 0:
             slot = ordered[depth]
@@ -213,8 +201,15 @@ class CPIBacktracker:
             for v in iterator:
                 if used[v]:
                     stats.injectivity_conflicts += 1
-                    if cemr:
-                        clean[depth] = False
+                    if (
+                        ancestors is not None
+                        and found < depth
+                        and all(mapping[w] in adj_sets[v] for w in backward)
+                    ):
+                        # A conflict among the candidates that pass
+                        # ValidateNT: freeing v needs its owner re-mapped.
+                        owner = mapping.index(v)
+                        acc[depth] |= ancestors[u] | ancestors.get(owner, 1 << owner)
                     continue
                 if backward:
                     ok = True
@@ -228,8 +223,6 @@ class CPIBacktracker:
                 if budget is not None:
                     budget.charge()
                 stats.nodes += 1
-                if cemr:
-                    clean[depth] = False
                 if (
                     self.deadline is not None
                     and (stats.nodes & 1023) == 0
@@ -239,22 +232,35 @@ class CPIBacktracker:
                 mapping[u] = v
                 used[v] = 1
                 if depth == k - 1:
+                    found = depth
                     yield None
                     used[v] = 0
                     mapping[u] = -1
                     continue
                 depth += 1
-                iterators[depth] = slot_iter(depth)
+                iterators[depth] = iter(
+                    self._slot_candidates(ordered[depth], mapping, candidates, adjacency)
+                )
                 descended = True
                 break
             if descended:
                 continue
-            if cemr and clean[depth] and memo_keys[depth] is not None:
-                # Every candidate failed ValidateNT deterministically (no
-                # acceptance, no used-dependent rejection): this extension
-                # signature is dead for the rest of the call.
-                if len(dead_memo[depth]) < _CEMR_MEMO_CAP:
-                    dead_memo[depth][memo_keys[depth]] = True
+            if ancestors is not None:
+                if found >= depth:
+                    found = depth - 1
+                else:
+                    failing = acc[depth] or ancestors[u]
+                    if depth and found != depth - 1:
+                        if failing & (1 << ordered[depth - 1].u):
+                            acc[depth - 1] |= failing
+                        else:
+                            # The failure does not involve the vertex one
+                            # level up: none of its remaining candidates
+                            # can succeed, so its parent fails with F.
+                            acc[depth - 1] = failing
+                            iterators[depth - 1] = iter(())
+                            stats.backjumps += 1
+                acc[depth] = 0
             depth -= 1
             if depth >= 0:
                 stats.backtracks += 1

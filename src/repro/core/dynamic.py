@@ -473,7 +473,7 @@ class IncrementalMatcher:
         # plan_cache_size=0: this class owns plan reuse; the inner
         # matcher must never serve a stale cached plan of its own.
         # ``matcher_kwargs`` forwards optimizer knobs (filter toggles,
-        # cemr, adaptive) so dynamic matching honors them too.
+        # adaptive) so dynamic matching honors them too.
         self._matcher = CFLMatch(
             data, mode=mode, engine=engine, plan_cache_size=0,
             **matcher_kwargs,

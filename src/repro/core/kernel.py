@@ -36,15 +36,21 @@ cursors:
   the not-yet-passed suffix).
 
 Counter semantics match the reference exactly for complete runs:
-``nodes``, ``backtracks`` and ``embeddings`` are bit-identical, and the
-*sum* ``injectivity_conflicts + edge_check_failures`` is identical (each
-rejected candidate is counted exactly once by both engines).  On the
-deferred per-candidate path the split matches the reference exactly
-(occupancy is checked first, then edges, short-circuiting).  On the
-eager path the split can differ for candidates that are simultaneously
-occupied *and* edge-failing: the reference checks ``used`` first, while
-the intersection eliminates edge-failing candidates without ever looking
-at occupancy and attributes them to ``edge_check_failures``.
+``nodes``, ``backtracks``, ``backjumps`` and ``embeddings`` are
+bit-identical (both engines backjump on the same failing sets, see
+:class:`~repro.core.core_match.CPIBacktracker`), and on a run without
+backjumps the *sum* ``injectivity_conflicts + edge_check_failures`` is
+identical (each rejected candidate is counted exactly once by both
+engines).  On the deferred per-candidate path the split matches the
+reference exactly (occupancy is checked first, then edges,
+short-circuiting).  On the eager path the split can differ for
+candidates that are simultaneously occupied *and* edge-failing: the
+reference checks ``used`` first, while the intersection eliminates
+edge-failing candidates without ever looking at occupancy and
+attributes them to ``edge_check_failures``.  The eager path also
+charges a whole row's eliminations when it installs the row, so after
+a backjump skips the rest of that row the kernel's sum can exceed the
+reference's, which never reached those candidates.
 On budget/deadline-truncated runs ``nodes`` (and therefore the truncation
 point) is still exact — ``WorkBudget`` is charged per accepted candidate
 at cursor-advance time, before the expansion is counted, and the deadline
@@ -79,7 +85,7 @@ except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
 from ..graph.graph import AdjacencyCSR, Graph, IntVector
-from .core_match import _CEMR_MEMO_CAP, OrderedVertex, SearchTimeout
+from .core_match import OrderedVertex, SearchTimeout, failing_set_masks
 from .cpi import CPI
 from .stats import SearchStats, WorkBudget, monotonic_now
 
@@ -173,6 +179,7 @@ class CompiledStage:
         "backward",
         "set_rows",
         "rank_of",
+        "ancestors",
     )
 
     def __init__(
@@ -191,6 +198,7 @@ class CompiledStage:
         backward: Tuple[Tuple[int, ...], ...],
         set_rows: Tuple[Dict[int, FrozenSet[int]], ...],
         rank_of: Tuple[Dict[int, int], ...],
+        ancestors: Optional[Dict[int, int]],
     ) -> None:
         self.length = length
         self.slot_vertices = slot_vertices
@@ -213,6 +221,10 @@ class CompiledStage:
         #: (survivors of a set intersection lose their CSR position; the
         #: rank chain is restored by one dict probe per survivor)
         self.rank_of = rank_of
+        #: failing-set ancestor masks (:func:`failing_set_masks`), or
+        #: ``None`` for a stage without a backward edge, which never
+        #: backjumps
+        self.ancestors = ancestors
 
     def with_base(
         self, depth: int, vertices: IntVector, ranks: IntVector
@@ -240,6 +252,7 @@ class CompiledStage:
             backward=self.backward,
             set_rows=self.set_rows,
             rank_of=self.rank_of,
+            ancestors=self.ancestors,
         )
 
 
@@ -350,6 +363,7 @@ def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
         backward=tuple(backward),
         set_rows=tuple(set_rows),
         rank_of=tuple(rank_of),
+        ancestors=failing_set_masks(ordered),
     )
 
 
@@ -588,25 +602,11 @@ class KernelBacktracker:
         budget: Optional[WorkBudget] = None,
         vectorize: bool = False,
         vector_min_row: int = 64,
-        cemr: bool = False,
     ) -> None:
         self.stage = stage
         self.stats = stats if stats is not None else SearchStats()
         self.deadline = deadline
         self.budget = budget
-        #: CEMR-style redundant-extension elimination on the eager
-        #: backward-intersection path: an intersection computed from
-        #: (parent image, backward images) alone that yields *zero*
-        #: survivors is memoized, and later descends reaching the same
-        #: signature skip the intersection, re-charging the memoized
-        #: ``edge_check_failures`` delta so every other counter stays
-        #: bit-identical.  Complements the consecutive-descend stream
-        #: cache (``_cache_dep``), which only survives while the
-        #: dependency assignments are literally unchanged.  The hit
-        #: counter is engine-specific: the reference engine memoizes
-        #: clean exhausted sweeps instead, so ``cemr_memo_hits`` is not
-        #: compared across engines.
-        self.cemr = cemr
         self._adj_indptr = kernel_plan.adj_indptr
         self._adj_flat = kernel_plan.adj_flat
         self._adj_sets = kernel_plan.adj_sets
@@ -786,6 +786,13 @@ class KernelBacktracker:
         (``deferred[depth]``) and are hash-probed per candidate right
         here, after the occupancy check and before the budget charge —
         the reference engine's exact validation order.
+
+        A stage with a backward edge backjumps on failing sets exactly
+        like :class:`~repro.core.core_match.CPIBacktracker`.  All of its
+        bookkeeping sits on the conflict and backtrack paths: whether a
+        parent has a yielded descendant is read at backtrack time from
+        the node count (every accepted last-depth candidate yields), so
+        accepted candidates cost nothing extra.
         """
         stage = self.stage
         k = stage.length
@@ -820,17 +827,13 @@ class KernelBacktracker:
         set_rows = stage.set_rows
         rank_of = stage.rank_of
         backward = stage.backward
-        cemr = self.cemr
-        n_data = len(adj_sets)
-        # Per-depth memo of dead eager intersections (one extend call's
-        # lifetime).  The key encodes (parent image, backward images):
-        # a single composite int ``parent * n_data + image`` when the
-        # depth has exactly one backward edge (no per-visit tuple
-        # allocation on the common shape), a nested tuple otherwise —
-        # per depth the backward list is fixed, so shapes never mix.
-        dead_memo: List[Dict[object, int]] = (
-            [{} for _ in range(k)] if cemr else []
-        )
+        ancestors = stage.ancestors
+        if ancestors is not None:
+            # ``acc[d]``: failing set of depth d's parent node so far;
+            # ``found``: deepest depth whose parent node has a yielded
+            # descendant (-1: none on the current path).
+            acc = [0] * k
+            found = -1
 
         nodes = stats.nodes
         enter = self._enter
@@ -850,6 +853,15 @@ class KernelBacktracker:
                 p += 1
                 if used[v]:
                     stats.injectivity_conflicts += 1
+                    if ancestors is not None and found < depth:
+                        for image in checks:
+                            if image not in adj_sets[v]:
+                                break
+                        else:
+                            owner = mapping.index(v)
+                            acc[depth] |= ancestors[u] | ancestors.get(
+                                owner, 1 << owner
+                            )
                     continue
                 if checks:
                     ok = True
@@ -909,35 +921,6 @@ class KernelBacktracker:
                             stats.edge_check_failures += eliminated
                         break
                     parent_image = mapping[parent_vertices[depth]]
-                    if cemr and dead_memo[depth]:
-                        # Probe only once this depth has recorded a dead
-                        # signature (the dict starts empty, so clean
-                        # workloads pay one truthiness check per visit).
-                        # Per depth the backward list is fixed, so the
-                        # cheap 2-int key for the single-backward-edge
-                        # case never collides with the tuple form.
-                        bw = backward[depth]
-                        memo_key = (
-                            parent_image * n_data + mapping[bw[0]]
-                            if len(bw) == 1
-                            else (
-                                parent_image,
-                                tuple(mapping[w] for w in bw),
-                            )
-                        )
-                        memoized = dead_memo[depth].get(memo_key)
-                        if memoized is not None:
-                            stats.cemr_memo_hits += 1
-                            if memoized:
-                                stats.edge_check_failures += memoized
-                            pos[depth] = 0
-                            end[depth] = 0
-                            if dep >= 0:
-                                cache_stamp[depth] = stamp[dep]
-                                cache_v[depth] = _EMPTY_ROW
-                                cache_end[depth] = 0
-                                cache_elim[depth] = memoized
-                            break
                     row_set = set_rows[depth].get(parent_image)
                     if row_set is None:
                         pos[depth] = 0
@@ -982,23 +965,6 @@ class KernelBacktracker:
                             cache_r[depth] = stream_r[depth]
                         cache_end[depth] = end[depth]
                         cache_elim[depth] = eliminated
-                    if cemr and end[depth] == 0:
-                        # Zero survivors from a used-independent eager
-                        # intersection: this signature is dead for the
-                        # rest of the call.  The key is rebuilt here
-                        # because the probe above is skipped while the
-                        # depth's memo is still empty.
-                        memo_d = dead_memo[depth]
-                        if len(memo_d) < _CEMR_MEMO_CAP:
-                            bw = backward[depth]
-                            memo_d[
-                                parent_image * n_data + mapping[bw[0]]
-                                if len(bw) == 1
-                                else (
-                                    parent_image,
-                                    tuple(mapping[w] for w in bw),
-                                )
-                            ] = eliminated
                 elif kind == _KIND_ROOT:
                     pos[depth] = 0
                     end[depth] = base_len[depth]
@@ -1011,6 +977,21 @@ class KernelBacktracker:
                         stats.edge_check_failures += eliminated
                 break
             else:
+                if ancestors is not None:
+                    if depth == last and nodes != stamp[depth - 1]:
+                        found = depth
+                    if found >= depth:
+                        found = depth - 1
+                    else:
+                        failing = acc[depth] or ancestors[slot_vertices[depth]]
+                        if depth and found != depth - 1:
+                            if failing >> slot_vertices[depth - 1] & 1:
+                                acc[depth - 1] |= failing
+                            else:
+                                acc[depth - 1] = failing
+                                pos[depth - 1] = end[depth - 1]
+                                stats.backjumps += 1
+                    acc[depth] = 0
                 depth -= 1
                 if depth < 0:
                     stats.nodes = nodes

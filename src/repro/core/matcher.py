@@ -234,12 +234,6 @@ class CFLMatch:
         CPI — and therefore every downstream result and counter except
         the per-filter attribution split — is identical with them on or
         off.
-    cemr:
-        redundant-extension elimination in the enumeration engines:
-        extension sets proven dead independent of occupancy are
-        memoized per search and skipped on repeat, with the sweep's
-        rejection attribution replayed on each hit so every counter
-        except ``cemr_memo_hits`` stays bit-identical.
     adaptive / adaptive_ratio / adaptive_min_nodes:
         mid-search re-planning.  With ``adaptive=True`` the root
         candidates are enumerated one at a time (a pure partition of
@@ -270,7 +264,6 @@ class CFLMatch:
         aux_cache: Optional["AuxAdjacencyCache"] = None,
         label_pair_filter: bool = False,
         nli_filter: bool = False,
-        cemr: bool = False,
         adaptive: bool = False,
         adaptive_ratio: float = 8.0,
         adaptive_min_nodes: int = 1024,
@@ -310,7 +303,6 @@ class CFLMatch:
         self.aux_cache = aux_cache
         self.label_pair_filter = label_pair_filter
         self.nli_filter = nli_filter
-        self.cemr = cemr
         self.adaptive = adaptive
         self.adaptive_ratio = adaptive_ratio
         self.adaptive_min_nodes = adaptive_min_nodes
@@ -563,23 +555,21 @@ class CFLMatch:
                     compiled, compiled.core, core_stats,
                     deadline=deadline, budget=budget,
                     vectorize=core_vec, vector_min_row=self.vector_min_row,
-                    cemr=self.cemr,
                 ),
                 KernelBacktracker(
                     compiled, compiled.forest, forest_stats,
                     deadline=deadline, budget=budget,
                     vectorize=forest_vec, vector_min_row=self.vector_min_row,
-                    cemr=self.cemr,
                 ),
             )
         return (
             CPIBacktracker(
                 plan.cpi, plan.core_slots, core_stats,
-                deadline=deadline, budget=budget, cemr=self.cemr,
+                deadline=deadline, budget=budget,
             ),
             CPIBacktracker(
                 plan.cpi, plan.forest_slots, forest_stats,
-                deadline=deadline, budget=budget, cemr=self.cemr,
+                deadline=deadline, budget=budget,
             ),
         )
 

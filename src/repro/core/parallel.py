@@ -792,7 +792,10 @@ class MatcherPool:
     workers attach and decode it at most once each and keep a small
     plan LRU, so a hot query costs the workers no preparation at all.
     :meth:`close` unlinks every segment the pool created.  Not
-    thread-safe: run one query at a time per pool.
+    thread-safe: run one query at a time per pool.  The workers hold a
+    copy of ``data`` as it was at construction, so once a
+    :class:`~repro.graph.dynamic.DynamicGraph` moves to a new version
+    every query method raises instead of answering from the stale copy.
     """
 
     def __init__(
@@ -806,6 +809,8 @@ class MatcherPool:
         **matcher_kwargs,
     ):
         self.data = data
+        #: the graph version the shared copy holds (see _require_open)
+        self._version = data.version
         self.workers = workers if workers is not None else _default_workers()
         self.tasks_per_worker = tasks_per_worker
         handle, store = _shared_store(data)
@@ -876,6 +881,12 @@ class MatcherPool:
     def _require_open(self) -> None:
         if self._closed:
             raise RuntimeError("MatcherPool is closed")
+        if self.data.version != self._version:
+            raise RuntimeError(
+                f"MatcherPool's data graph moved from version {self._version} "
+                f"to {self.data.version} after the pool copied it; "
+                f"build a new pool"
+            )
 
     def _plan_segment(self, query: Graph, plan: PreparedQuery) -> Tuple[int, str]:
         """Encode the plan into a shared segment once per distinct query
@@ -1031,6 +1042,7 @@ class MatcherPool:
         """
         from .batch import batch_execution_order
 
+        self._require_open()
         outcomes: List[Optional[Tuple[Any, SearchStats, float]]] = (
             [None] * len(queries)
         )

@@ -27,7 +27,7 @@ from .matcher import CFLMatch, MatchReport, PreparedQuery
 from .parallel import parallel_run
 from .stats import SearchStats, cpi_level_totals, empty_phase_times, monotonic_now
 
-PROFILE_SCHEMA_VERSION = 6
+PROFILE_SCHEMA_VERSION = 7
 
 #: JSON Schema (draft-07 subset) for ``profile_query`` output.  Kept in
 #: lock-step with ``docs/profile.schema.json`` (a test asserts equality).
@@ -126,6 +126,7 @@ PROFILE_SCHEMA: Dict[str, Any] = {
                 "backtracks",
                 "injectivity_conflicts",
                 "edge_check_failures",
+                "backjumps",
                 "nec_groups",
                 "nec_permutations_skipped",
                 "leaf_shortcircuits",
@@ -149,7 +150,6 @@ PROFILE_SCHEMA: Dict[str, Any] = {
                 "dirty_region_size",
                 "filter_label_pair_pruned",
                 "filter_nli_pruned",
-                "cemr_memo_hits",
                 "adaptive_replans",
             ],
             "additionalProperties": {"type": "integer", "minimum": 0},

@@ -70,6 +70,7 @@ from typing import (
 )
 
 from ..graph.graph import Graph, GraphError
+from .core_match import OrderedVertex, failing_set_masks
 from .cpi import CPI, QueryBFSTree
 from .kernel import (
     MODE_CROSS,
@@ -897,6 +898,10 @@ def _decode_stage(
         backward=tuple(backward),
         set_rows=tuple(set_rows),
         rank_of=tuple(rank_of),
+        ancestors=failing_set_masks([
+            OrderedVertex(u, None if parent < 0 else parent, backward[depth])
+            for depth, (u, parent) in enumerate(zip(slot_vertices, parent_vertices))
+        ]),
     )
 
 

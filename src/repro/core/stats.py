@@ -109,6 +109,12 @@ class SearchStats:
         by the partial embedding.
     ``edge_check_failures``
         failed ``ValidateNT`` probes of backward non-tree edges.
+    ``backjumps``
+        failing-set backjumps in Core-Match: a finished node's failing
+        set excluded its own query vertex, so its remaining sibling
+        candidates were skipped (see
+        :class:`~repro.core.core_match.CPIBacktracker`).  Always 0 in a
+        stage without a backward non-tree edge.
     ``nec_groups``
         leaf NEC combinations explored by the counting path (Lemma 4.3).
     ``nec_permutations_skipped``
@@ -179,14 +185,6 @@ class SearchStats:
         neighboring-label (NLI) pre-checks of
         :class:`~repro.core.filters.ExtendedCandVerify` (zero unless the
         corresponding ``CFLMatch`` knob is on).
-    ``cemr_memo_hits``
-        sibling candidates that skipped a provably-dead backward-edge
-        intersection because an earlier sibling memoized the empty
-        extension set (CEMR-style redundant-extension elimination; each
-        hit replays the sweep's rejection attribution — injectivity
-        conflicts for occupied candidates, ``edge_check_failures`` for
-        the rest — so every other counter is bit-identical with the
-        feature off).
     ``adaptive_replans``
         mid-search re-plans: the adaptive monitor observed actual
         breadth exceeding the cost-model estimate past the configured
@@ -202,6 +200,7 @@ class SearchStats:
     backtracks: int = 0
     injectivity_conflicts: int = 0
     edge_check_failures: int = 0
+    backjumps: int = 0
     nec_groups: int = 0
     nec_permutations_skipped: int = 0
     leaf_shortcircuits: int = 0
@@ -229,7 +228,6 @@ class SearchStats:
     # -- optimizer round 2 ---------------------------------------------
     filter_label_pair_pruned: int = 0
     filter_nli_pruned: int = 0
-    cemr_memo_hits: int = 0
     adaptive_replans: int = 0
 
     # ------------------------------------------------------------------

@@ -17,23 +17,29 @@ counters* (the observability layer of :mod:`repro.core.stats`):
 ==============================  ========================================
 ``stats-vertex-permutation``    permuting data vertex ids leaves every
                                 counter identical (exhaustive runs
-                                explore an isomorphic search tree)
+                                explore an isomorphic search tree) when
+                                neither run backjumps; otherwise every
+                                counter outside Core-Match is identical
+                                and each run's search counters equal the
+                                failing-set model's
 ``stats-filter-ablation``       weakening the CPI (top-down only, or
                                 naive) while pinning the full plan's
                                 root and matching order never *decreases*
-                                partial-match expansions: filters are
-                                pruning-only, so less filtering means a
-                                superset search tree
+                                partial-match expansions when neither
+                                run backjumps (filters are pruning-only,
+                                so less filtering means a superset search
+                                tree); otherwise each run's search
+                                counters equal the failing-set model's
 ==============================  ========================================
 
 Two relations cover the round-2 optimizer features (PR 10):
 
 ==============================  ========================================
 ``stats-optimizer-identity``    turning on the label-pair/NLI filters
-                                and CEMR leaves every counter identical
-                                except ``cemr_memo_hits`` and the
-                                per-filter attribution split, whose sum
-                                of rejections is conserved (both engines)
+                                leaves every counter identical except
+                                the per-filter attribution split, whose
+                                sum of rejections is conserved (both
+                                engines)
 ``adaptive-replanning``         an aggressively-triggered mid-search
                                 re-plan produces the same embedding set
                                 as the pinned-order run (both engines)
@@ -44,11 +50,14 @@ One relation pins the two enumeration engines to each other:
 ==============================  ========================================
 ``engine-identity``             the kernel and reference engines return
                                 the same embedding *list* with identical
-                                ``nodes``/``backtracks``/``embeddings``/
-                                ``leaf_shortcircuits`` and per-stage
-                                nodes, for a full search, a random
-                                ``limit`` and a generator closed after a
-                                random number of embeddings
+                                ``nodes``/``backtracks``/``backjumps``/
+                                ``embeddings``/``leaf_shortcircuits``
+                                and per-stage nodes, for a full search,
+                                a random ``limit`` and a generator closed
+                                after a random number of embeddings; the
+                                full search's core+forest ``nodes`` and
+                                ``backjumps`` also equal the failing-set
+                                model's (:mod:`repro.testing.failing_sets`)
 ==============================  ========================================
 
 Two dynamic relations (PR 8) extend the oracle to the mutation layer:
@@ -78,11 +87,12 @@ from ..bench.harness import make_matcher
 from ..core.core_match import SearchTimeout
 from ..core.dynamic import IncrementalMatcher
 from ..core.matcher import CFLMatch
-from ..core.stats import SearchStats
+from ..core.stats import SearchStats, aggregate_stage_stats
 from ..core.verify import diff_counts, map_embeddings
 from ..graph.dynamic import DynamicGraph
 from ..graph.graph import Graph, GraphError
 from .differential import Mismatch
+from .failing_sets import model_counters
 
 Relation = Callable[[Graph, Graph, str, random.Random], Optional[str]]
 
@@ -217,14 +227,12 @@ ABLATION_CONFIGS = (
     ("cfl/full/numpy", {"cpi_impl": "numpy"}),
     ("cfl/full/hierarchical", {"core_strategy": "hierarchical"}),
     # optimizer round 2: label-pair / NLI filters are pruning-only
-    # subsets of NLF, CEMR memoizes provably-dead extensions, adaptive
-    # re-planning only reorders the remaining suffix — none may change
-    # the embedding set.
+    # subsets of NLF and adaptive re-planning only reorders the
+    # remaining suffix — neither may change the embedding set.
     ("cfl/full/label-pair", {"label_pair_filter": True}),
     ("cfl/full/nli", {"nli_filter": True}),
-    ("cfl/full/cemr", {"cemr": True}),
     ("cfl/full/optimized", {
-        "label_pair_filter": True, "nli_filter": True, "cemr": True,
+        "label_pair_filter": True, "nli_filter": True,
         "adaptive": True, "adaptive_ratio": 2.0, "adaptive_min_nodes": 64,
     }),
 )
@@ -249,29 +257,74 @@ def relation_filter_ablation(data, query, matcher_name, rng) -> Optional[str]:
     return None
 
 
+#: Counters failing-set backjumping may change: it prunes Core-Match
+#: subtrees that hold no complete core mapping, so the forest and leaf
+#: stages, the embeddings and every build counter never see it.
+_BACKJUMP_COUNTERS = frozenset(
+    {
+        "nodes",
+        "core_expansions",
+        "backtracks",
+        "injectivity_conflicts",
+        "edge_check_failures",
+        "backjumps",
+    }
+)
+
+
+def _model_mismatch(tag: str, plan, report) -> Optional[str]:
+    """Compare one exhaustive run's core+forest ``nodes`` and
+    ``backjumps`` with the failing-set model of its plan."""
+    stages = report.stage_nodes
+    actual = {
+        "nodes": stages.get("core", 0) + stages.get("forest", 0),
+        "backjumps": report.stats.backjumps,
+    }
+    expected = model_counters(plan)
+    if actual != expected:
+        return f"{tag} search counters {actual} differ from the failing-set model {expected}"
+    return None
+
+
 def relation_stats_vertex_permutation(data, query, matcher_name, rng) -> Optional[str]:
-    """Permuting data vertex ids leaves every search counter identical.
+    """Permuting data vertex ids leaves the search counters identical.
 
     An exhaustive run (no limit) explores the whole search tree, and a
     vertex permutation maps that tree isomorphically — candidate sets,
     prune events, expansions, backtracks and conflicts all correspond
-    one-to-one.  Matcher-independent: always exercises CFL-Match, whose
-    counters are the ones under test.
+    one-to-one.  Backjumping breaks that once it fires: sibling order
+    decides which failing set is found first, and the permutation
+    reorders siblings.  So when either run backjumps, the counters it
+    may change are checked against the failing-set model run by run,
+    and every other counter is still compared exactly.
+    Matcher-independent: always exercises CFL-Match, whose counters are
+    the ones under test.
     """
     if not query.is_connected():
         return None
     permutation = list(range(data.num_vertices))
     rng.shuffle(permutation)
-    base = CFLMatch(data).run(query, limit=None)
-    permuted = CFLMatch(permute_vertices(data, permutation)).run(query, limit=None)
+    runs = []
+    for tag, graph in (("base", data), ("permuted", permute_vertices(data, permutation))):
+        matcher = CFLMatch(graph)
+        plan = matcher.prepare(query, use_cache=False)
+        runs.append((tag, plan, matcher.run(query, limit=None, prepared=plan)))
+    (_, _, base), (_, _, permuted) = runs
+    jumped = base.stats.backjumps or permuted.stats.backjumps
+    if jumped:
+        for tag, plan, report in runs:
+            detail = _model_mismatch(tag, plan, report)
+            if detail is not None:
+                return detail
     base_counters = base.counters()
     permuted_counters = permuted.counters()
-    if base_counters != permuted_counters:
-        diffs = {
-            name: (base_counters[name], permuted_counters[name])
-            for name in base_counters
-            if base_counters[name] != permuted_counters[name]
-        }
+    diffs = {
+        name: (base_counters[name], permuted_counters[name])
+        for name in base_counters
+        if base_counters[name] != permuted_counters[name]
+        and not (jumped and name in _BACKJUMP_COUNTERS)
+    }
+    if diffs:
         return f"vertex permutation changed search counters: {diffs}"
     if base.embeddings != permuted.embeddings:
         return (
@@ -293,7 +346,11 @@ def relation_stats_filter_ablation(data, query, matcher_name, rng) -> Optional[s
     top-down-only and naive CPIs' (refinement is pruning-only), so with
     the *same* BFS root and matching order pinned via
     :meth:`CFLMatch.prepare_from_cpi`, every node the full configuration
-    expands exists in the ablated search tree too.
+    expands exists in the ablated search tree too.  Backjumping breaks
+    the superset argument: a candidate only the weaker CPI has can yield
+    the failing set that jumps past siblings.  So when either run
+    backjumps, each run is checked against the failing-set model
+    instead.
     """
     if not query.is_connected():
         return None
@@ -317,7 +374,14 @@ def relation_stats_filter_ablation(data, query, matcher_name, rng) -> Optional[s
                 f"ablation {tag} changed the embedding count "
                 f"({full_report.embeddings} vs {report.embeddings})"
             )
-        if report.stats.expansions < full_report.stats.expansions:
+        if full_report.stats.backjumps or report.stats.backjumps:
+            for run_tag, plan, run in (
+                ("cfl/full", full_plan, full_report), (tag, pinned, report)
+            ):
+                detail = _model_mismatch(run_tag, plan, run)
+                if detail is not None:
+                    return detail
+        elif report.stats.expansions < full_report.stats.expansions:
             return (
                 f"ablation {tag} decreased expansions "
                 f"({full_report.stats.expansions} -> {report.stats.expansions}) "
@@ -326,12 +390,10 @@ def relation_stats_filter_ablation(data, query, matcher_name, rng) -> Optional[s
     return None
 
 
-#: Counters allowed to differ when the round-2 optimizer features are
-#: toggled: memo hits only exist with CEMR on, and the four filter
-#: attribution counters re-split the same rejection total.
+#: Counters allowed to differ when the round-2 filters are toggled: the
+#: four filter attribution counters re-split the same rejection total.
 _OPTIMIZER_EXEMPT = frozenset(
     {
-        "cemr_memo_hits",
         "filter_label_pair_pruned",
         "filter_nli_pruned",
         "filter_mnd_pruned",
@@ -341,14 +403,13 @@ _OPTIMIZER_EXEMPT = frozenset(
 
 
 def relation_stats_optimizer_identity(data, query, matcher_name, rng) -> Optional[str]:
-    """Round-2 optimizer features are counter-invisible where promised.
+    """Round-2 filters are counter-invisible where promised.
 
-    With the label-pair/NLI filters and CEMR all on, every counter must
-    match the plain run bit-for-bit except ``cemr_memo_hits`` (new
-    work-avoidance events) and the per-filter attribution split — whose
-    *sum* of rejections must still be conserved (the filters reject the
-    same candidates, just earlier and cheaper).  Checked on both
-    engines.
+    With the label-pair/NLI filters on, every counter must match the
+    plain run bit-for-bit except the per-filter attribution split —
+    whose *sum* of rejections must still be conserved (the filters
+    reject the same candidates, just earlier and cheaper).  Checked on
+    both engines.
     """
     if not query.is_connected():
         return None
@@ -356,7 +417,7 @@ def relation_stats_optimizer_identity(data, query, matcher_name, rng) -> Optiona
         base = CFLMatch(data, engine=engine).run(query, limit=None, count_only=True)
         optimized = CFLMatch(
             data, engine=engine,
-            label_pair_filter=True, nli_filter=True, cemr=True,
+            label_pair_filter=True, nli_filter=True,
         ).run(query, limit=None, count_only=True)
         base_counters = base.counters()
         optimized_counters = optimized.counters()
@@ -368,9 +429,8 @@ def relation_stats_optimizer_identity(data, query, matcher_name, rng) -> Optiona
         }
         if diffs:
             return f"optimizer features changed {engine} counters: {diffs}"
-        filter_names = _OPTIMIZER_EXEMPT - {"cemr_memo_hits"}
-        base_rejected = sum(base_counters[n] for n in filter_names)
-        optimized_rejected = sum(optimized_counters[n] for n in filter_names)
+        base_rejected = sum(base_counters[n] for n in _OPTIMIZER_EXEMPT)
+        optimized_rejected = sum(optimized_counters[n] for n in _OPTIMIZER_EXEMPT)
         if base_rejected != optimized_rejected:
             return (
                 f"{engine} filter rejections not conserved "
@@ -411,7 +471,9 @@ def relation_adaptive_replanning(data, query, matcher_name, rng) -> Optional[str
 
 #: Counters the two engines must agree on in every search, truncated or
 #: not (the rejection-cause split may differ; see repro.core.kernel).
-_ENGINE_COUNTERS = ("nodes", "backtracks", "embeddings", "leaf_shortcircuits")
+_ENGINE_COUNTERS = (
+    "nodes", "backtracks", "backjumps", "embeddings", "leaf_shortcircuits",
+)
 
 
 def _engine_run(data, query, engine, limit=None, close_after=None):
@@ -423,6 +485,7 @@ def _engine_run(data, query, engine, limit=None, close_after=None):
     )
     found = list(islice(search, close_after))
     search.close()
+    aggregate_stage_stats(stage_stats, into=stats)
     return (
         found,
         {name: getattr(stats, name) for name in _ENGINE_COUNTERS},
@@ -438,11 +501,23 @@ def relation_engine_identity(data, query, matcher_name, rng) -> Optional[str]:
     search, under a random ``limit``, and when the consumer closes the
     generator after a random number of embeddings (the kernel emits
     Leaf-Match in blocks and settles its counters when a block ends or
-    the generator closes).  Matcher-independent.
+    the generator closes).  The full search's core+forest ``nodes`` and
+    ``backjumps`` must also equal the failing-set model's, an oracle
+    that shares no code with either engine.  Matcher-independent.
     """
     if not query.is_connected():
         return None
     full = _engine_run(data, query, "reference")
+    model = model_counters(CFLMatch(data).prepare(query, use_cache=False))
+    searched = {
+        "nodes": full[2].get("core", 0) + full[2].get("forest", 0),
+        "backjumps": full[1]["backjumps"],
+    }
+    if searched != model:
+        return (
+            f"full search counters {searched} differ from the failing-set "
+            f"model {model}"
+        )
     total = len(full[0])
     runs = (
         ("full search", {}),

@@ -7,7 +7,9 @@ The contract under test (see ``repro/core/kernel.py``):
 * bit-identical ``nodes``/``backtracks``/``embeddings`` counters, and an
   identical ``injectivity_conflicts + edge_check_failures`` sum, on
   complete runs (the split may differ — the intersection attributes
-  used-AND-edge-failing candidates to ``edge_check_failures``);
+  used-AND-edge-failing candidates to ``edge_check_failures``; the sum
+  may too once a backjump skips the rest of an eagerly charged row, and
+  the pinned sweep cases below never backjump);
 * identical truncation points under both work budgets and deadlines
   (``WorkBudget`` charging and the ``nodes & 1023`` deadline poll are
   aligned with the reference);

@@ -1,5 +1,5 @@
-"""Tests for the round-2 optimizer: label-pair/NLI filters, CEMR, and
-adaptive mid-search re-planning.
+"""Tests for the round-2 optimizer: label-pair/NLI filters and adaptive
+mid-search re-planning.
 
 Every feature must be invisible to correctness (same embeddings, same
 CPI where promised, counters bit-identical except the documented
@@ -22,7 +22,6 @@ from repro.graph.generators import random_walk_query, synthetic_graph
 from repro.workloads.paper_graphs import figure1_example, figure3_example
 
 #: Counters the optimizer features are allowed to change.
-MEMO_ONLY = {"cemr_memo_hits"}
 FILTER_SPLIT = {
     "filter_label_pair_pruned",
     "filter_nli_pruned",
@@ -77,7 +76,7 @@ class TestLabelPairNliFilters:
             assert sum(base_d[n] for n in FILTER_SPLIT) == sum(
                 on_d[n] for n in FILTER_SPLIT
             )
-            _counters_equal_except(base_d, on_d, MEMO_ONLY | FILTER_SPLIT)
+            _counters_equal_except(base_d, on_d, FILTER_SPLIT)
             saw_early += on_d["filter_label_pair_pruned"] + on_d["filter_nli_pruned"]
         assert saw_early > 0, "expected the new filters to fire somewhere"
 
@@ -97,35 +96,6 @@ class TestLabelPairNliFilters:
                 CFLMatch(data, label_pair_filter=True, nli_filter=True).search(query)
             )
             assert plain == filtered
-
-
-class TestCemr:
-    @staticmethod
-    def _cyclic_instances(trials=6, seed=700):
-        # Denser graphs + cyclic queries (all walk edges kept) so slots
-        # carry backward edges — the precondition for CEMR memoization.
-        rng = random.Random(1)
-        for trial in range(trials):
-            data = synthetic_graph(120, 8.0, 3, seed=seed + trial)
-            yield data, random_walk_query(data, 7, rng, keep_edge_probability=1.0)
-
-    @pytest.mark.parametrize("engine", ["kernel", "reference"])
-    def test_bit_identical_except_memo_hits(self, engine):
-        hits = 0
-        for data, query in self._cyclic_instances():
-            base, memo = SearchStats(), SearchStats()
-            n0 = CFLMatch(data, engine=engine).count(query, stats=base)
-            n1 = CFLMatch(data, engine=engine, cemr=True).count(query, stats=memo)
-            assert n0 == n1
-            _counters_equal_except(base.to_dict(), memo.to_dict(), MEMO_ONLY)
-            hits += memo.cemr_memo_hits
-        assert hits > 0, f"CEMR never fired on the {engine} engine"
-
-    def test_embedding_sets_match(self):
-        for data, query in _instances(trials=4, seed=77):
-            plain = set(CFLMatch(data).search(query))
-            for engine in ("kernel", "reference"):
-                assert set(CFLMatch(data, engine=engine, cemr=True).search(query)) == plain
 
 
 class TestAdaptive:
@@ -188,7 +158,7 @@ class TestAllFeaturesTogether:
             plain = set(CFLMatch(data).search(query))
             optimized = set(
                 CFLMatch(
-                    data, label_pair_filter=True, nli_filter=True, cemr=True,
+                    data, label_pair_filter=True, nli_filter=True,
                     **AGGRESSIVE_ADAPTIVE,
                 ).search(query)
             )
@@ -201,7 +171,7 @@ class TestDynamicWithFilters:
         rng = random.Random(5)
         query = random_walk_query(base, 4, rng, keep_edge_probability=0.7)
         dyn = DynamicGraph.from_graph(base)
-        inc = IncrementalMatcher(dyn, label_pair_filter=True, nli_filter=True, cemr=True)
+        inc = IncrementalMatcher(dyn, label_pair_filter=True, nli_filter=True)
         assert inc.count(query) == CFLMatch(base).count(query)
         # Mutate, then verify incremental repair under the filters still
         # matches a cold matcher on the final graph.

@@ -413,6 +413,24 @@ class TestMatcherPool:
         with pytest.raises(RuntimeError, match="closed"):
             pool.count(ex.query)
 
+    def test_mutated_graph_rejects_queries(self):
+        """The pool's workers hold a copy of the graph from construction;
+        after a mutation it must raise, never answer from that copy."""
+        from repro.graph.dynamic import DynamicGraph
+
+        data = DynamicGraph.from_graph(Graph([0, 1, 0, 1], [(0, 1), (1, 2)]))
+        query = Graph([0, 1], [(0, 1)])
+        with MatcherPool(data, workers=2) as pool:
+            assert pool.count(query) == 2
+            data.add_edge(2, 3)
+            assert CFLMatch(data).count(query) == 3
+            with pytest.raises(RuntimeError, match="version"):
+                pool.count(query)
+            with pytest.raises(RuntimeError, match="version"):
+                list(pool.search_iter(query))
+            with pytest.raises(RuntimeError, match="version"):
+                pool.run_batch([query])
+
     def test_workers_one_runs_inline(self):
         ex = figure1_example(7, 7)
         with MatcherPool(ex.data, workers=1) as pool:
