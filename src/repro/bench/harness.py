@@ -38,7 +38,6 @@ MATCHERS: Dict[str, Callable[[Graph], object]] = {
     "CFL-Match-Naive": lambda g: CFLMatch(g, cpi_mode="naive"),
     "CFL-Match-Boost": lambda g: BoostMatch(g, order_strategy="cfl"),
     "CFL-Match-Hierarchical": lambda g: CFLMatch(g, core_strategy="hierarchical"),
-    "CFL-Match-NumPy": lambda g: CFLMatch(g, cpi_impl="numpy"),
     # Optimizer round-2 variants: each toggles one feature so the fuzz
     # differential exercises them against the plain engines.
     "CFL-Match-LPF": lambda g: CFLMatch(g, label_pair_filter=True, nli_filter=True),

@@ -5,20 +5,22 @@ queries: every CPI construction re-scans the data graph's adjacency,
 re-applying the same label and degree filters query after query, even
 when the workload's queries share label pairs (they nearly always do —
 a workload over a fixed label alphabet keeps asking for the same
-``(label(u'), label(u))`` transitions).  Following GraphMini's shared
-auxiliary adjacency idea (see PAPERS.md), this module factors that
+``(label(u'), label(u))`` transitions).  Following GraphMini's lazily
+built auxiliary adjacency (see PAPERS.md), this module factors that
 repeated work into one batch-scoped cache:
 
-* :class:`AuxAdjacencyCache` — pre-intersected label-pair candidate
-  adjacency in int32 CSR form, keyed by ``(parent_label, child_label,
-  degree_bucket)``.  A row holds, for one data vertex of
-  ``parent_label``, its sorted neighbors with ``child_label`` and degree
-  at least the bucket (the largest power of two not exceeding the query
-  vertex's degree — an NLF-style bucketing that lets one entry serve
-  every query degree in ``[bucket, 2*bucket)``).  Entries are built
-  whole on first use and LRU-evicted under a byte budget, so a
-  truncated query can never publish a partial entry.  Hits, misses and
-  bytes are counted through :class:`~repro.core.stats.SearchStats`
+* :class:`AuxAdjacencyCache` — pre-intersected label-pair adjacency
+  rows, keyed by ``(parent_label, child_label, degree_bucket)``.  A row
+  holds, for one data vertex of ``parent_label``, its sorted neighbors
+  with ``child_label`` and degree at least the bucket (the largest power
+  of two not exceeding the query vertex's degree — an NLF-style
+  bucketing that lets one entry serve every query degree in
+  ``[bucket, 2*bucket)``).  A lookup scans nothing: an entry stores a
+  row the first time a CPI build asks for it, so only the rows of
+  actual candidates are ever built.  A row is stored whole, so a
+  truncated query can never publish a partial one.  Entries are
+  LRU-evicted under a byte budget.  Hits, misses and bytes are counted
+  through :class:`~repro.core.stats.SearchStats`
   (``aux_adj_hits``/``aux_adj_misses``/``aux_adj_bytes``).
 * :class:`BatchMatcher` — accepts a list of queries against one data
   graph, groups them by label signature (so plan-cache and aux-cache
@@ -30,7 +32,7 @@ repeated work into one batch-scoped cache:
 
 The cache's correctness argument: a cached row is the label-matching,
 degree-bucket-filtered *subsequence* of the raw sorted adjacency row.
-Everywhere the builders consume it, the exact degree condition is either
+Everywhere the builder consumes it, the exact degree condition is either
 re-checked (candidate generation, when the bucket under-approximates the
 query degree) or implied by membership in an already-filtered candidate
 set (adjacency construction), so the built CPI is identical with or
@@ -39,7 +41,7 @@ without the cache.
 
 from __future__ import annotations
 
-from array import array
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -60,7 +62,7 @@ __all__ = [
     "label_signature",
 ]
 
-#: Default auxiliary-adjacency byte budget (CSR storage only).
+#: Default auxiliary-adjacency byte budget (stored rows only).
 DEFAULT_AUX_BYTES = 32 * 1024 * 1024
 
 #: One cache key: (parent label, child label, degree bucket).
@@ -83,42 +85,48 @@ def degree_bucket(degree: int) -> int:
     return 1 << (degree.bit_length() - 1)
 
 
-class AuxEntry:
-    """One materialized ``(parent_label, child_label, bucket)`` CSR.
+class AuxEntry(Dict[int, Tuple[int, ...]]):
+    """One ``(parent_label, child_label, bucket)`` entry: a row memo.
 
-    ``aux_verts`` lists every data vertex of ``parent_label`` (sorted);
-    row ``i`` of ``aux_indptr``/``aux_flat`` holds the sorted neighbors
-    of ``aux_verts[i]`` whose label is ``child_label`` and whose degree
-    is at least ``bucket``.  All three arrays are frozen once built —
-    repro-lint R003 flags element writes through ``aux_*`` arrays
-    anywhere outside this module (the names are deliberately
-    unambiguous so the rule needs no type inference).
+    ``row(v)`` is the sorted tuple of ``v``'s neighbors whose label is
+    ``child_label`` and whose degree is at least ``bucket``.  The first
+    call for ``v`` filters ``data.adj[v]`` and stores the row whole;
+    every later call returns the stored tuple.  ``nbytes`` sums the
+    stored rows' sizes, which the owning cache also charges to its
+    budget; an entry the cache has dropped is charged to nothing.
     """
 
-    __slots__ = (
-        "bucket", "aux_verts", "aux_indptr", "aux_flat",
-        "nbytes", "_position", "_view",
-    )
+    __slots__ = ("bucket", "child_label", "nbytes", "_data", "_cache")
 
     def __init__(
-        self,
-        bucket: int,
-        verts: "array[int]",
-        indptr: "array[int]",
-        flat: "array[int]",
+        self, cache: "AuxAdjacencyCache", child_label: int, bucket: int
     ) -> None:
+        super().__init__()
         self.bucket = bucket
-        self.aux_verts = verts
-        self.aux_indptr = indptr
-        self.aux_flat = flat
-        self.nbytes = (len(verts) + len(indptr) + len(flat)) * flat.itemsize
-        self._position: Dict[int, int] = {v: i for i, v in enumerate(verts)}
-        self._view = memoryview(flat)
+        self.child_label = child_label
+        self.nbytes = 0
+        self._data = cache.data
+        self._cache: Optional[AuxAdjacencyCache] = cache
 
-    def row(self, vertex: int) -> Sequence[int]:
-        """The cached sorted row of ``vertex`` (a zero-copy slice)."""
-        index = self._position[vertex]
-        return self._view[self.aux_indptr[index]:self.aux_indptr[index + 1]]
+    def __missing__(self, vertex: int) -> Tuple[int, ...]:
+        adj = self._data.adj
+        labels = self._data.labels
+        child_label = self.child_label
+        bucket = self.bucket
+        row = tuple([
+            w for w in adj[vertex]
+            if labels[w] == child_label and len(adj[w]) >= bucket
+        ])
+        self[vertex] = row
+        size = sys.getsizeof(row)
+        self.nbytes += size
+        if self._cache is not None:
+            self._cache._charge(self, size)
+        return row
+
+    #: the stored row of ``vertex``, filtered and stored on first call
+    #: (a C-level subscript: ``dict.__getitem__`` calls ``__missing__``)
+    row = dict.__getitem__
 
 
 class AuxAdjacencyCache:
@@ -129,8 +137,8 @@ class AuxAdjacencyCache:
     are deliberately *not* charged to per-query build stats so a batch
     run's per-query counters stay bit-identical to one-at-a-time runs.
 
-    Entries belong to the ``data.version`` they were built at: a lookup
-    at any other version (the graph is a mutated
+    Entries belong to the ``data.version`` they were created at: a
+    lookup at any other version (the graph is a mutated
     :class:`~repro.graph.dynamic.DynamicGraph`) drops every entry first.
     """
 
@@ -154,8 +162,9 @@ class AuxAdjacencyCache:
         return len(self._entries)
 
     def lookup(self, parent_label: int, child_label: int, degree: int) -> AuxEntry:
-        """The entry serving ``(parent_label, child_label, degree)``,
-        building (and possibly evicting) on miss."""
+        """The entry serving ``(parent_label, child_label, degree)``; a
+        miss creates an empty one, which builds rows as they are asked
+        for."""
         if self.data.version != self._version:
             self.clear()
             self._version = self.data.version
@@ -165,36 +174,30 @@ class AuxAdjacencyCache:
             self._entries.move_to_end(key)
             self.stats.aux_adj_hits += 1
             return entry
-        entry = self._build(key)
+        entry = AuxEntry(self, child_label, key[2])
         self.stats.aux_adj_misses += 1
-        self.stats.aux_adj_bytes += entry.nbytes
         self._entries[key] = entry
-        self.bytes_in_use += entry.nbytes
-        while self.bytes_in_use > self.max_bytes and len(self._entries) > 1:
-            _, evicted = self._entries.popitem(last=False)
-            self.bytes_in_use -= evicted.nbytes
-            self.evictions += 1
         return entry
 
-    def _build(self, key: AuxKey) -> AuxEntry:
-        # Built whole before the entry becomes visible: a deadline or
-        # budget firing between lookups can never expose a partial row.
-        parent_label, child_label, bucket = key
-        data = self.data
-        adj = data.adj
-        labels = data.labels
-        verts = array("i", data.vertices_with_label(parent_label))
-        indptr = array("i", [0])
-        flat = array("i")
-        for v in verts:
-            for w in adj[v]:
-                if labels[w] == child_label and len(adj[w]) >= bucket:
-                    flat.append(w)
-            indptr.append(len(flat))
-        return AuxEntry(bucket, verts, indptr, flat)
+    def _charge(self, filling: AuxEntry, size: int) -> None:
+        """Account one stored row of ``filling``, then evict LRU entries
+        while over budget — never ``filling`` itself."""
+        self.stats.aux_adj_bytes += size
+        self.bytes_in_use += size
+        entries = self._entries
+        while self.bytes_in_use > self.max_bytes:
+            key, oldest = next(iter(entries.items()))
+            if oldest is filling:
+                break
+            del entries[key]
+            oldest._cache = None
+            self.bytes_in_use -= oldest.nbytes
+            self.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (byte accounting reset; counters keep)."""
+        for entry in self._entries.values():
+            entry._cache = None
         self._entries.clear()
         self.bytes_in_use = 0
 
@@ -268,8 +271,8 @@ class BatchReport:
     """Everything one :meth:`BatchMatcher.run` measured."""
 
     results: List[BatchQueryResult]
-    #: batch-scoped counters: the aux cache's hits/misses/bytes (zero
-    #: when the cache is disabled)
+    #: batch-scoped counters: the aux cache's hits/misses/bytes during
+    #: this run (zero when the cache is disabled)
     aux_stats: SearchStats
     wall_time_s: float
     groups: int
@@ -380,8 +383,8 @@ class BatchMatcher:
 
         ``limit``/``max_expansions``/``time_limit_s`` apply *per query*
         (a truncated query cannot poison the shared caches: plans enter
-        the plan cache only when preparation completed, and aux entries
-        are built whole before first use).  ``collect`` materializes
+        the plan cache only when preparation completed, and an aux row
+        is stored only once it is whole).  ``collect`` materializes
         embeddings (ignored under ``count_only``, the default).
         """
         if self.workers > 1:
@@ -393,6 +396,7 @@ class BatchMatcher:
             return self._run_pool(queries, limit=limit, count_only=count_only)
         matcher = self.matcher
         started = monotonic_now()
+        aux_before = self._aux_counters()
         hits_before = matcher.plan_cache_hits
         outcomes: List[Optional[BatchQueryResult]] = [None] * len(queries)
         order = batch_execution_order(queries)
@@ -428,7 +432,7 @@ class BatchMatcher:
             outcomes[index] = self._result_from_report(index, report)
         wall = monotonic_now() - started
         return self._finish(
-            outcomes, wall,
+            outcomes, wall, aux_before,
             groups=_group_count(queries),
             plan_cache_hits=matcher.plan_cache_hits - hits_before,
             workers=1,
@@ -443,6 +447,7 @@ class BatchMatcher:
         from .parallel import MatcherPool
 
         started = monotonic_now()
+        aux_before = self._aux_counters()
         outcomes: List[Optional[BatchQueryResult]] = [None] * len(queries)
         with MatcherPool(
             self.data,
@@ -470,7 +475,7 @@ class BatchMatcher:
                 )
         wall = monotonic_now() - started
         return self._finish(
-            outcomes, wall,
+            outcomes, wall, aux_before,
             groups=_group_count(queries),
             plan_cache_hits=hits,
             workers=self.workers,
@@ -490,23 +495,33 @@ class BatchMatcher:
             results=report.results,
         )
 
+    def _aux_counters(self) -> Dict[str, int]:
+        return self.aux.stats.to_dict() if self.aux is not None else {}
+
     def _finish(
         self,
         outcomes: List[Optional[BatchQueryResult]],
         wall: float,
+        aux_before: Dict[str, int],
         groups: int,
         plan_cache_hits: int,
         workers: int,
     ) -> BatchReport:
         results = [outcome for outcome in outcomes if outcome is not None]
-        aux_stats = self.aux.stats if self.aux is not None else SearchStats()
+        # This run's own share of the cache's lifetime counters: a
+        # report must not change when a later run moves them.
+        aux_stats = SearchStats.from_dict({
+            name: value - aux_before.get(name, 0)
+            for name, value in self._aux_counters().items()
+        })
+        lookups = aux_stats.aux_adj_hits + aux_stats.aux_adj_misses
         return BatchReport(
             results=results,
             aux_stats=aux_stats,
             wall_time_s=wall,
             groups=groups,
             plan_cache_hits=plan_cache_hits,
-            aux_hit_rate=self.aux.hit_rate if self.aux is not None else 0.0,
+            aux_hit_rate=aux_stats.aux_adj_hits / lookups if lookups else 0.0,
             aux_bytes_in_use=(
                 self.aux.bytes_in_use if self.aux is not None else 0
             ),

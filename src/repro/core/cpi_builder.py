@@ -313,8 +313,9 @@ def _accumulate(
     are being expanded (every candidate carries that data label); with
     ``aux`` the inner scan walks the cached pre-intersected row — the
     label-matching, degree-bucket-filtered subsequence of the raw
-    adjacency, in the same sorted order — and only re-checks the exact
-    degree when the bucket under-approximates it.
+    adjacency, in the same sorted order, built on its first use — and
+    only re-checks the exact degree when the bucket under-approximates
+    it.
     """
     u_label = query.label(u)
     u_degree = query.degree(u)
@@ -322,8 +323,9 @@ def _accumulate(
     if aux is not None:
         entry = aux.lookup(parent_label, u_label, u_degree)
         exact_degree = u_degree > entry.bucket
+        row = entry.row
         for v_prime in neighbor_candidates:
-            for v in entry.row(v_prime):
+            for v in row(v_prime):
                 if exact_degree and len(data_adj[v]) < u_degree:
                     continue
                 if cnt[v] == expected:

@@ -70,7 +70,6 @@ _ADAPTIVE_CHECKPOINTS = 16
 MODES = ("cfl", "cf", "match")
 CPI_MODES = ("full", "td", "naive")
 CORE_STRATEGIES = ("paths", "hierarchical")
-CPI_IMPLS = ("python", "numpy")
 #: Enumeration engines: ``"kernel"`` runs the compiled flat-array loop of
 #: :mod:`repro.core.kernel`; ``"reference"`` runs the readable
 #: :class:`~repro.core.core_match.CPIBacktracker`, kept as the
@@ -201,9 +200,6 @@ class CFLMatch:
         ``"paths"`` (Algorithm 2, the paper's ordering) or
         ``"hierarchical"`` (the Section 7 future-work extension: match
         deeper k-core shells of the core first).
-    cpi_impl:
-        ``"python"`` (reference implementation) or ``"numpy"``
-        (vectorized builder; identical output, faster on medium graphs).
     engine:
         ``"kernel"`` (default) enumerates with the compiled flat-array
         loop of :mod:`repro.core.kernel`; ``"reference"`` keeps the
@@ -255,7 +251,6 @@ class CFLMatch:
         mode: str = "cfl",
         cpi_mode: str = "full",
         core_strategy: str = "paths",
-        cpi_impl: str = "python",
         engine: str = "kernel",
         plan_cache_size: int = 16,
         vector_mode: str = "auto",
@@ -274,8 +269,6 @@ class CFLMatch:
             raise ValueError(f"cpi_mode must be one of {CPI_MODES}")
         if core_strategy not in CORE_STRATEGIES:
             raise ValueError(f"core_strategy must be one of {CORE_STRATEGIES}")
-        if cpi_impl not in CPI_IMPLS:
-            raise ValueError(f"cpi_impl must be one of {CPI_IMPLS}")
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
         if plan_cache_size < 0:
@@ -294,7 +287,6 @@ class CFLMatch:
         self.mode = mode
         self.cpi_mode = cpi_mode
         self.core_strategy = core_strategy
-        self.cpi_impl = cpi_impl
         self.engine = engine
         self.plan_cache_size = plan_cache_size
         self.vector_mode = vector_mode
@@ -639,14 +631,6 @@ class CFLMatch:
             )
         verify = self.cand_verify_for(query)
         refine = self.cpi_mode == "full"
-        if self.cpi_impl == "numpy":
-            from .cpi_builder_numpy import build_cpi_numpy
-
-            return build_cpi_numpy(
-                query, self.data, root,
-                refine=refine, verify=verify, stats=stats, deadline=deadline,
-                aux=self.aux_cache, root_verified=root_verified,
-            )
         return build_cpi(
             query, self.data, root, refine=refine, verify=verify, stats=stats,
             deadline=deadline, aux=self.aux_cache, root_verified=root_verified,

@@ -520,7 +520,6 @@ class SharedGraph(Graph):
         graph._degree_index = None
         graph._nlf = None
         graph._mnd = views[_G_MND]
-        graph._csr = None
         graph._adjacency_csr = (views[_G_ADJ_INDPTR], views[_G_ADJ_FLAT])
         graph._signature = None
         graph._label_pairs = None

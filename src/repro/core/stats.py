@@ -153,14 +153,15 @@ class SearchStats:
     pre-intersected label-pair cache in ``repro.core.batch``):
 
     ``aux_adj_hits``
-        CPI-construction lookups served from an already-built auxiliary
+        CPI-construction lookups served by an existing auxiliary
         adjacency entry (a ``(parent_label, child_label, degree_bucket)``
-        CSR reused across the batch).
+        row memo reused across the batch).
     ``aux_adj_misses``
-        lookups that had to materialize a new auxiliary adjacency entry.
+        lookups that had to create a new (empty) auxiliary adjacency
+        entry.
     ``aux_adj_bytes``
-        cumulative bytes of auxiliary CSR storage materialized on misses
-        (monotonic: eviction does not subtract).
+        cumulative bytes of the auxiliary rows stored as CPI builds asked
+        for them (monotonic: eviction does not subtract).
 
     Incremental repair counters (filled by
     :class:`~repro.core.dynamic.IncrementalMatcher` when a prepared

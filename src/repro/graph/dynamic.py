@@ -512,7 +512,6 @@ class DynamicGraph(Graph):
 
     def _commit(self, labels: FrozenSet[int], renumbered: bool = False) -> None:
         """Invalidate snapshot caches, bump the version, log the touch."""
-        self._csr = None
         self._signature = None
         self._version += 1
         self._log.append(TouchSet(self._version, labels, renumbered))

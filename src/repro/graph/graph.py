@@ -14,7 +14,6 @@ from array import array
 from itertools import accumulate, chain
 from typing import (
     AbstractSet,
-    Any,
     Dict,
     Iterable,
     Iterator,
@@ -27,8 +26,6 @@ from typing import (
     cast,
 )
 
-#: lazy CSR cache: (indptr, indices, labels, degrees) numpy arrays
-CSRArrays = Tuple[Any, Any, Any, Any]
 #: A sorted int32 vector the kernel can bisect and slice: a plain
 #: ``array('i')`` (in-process lowering) or a zero-copy ``memoryview``
 #: over a shared segment (:mod:`repro.core.shm`).  Both support the only
@@ -71,7 +68,6 @@ class Graph:
         "_degree_index",
         "_nlf",
         "_mnd",
-        "_csr",
         "_adjacency_csr",
         "_signature",
         "_label_pairs",
@@ -112,7 +108,6 @@ class Graph:
         self._degree_index: Optional[Dict[int, DegreeIndex]] = None
         self._nlf: Optional[List[Dict[int, int]]] = None
         self._mnd: Optional[Sequence[int]] = None
-        self._csr: Optional[CSRArrays] = None
         self._adjacency_csr: Optional[AdjacencyCSR] = None
         self._signature: Optional[Signature] = None
         self._label_pairs: Optional[Dict[Tuple[int, int], int]] = None
@@ -333,27 +328,6 @@ class Graph:
                 return None
             mask |= 1 << bit
         return mask
-
-    def csr(self) -> CSRArrays:
-        """CSR-style numpy views: ``(indptr, indices, labels, degrees)``.
-
-        ``indices[indptr[v]:indptr[v+1]]`` are v's neighbors.  Built once
-        and cached; used by the vectorized CPI builder.
-        """
-        if self._csr is None:
-            import numpy as np
-
-            degrees = np.fromiter(
-                (len(nbrs) for nbrs in self.adj), dtype=np.int64, count=len(self.adj)
-            )
-            indptr = np.zeros(len(self.adj) + 1, dtype=np.int64)
-            np.cumsum(degrees, out=indptr[1:])
-            indices = np.empty(int(indptr[-1]), dtype=np.int64)
-            for v, nbrs in enumerate(self.adj):
-                indices[indptr[v]:indptr[v + 1]] = nbrs
-            labels = np.asarray(self.labels, dtype=np.int64)
-            self._csr = (indptr, indices, labels, degrees)
-        return self._csr
 
     def adjacency_csr(self) -> AdjacencyCSR:
         """The kernel's int32 adjacency CSR ``(indptr, flat)``, lowered once.

@@ -11,7 +11,7 @@ query* (fork) or *every later query that hits the worker-side plan LRU*
 The rule flags any statement that assigns through an attribute (or a
 subscript of an attribute chain) rooted at a plan-like object, outside
 the modules whose *job* is plan construction: ``cpi.py`` itself,
-``cpi_builder*.py``, ``cpi_storage.py`` and ``matcher.py`` (the
+``cpi_builder.py``, ``cpi_storage.py`` and ``matcher.py`` (the
 ``prepare*`` family).
 
 Plan-like objects are inferred from parameter annotations
@@ -28,15 +28,6 @@ same bytes, so any post-publish write is a cross-process data race.  In
 writes through segment buffers (``buf``/``buffer``/``words``/``view``)
 anywhere outside a ``pack*`` function — packing is the single sanctioned
 write window, before the segment name (or file) is shared.
-
-And to the batch engine (PR 7): an :class:`AuxAdjacencyCache` entry's
-CSR arrays (``aux_verts``/``aux_indptr``/``aux_flat``) are shared by
-every CPI construction in a batch.  An element write after the entry is
-published would silently corrupt every *later query* that hits the
-cache.  The rule flags element writes through ``aux_*`` arrays in every
-scanned module except ``core/batch.py`` itself — the cache builder is
-the single sanctioned write site (and it only ever appends to local
-arrays before publication anyway).
 
 The dynamic-matching layer (PR 8) gets a *scoped* exemption rather than
 a module exclusion: in ``core/dynamic.py``, plan mutation is permitted
@@ -98,7 +89,6 @@ PLAN_PRODUCERS = frozenset(
         "from_cpi",
         "build_cpi",
         "build_naive_cpi",
-        "build_cpi_numpy",
     }
 )
 
@@ -166,11 +156,6 @@ SEGMENT_BUFFER_NAMES = frozenset({"buf", "buffer", "words", "view"})
 #: name contains "repair" (the incremental CPI repair paths of PR 8)
 REPAIR_MODULES = frozenset({"src/repro/core/dynamic.py"})
 
-#: the single module allowed to populate auxiliary adjacency entries
-AUX_MODULES = frozenset({"src/repro/core/batch.py"})
-#: the AuxEntry CSR array attributes (named unambiguously for this rule)
-AUX_BUFFER_NAMES = frozenset({"aux_verts", "aux_indptr", "aux_flat"})
-
 
 def _subscript_buffer(target: ast.AST, names: frozenset) -> Optional[str]:
     """The first buffer-like name along a subscripted attribute chain
@@ -222,30 +207,6 @@ def _segment_writes(
     return diagnostics
 
 
-def _aux_writes(module: "ModuleContext") -> List[Diagnostic]:
-    diagnostics: List[Diagnostic] = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, (ast.Assign, ast.AugAssign)):
-            continue
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
-        )
-        for target in targets:
-            buffer = _subscript_buffer(target, AUX_BUFFER_NAMES)
-            if buffer is not None:
-                diagnostics.append(
-                    module.diagnostic(
-                        RULE.id,
-                        node,
-                        f"writes through auxiliary adjacency array "
-                        f"{buffer!r} outside the batch cache builder; aux "
-                        "entries are shared by every CPI construction in "
-                        "a batch and read-only once built",
-                    )
-                )
-    return diagnostics
-
-
 def _repair_spans(tree: ast.AST) -> List[tuple]:
     """Line spans of every function whose name contains ``repair``."""
     spans: List[tuple] = []
@@ -260,8 +221,6 @@ def check(module: "ModuleContext", facts: Optional[ProjectFacts]) -> List[Diagno
     diagnostics: List[Diagnostic] = []
     if module.relpath in SEGMENT_MODULES:
         diagnostics.extend(_segment_writes(module, module.tree, False))
-    if module.relpath not in AUX_MODULES:
-        diagnostics.extend(_aux_writes(module))
     repair_spans = (
         _repair_spans(module.tree) if module.relpath in REPAIR_MODULES else []
     )
@@ -319,7 +278,6 @@ RULE = register(
         excludes=(
             "src/repro/core/cpi.py",
             "src/repro/core/cpi_builder.py",
-            "src/repro/core/cpi_builder_numpy.py",
             "src/repro/core/cpi_storage.py",
             "src/repro/core/matcher.py",
         ),

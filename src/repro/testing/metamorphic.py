@@ -224,7 +224,6 @@ ABLATION_CONFIGS = (
     ("match/full", {"mode": "match"}),
     ("cfl/td", {"cpi_mode": "td"}),
     ("cfl/naive", {"cpi_mode": "naive"}),
-    ("cfl/full/numpy", {"cpi_impl": "numpy"}),
     ("cfl/full/hierarchical", {"core_strategy": "hierarchical"}),
     # optimizer round 2: label-pair / NLI filters are pruning-only
     # subsets of NLF and adaptive re-planning only reorders the

@@ -5,16 +5,19 @@ The contract under test (see ``repro/core/batch.py``):
 * every query in a batch returns bit-identical embeddings, enumeration
   order and per-query ``SearchStats``/``build_stats`` to a fresh
   one-at-a-time matcher, on every fuzz scenario;
-* the auxiliary adjacency cache respects its byte budget (LRU eviction)
-  without changing results;
+* the auxiliary adjacency cache builds only the rows a CPI build asks
+  for, stores each once, and respects its byte budget (LRU eviction,
+  never of the entry being filled) without changing results;
 * a budget-truncated query cannot poison the shared caches for later
-  queries (entries are built whole before first use);
+  queries (a row is stored only once it is whole);
+* a batch report keeps its own run's aux counters;
 * the frontier-vectorized kernel path is bit-identical to the scalar
   path in embeddings, order and *all* counters, and agrees with the
   reference engine.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -93,17 +96,6 @@ class TestBatchDifferential:
                     == expected.build_stats.to_dict()
                 ), case.describe()
 
-    def test_numpy_builder_batch_matches(self):
-        case = generate_case(1, 0, DENSE_SPEC)
-        queries = batch_for(case, 1)
-        baseline = one_at_a_time(case.data, queries, cpi_impl="numpy")
-        report = BatchMatcher(case.data, cpi_impl="numpy").run(
-            queries, count_only=False, collect=True
-        )
-        for index, result in enumerate(report.results):
-            assert result.results == baseline[index].results
-            assert result.stats.to_dict() == baseline[index].stats.to_dict()
-
     def test_duplicate_queries_hit_the_plan_cache(self):
         case = generate_case(0, 0, DENSE_SPEC)
         report = BatchMatcher(case.data).run([case.query] * 4)
@@ -125,6 +117,26 @@ class TestBatchDifferential:
             assert result.stats.aux_adj_hits == 0
             assert result.build_stats.aux_adj_hits == 0
             assert result.build_stats.aux_adj_misses == 0
+
+    def test_report_keeps_its_own_run_counters(self):
+        # A report snapshots its run's share of the cache's counters: a
+        # later run on the same matcher must not change it.
+        case = generate_case(0, 0, DENSE_SPEC)
+        batch = BatchMatcher(case.data)
+        other = random_walk_query(case.data, 5, random.Random(3))
+        first = batch.run([case.query])
+        frozen = first.to_dict()
+        second = batch.run([other, case.query])
+        assert first.to_dict() == frozen
+        lifetime = batch.aux.stats
+        for name in ("aux_adj_hits", "aux_adj_misses", "aux_adj_bytes"):
+            assert (
+                getattr(first.aux_stats, name) + getattr(second.aux_stats, name)
+                == getattr(lifetime, name)
+            )
+        assert second.aux_stats.aux_adj_hits > 0
+        hits, misses = second.aux_stats.aux_adj_hits, second.aux_stats.aux_adj_misses
+        assert second.aux_hit_rate == hits / (hits + misses)
 
     def test_disabled_aux_matches_too(self):
         case = generate_case(2, 0, DENSE_SPEC)
@@ -166,6 +178,83 @@ class TestAuxCache:
                 and len(data.adj[w]) >= entry.bucket
             ]
             assert row == expected
+
+    def test_miss_builds_no_row(self):
+        case = generate_case(0, 0, DENSE_SPEC)
+        cache = AuxAdjacencyCache(case.data)
+        entry = cache.lookup(0, 0, 2)
+        assert cache.stats.aux_adj_misses == 1
+        assert len(entry) == 0
+        assert entry.nbytes == cache.bytes_in_use == 0
+        assert cache.stats.aux_adj_bytes == 0
+
+    def test_row_is_stored_once(self):
+        case = generate_case(0, 0, DENSE_SPEC)
+        data = case.data
+        cache = AuxAdjacencyCache(data)
+        v = next(v for v in data.vertices() if data.adj[v])
+        entry = cache.lookup(data.label(v), data.label(data.adj[v][0]), 1)
+        row = entry.row(v)
+        assert isinstance(row, tuple)
+        assert data.adj[v][0] in row
+        bytes_after_first = cache.stats.aux_adj_bytes
+        assert entry.row(v) is row
+        assert cache.stats.aux_adj_bytes == bytes_after_first
+        assert list(entry) == [v]
+
+    def test_rows_nobody_asked_for_are_never_built(self):
+        case = generate_case(0, 0, DENSE_SPEC)
+        data = case.data
+        batch = BatchMatcher(data)
+        batch.run(batch_for(case, 0))
+        built = eager = 0
+        for (parent_label, _, _), entry in batch.aux._entries.items():
+            members = data.vertices_with_label(parent_label)
+            assert set(entry) <= set(members)
+            built += len(entry)
+            eager += len(members)
+        # only the rows of candidates a CPI build expanded exist
+        assert 0 < built < eager
+
+    def test_bytes_grow_per_stored_row(self):
+        case = generate_case(0, 0, DENSE_SPEC)
+        data = case.data
+        cache = AuxAdjacencyCache(data)
+        parent_label = data.label(0)
+        entry = cache.lookup(parent_label, data.label(data.adj[0][0]), 1)
+        total = 0
+        for v in data.vertices_with_label(parent_label):
+            row = entry.row(v)
+            total += sys.getsizeof(row)
+            assert entry.nbytes == total
+            assert cache.bytes_in_use == total
+            assert cache.stats.aux_adj_bytes == total
+
+    def test_eviction_never_drops_the_entry_being_filled(self):
+        case = generate_case(0, 0, DENSE_SPEC)
+        data = case.data
+        cache = AuxAdjacencyCache(data, max_bytes=1)
+        label = data.label(0)
+        first = cache.lookup(label, label, 1)
+        first.row(0)
+        first.row(1)
+        # over budget, but the only entry is the one being filled
+        assert len(cache) == 1 and cache.evictions == 0
+        second = cache.lookup(label, label, 2)
+        assert len(cache) == 2  # an empty entry costs nothing
+        second.row(0)
+        assert cache.evictions == 1
+        assert list(cache._entries.values()) == [second]
+        second.row(1)
+        assert list(cache._entries.values()) == [second]
+        assert cache.bytes_in_use == second.nbytes
+        # the dropped entry still answers, charged to nothing
+        lifetime = cache.stats.aux_adj_bytes
+        assert first.row(2) == tuple(
+            w for w in data.adj[2] if data.label(w) == label
+        )
+        assert cache.bytes_in_use == second.nbytes
+        assert cache.stats.aux_adj_bytes == lifetime
 
     def test_lookup_counters_and_lru(self):
         case = generate_case(0, 0, DENSE_SPEC)

@@ -176,9 +176,8 @@ def _without_handoff(monkeypatch):
     monkeypatch.setattr(matcher_module, "select_root", select_root_only)
 
 
-@pytest.mark.parametrize("cpi_impl", ["python", "numpy"])
 @pytest.mark.parametrize("filters", FILTER_STACKS)
-def test_build_stats_identical_with_and_without_handoff(monkeypatch, cpi_impl, filters):
+def test_build_stats_identical_with_and_without_handoff(monkeypatch, filters):
     pairs = [
         (case.query, case.data) for case in _fuzz_cases(range(3))
         if case.query.num_vertices and case.query.is_connected()
@@ -194,11 +193,11 @@ def test_build_stats_identical_with_and_without_handoff(monkeypatch, cpi_impl, f
     ))
     with_handoff = []
     for query, data in pairs:
-        plan = CFLMatch(data, cpi_impl=cpi_impl, **filters).prepare(query)
+        plan = CFLMatch(data, **filters).prepare(query)
         with_handoff.append((plan.build_stats.to_dict(), plan.cpi.candidates))
     _without_handoff(monkeypatch)
     for (query, data), expected in zip(pairs, with_handoff):
-        plan = CFLMatch(data, cpi_impl=cpi_impl, **filters).prepare(query)
+        plan = CFLMatch(data, **filters).prepare(query)
         assert (plan.build_stats.to_dict(), plan.cpi.candidates) == expected
 
 

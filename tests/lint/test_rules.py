@@ -335,52 +335,6 @@ class TestR003:
         )
         assert diags == []
 
-    def test_fires_on_aux_array_write_outside_batch(self):
-        diags = run(
-            """
-            def f(entry, v):
-                entry.aux_flat[0] = v
-            """,
-            "src/repro/core/parallel.py",
-            select=["R003"],
-        )
-        assert [d.rule for d in diags] == ["R003"]
-        assert "auxiliary adjacency" in diags[0].message
-
-    def test_fires_on_aux_augmented_write(self):
-        diags = run(
-            """
-            def f(entry):
-                entry.aux_indptr[2] += 1
-            """,
-            "src/repro/core/kernel.py",
-            select=["R003"],
-        )
-        assert len(diags) == 1
-
-    def test_near_miss_aux_write_inside_batch_passes(self):
-        diags = run(
-            """
-            def _build(flat, aux_flat, v):
-                aux_flat[0] = v
-            """,
-            "src/repro/core/batch.py",
-            select=["R003"],
-        )
-        assert diags == []
-
-    def test_near_miss_aux_like_name_passes(self):
-        # "aux_flats" is not an AuxEntry array name
-        diags = run(
-            """
-            def f(aux_flats, v):
-                aux_flats[0] = v
-            """,
-            "src/repro/core/parallel.py",
-            select=["R003"],
-        )
-        assert diags == []
-
     # -- the dynamic-repair carve-out (PR 8) ---------------------------
     def test_repair_function_in_dynamic_module_is_exempt(self):
         diags = run(
