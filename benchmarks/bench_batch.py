@@ -7,7 +7,8 @@ Measures a serving-style workload — ``--total`` queries drawn from
 * **baseline**: a fresh :class:`~repro.core.CFLMatch` per query, the cost
   a naive server pays (every query rebuilds its CPI from the raw graph),
 * **batch**: one :class:`~repro.core.batch.BatchMatcher` over the whole
-  list — shared LRU plan cache, shared auxiliary label-pair adjacency,
+  list — one plan per distinct query (the plan cache has no entry cap,
+  only a byte bound), shared auxiliary label-pair adjacency,
   signature-grouped execution.
 
 Every query's embedding count must agree between the two runs

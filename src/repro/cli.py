@@ -139,7 +139,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         f"group(s), workers={report.workers})"
     )
     print(
-        f"plan cache hits: {report.plan_cache_hits}; aux adjacency: "
+        f"plan cache hits: {report.plan_cache_hits}, "
+        f"{report.plan_bytes_in_use} plan byte(s) live; aux adjacency: "
         f"{aux['hits']} hit(s), {aux['misses']} miss(es), "
         f"hit rate {aux['hit_rate']:.2f}, {aux['bytes_in_use']} byte(s) live"
     )

@@ -23,8 +23,9 @@ repeated work into one batch-scoped cache:
   through :class:`~repro.core.stats.SearchStats`
   (``aux_adj_hits``/``aux_adj_misses``/``aux_adj_bytes``).
 * :class:`BatchMatcher` — accepts a list of queries against one data
-  graph, groups them by label signature (so plan-cache and aux-cache
-  locality line up), runs them through one matcher (or a
+  graph, groups them by label signature (so aux-cache locality lines
+  up), runs them through one matcher whose plan cache is bounded only
+  by the bytes its plans hold (or a
   :class:`~repro.core.parallel.MatcherPool` when ``workers > 1``) and
   returns per-query reports in input order.  Results, enumeration order
   and per-query counters are bit-identical to one-at-a-time serving;
@@ -280,6 +281,8 @@ class BatchReport:
     aux_hit_rate: float = 0.0
     aux_bytes_in_use: int = 0
     workers: int = 1
+    #: bytes the matcher's cached plans held when the run ended
+    plan_bytes_in_use: int = 0
 
     @property
     def embeddings(self) -> int:
@@ -309,6 +312,7 @@ class BatchReport:
             "groups": self.groups,
             "workers": self.workers,
             "plan_cache_hits": self.plan_cache_hits,
+            "plan_bytes_in_use": self.plan_bytes_in_use,
             "aux": {
                 "hits": self.aux_stats.aux_adj_hits,
                 "misses": self.aux_stats.aux_adj_misses,
@@ -337,6 +341,11 @@ class BatchMatcher:
     ``use_aux`` / ``aux_max_bytes``
         enable (default) and bound the shared auxiliary adjacency.
 
+    The matcher's plan cache has no entry cap (``plan_cache_size=None``):
+    it keeps every plan that fits in
+    :data:`~repro.core.matcher.PLAN_CACHE_BYTES`, so a workload's
+    templates are prepared once however they are interleaved.
+
     Per-query embeddings, enumeration order and ``SearchStats`` are
     bit-identical to running each query through a fresh matcher; the
     batch only removes *repeated* work (plan-cache hits for structurally
@@ -349,7 +358,6 @@ class BatchMatcher:
         workers: int = 1,
         use_aux: bool = True,
         aux_max_bytes: int = DEFAULT_AUX_BYTES,
-        plan_cache_size: int = 64,
         **matcher_kwargs: Any,
     ) -> None:
         if workers < 1:
@@ -362,10 +370,9 @@ class BatchMatcher:
             else None
         )
         self._matcher_kwargs = dict(matcher_kwargs)
-        self._plan_cache_size = plan_cache_size
         self.matcher = CFLMatch(
             data,
-            plan_cache_size=plan_cache_size,
+            plan_cache_size=None,
             aux_cache=self.aux,
             **matcher_kwargs,
         )
@@ -435,6 +442,7 @@ class BatchMatcher:
             outcomes, wall, aux_before,
             groups=_group_count(queries),
             plan_cache_hits=matcher.plan_cache_hits - hits_before,
+            plan_bytes=matcher.plan_cache_bytes,
             workers=1,
         )
 
@@ -452,7 +460,7 @@ class BatchMatcher:
         with MatcherPool(
             self.data,
             workers=self.workers,
-            plan_cache_size=self._plan_cache_size,
+            plan_cache_size=None,
             aux_cache=self.aux,
             **self._matcher_kwargs,
         ) as pool:
@@ -473,11 +481,13 @@ class BatchMatcher:
                     enumeration_time=elapsed,
                     results=None if isinstance(value, int) else list(value),
                 )
+            plan_bytes = pool.matcher.plan_cache_bytes
         wall = monotonic_now() - started
         return self._finish(
             outcomes, wall, aux_before,
             groups=_group_count(queries),
             plan_cache_hits=hits,
+            plan_bytes=plan_bytes,
             workers=self.workers,
         )
 
@@ -505,6 +515,7 @@ class BatchMatcher:
         aux_before: Dict[str, int],
         groups: int,
         plan_cache_hits: int,
+        plan_bytes: int,
         workers: int,
     ) -> BatchReport:
         results = [outcome for outcome in outcomes if outcome is not None]
@@ -526,6 +537,7 @@ class BatchMatcher:
                 self.aux.bytes_in_use if self.aux is not None else 0
             ),
             workers=workers,
+            plan_bytes_in_use=plan_bytes,
         )
 
 

@@ -20,7 +20,9 @@ CFL-Match-Naive   ``CFLMatch(data, cpi_mode="naive")``
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import compress, count, islice
@@ -86,6 +88,81 @@ ENGINES = ("kernel", "reference")
 #: in all three modes (the numpy path computes the same intersection).
 VECTOR_MODES = ("auto", "on", "off")
 
+#: Byte bound of every matcher's plan cache (the sum of the cached
+#: plans' :attr:`PreparedQuery.nbytes`): plans range from tens of KB on
+#: sparse graphs to several MB on dense ones, so an entry count alone
+#: bounds neither the memory nor the hit rate.  The newest plan is kept
+#: even when it alone exceeds the bound.
+PLAN_CACHE_BYTES = 32 * 1024 * 1024
+
+# Sizes the plan estimate below is built from (CPython, 64-bit): empty
+# containers, and what one more entry adds to each.
+_POINTER = sys.getsizeof([None]) - sys.getsizeof([])
+_LIST = sys.getsizeof([])
+_SET = sys.getsizeof(set())
+_DICT = sys.getsizeof({})
+_ARRAY = sys.getsizeof(array("i"))
+_INT32 = array("i").itemsize
+#: a set slot holds a hash and a key, and a set grown by adding runs
+#: 15-60% full
+_SET_ENTRY = 6 * _POINTER
+#: a dict entry holds a hash, a key and a value, plus its index slot, in
+#: a table kept at most two-thirds full
+_DICT_ENTRY = 5 * _POINTER
+#: a cross row: one tuple of two int32 arrays
+_CROSS_ROW = sys.getsizeof((0, 0)) + 2 * _ARRAY
+#: the query-sized rest of a plan (BFS tree, decomposition, slots, leaf
+#: plan, per-stage tuples, counters) per query vertex, measured on
+#: 4- to 9-vertex plans
+_PER_QUERY_VERTEX = 1536
+
+
+def plan_nbytes(
+    query: Graph, cpi: CPI, kernel: Optional[KernelPlan] = None
+) -> int:
+    """Estimated bytes a plan holds, from lengths it already has.
+
+    Every container is charged its empty size plus a fixed amount per
+    entry, so the estimate costs a few ``len`` calls per query vertex
+    and one per adjacency row (dense plans hold ~18k rows).  The int
+    objects in the rows are not counted (an in-memory data graph shares
+    them), nor are the data-graph arrays a kernel borrows.
+    """
+    entries = [sum(map(len, table.values())) for table in cpi.adjacency]
+    n = query.num_vertices
+    total = (
+        n * (_PER_QUERY_VERTEX + _LIST + _SET + _DICT)
+        + sum(map(len, cpi.candidates)) * (_POINTER + _SET_ENTRY)
+        + sum(map(len, cpi.adjacency)) * (_DICT_ENTRY + _LIST)
+        + sum(entries) * _POINTER
+    )
+    if kernel is None:
+        return total
+    for stage in (kernel.core, kernel.forest):
+        arrays = (
+            *stage.base_v, *stage.base_r, *stage.indptrs, *stage.flat_v,
+            *stage.flat_r,
+        )
+        total += len(arrays) * _ARRAY + sum(map(len, arrays)) * _INT32
+        total += (
+            len(stage.rank_of) * _DICT
+            + sum(map(len, stage.rank_of)) * _DICT_ENTRY
+        )
+        for u, sets, cross in zip(
+            stage.slot_vertices, stage.set_rows, stage.cross_rows
+        ):
+            if sets:
+                total += (
+                    _DICT + len(sets) * (_DICT_ENTRY + _SET)
+                    + entries[u] * _SET_ENTRY
+                )
+            if cross:
+                total += (
+                    _DICT + len(cross) * (_DICT_ENTRY + _CROSS_ROW)
+                    + entries[u] * 2 * _INT32
+                )
+    return total
+
 
 @dataclass
 class PreparedQuery:
@@ -121,11 +198,24 @@ class PreparedQuery:
     #: walks the whole CPI, so serving workloads that re-run the same
     #: plan must not pay it per search.
     breadth_estimate: Optional[int] = None
+    _nbytes: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def matching_order(self) -> List[int]:
         """Core then forest order (leaves are matched per label class)."""
         return self.core_order + self.forest_order
+
+    @property
+    def nbytes(self) -> int:
+        """Estimated bytes the plan holds (:func:`plan_nbytes`), which the
+        plan cache's byte bound charges; computed once, on first use, so
+        plans that are never cached (e.g. ``IncrementalMatcher``'s) never
+        pay for it."""
+        if self._nbytes is None:
+            self._nbytes = plan_nbytes(self.query, self.cpi, self.kernel)
+        return self._nbytes
 
 
 @dataclass
@@ -206,11 +296,13 @@ class CFLMatch:
         readable iterator-stack backtracker.  Same embeddings, same
         order, same ``nodes``/``backtracks`` counters either way.
     plan_cache_size:
-        capacity of the per-matcher LRU plan cache.  Repeated calls of
+        entry cap of the per-matcher LRU plan cache.  Repeated calls of
         :meth:`search`/:meth:`count` (or :meth:`prepare`) with a
         structurally identical query reuse the cached
         :class:`PreparedQuery` and skip the whole ordering phase —
-        the serving-workload fast path.  ``0`` disables caching.
+        the serving-workload fast path.  The cache is also bounded by
+        the bytes its plans hold (:data:`PLAN_CACHE_BYTES`); ``None``
+        leaves that the only bound, ``0`` disables caching.
     vector_mode / vector_breadth / vector_min_row:
         frontier vectorization of the kernel's eager backward
         intersections (see :data:`VECTOR_MODES`).  ``vector_breadth``
@@ -252,7 +344,7 @@ class CFLMatch:
         cpi_mode: str = "full",
         core_strategy: str = "paths",
         engine: str = "kernel",
-        plan_cache_size: int = 16,
+        plan_cache_size: Optional[int] = 16,
         vector_mode: str = "auto",
         vector_breadth: int = 4096,
         vector_min_row: int = 64,
@@ -271,8 +363,8 @@ class CFLMatch:
             raise ValueError(f"core_strategy must be one of {CORE_STRATEGIES}")
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        if plan_cache_size < 0:
-            raise ValueError("plan_cache_size must be >= 0")
+        if plan_cache_size is not None and plan_cache_size < 0:
+            raise ValueError("plan_cache_size must be >= 0 or None")
         if vector_mode not in VECTOR_MODES:
             raise ValueError(f"vector_mode must be one of {VECTOR_MODES}")
         if vector_breadth < 0:
@@ -298,7 +390,10 @@ class CFLMatch:
         self.adaptive = adaptive
         self.adaptive_ratio = adaptive_ratio
         self.adaptive_min_nodes = adaptive_min_nodes
+        #: signature -> plan, all built at ``_plan_version`` of the graph
         self._plan_cache: "OrderedDict[tuple, PreparedQuery]" = OrderedDict()
+        self._plan_version = data.version
+        self._plan_bytes = 0
         #: number of full (uncached) ordering-phase runs; tests and the
         #: parallel engine assert "prepare ran exactly once" against it.
         self.prepare_count = 0
@@ -319,8 +414,9 @@ class CFLMatch:
         With ``use_cache`` (the default) a structurally identical query
         against the same data-graph version returns the LRU-cached plan
         without re-running any of it (a mutation of a
-        :class:`~repro.graph.dynamic.DynamicGraph` bumps the version, so
-        a plan never outlives the graph it was built on); pass
+        :class:`~repro.graph.dynamic.DynamicGraph` bumps the version,
+        and the first call after that drops every cached plan, so a plan
+        never outlives the graph it was built on); pass
         ``use_cache=False`` for a fresh, honestly timed plan (what
         :meth:`run` does for benchmarking).
 
@@ -330,9 +426,12 @@ class CFLMatch:
         fires mid-build (a cache hit records nothing, by design: the
         cached plan's own ``build_stats`` already holds its build cost).
         """
-        caching = use_cache and self.plan_cache_size > 0
+        if self.data.version != self._plan_version:
+            self.clear_plan_cache()
+            self._plan_version = self.data.version
+        caching = use_cache and self.plan_cache_size != 0
         if caching:
-            key = (query.signature(), self.data.version)
+            key = query.signature()
             cached = self._plan_cache.get(key)
             if cached is not None:
                 self._plan_cache.move_to_end(key)
@@ -347,14 +446,37 @@ class CFLMatch:
             kwargs["build_stats"] = build_stats
         plan = self._prepare_fresh(query, **kwargs)
         if caching:
-            self._plan_cache[key] = plan
-            while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
+            self._cache_plan(key, plan)
         return plan
+
+    def _cache_plan(self, key: tuple, plan: PreparedQuery) -> None:
+        """Insert ``plan``, then evict least recently used plans while
+        over the entry cap or :data:`PLAN_CACHE_BYTES` — never ``plan``."""
+        cache = self._plan_cache
+        cache[key] = plan
+        self._plan_bytes += plan.nbytes
+        cap = self.plan_cache_size
+        while len(cache) > 1 and (
+            (cap is not None and len(cache) > cap)
+            or self._plan_bytes > PLAN_CACHE_BYTES
+        ):
+            _, evicted = cache.popitem(last=False)
+            self._plan_bytes -= evicted.nbytes
 
     def clear_plan_cache(self) -> None:
         """Drop every cached plan (e.g. after swapping workloads)."""
         self._plan_cache.clear()
+        self._plan_bytes = 0
+
+    @property
+    def plan_cache_bytes(self) -> int:
+        """Bytes the cached plans hold (the sum of their ``nbytes``)."""
+        return self._plan_bytes
+
+    def has_cached_plan(self, signature: tuple) -> bool:
+        """Whether the plan cache holds a plan for a query with this
+        :meth:`~repro.graph.graph.Graph.signature`."""
+        return signature in self._plan_cache
 
     def _prepare_fresh(
         self,

@@ -804,7 +804,7 @@ class MatcherPool:
         workers: Optional[int] = None,
         tasks_per_worker: int = 4,
         start_method: Optional[str] = None,
-        plan_cache_size: int = 16,
+        plan_cache_size: Optional[int] = 16,
         aux_cache=None,
         **matcher_kwargs,
     ):
@@ -842,9 +842,7 @@ class MatcherPool:
             raise
         self._closed = False
         # plan epoch bookkeeping: signature -> (key, shared plan segment)
-        self._plan_segments: "OrderedDict[tuple, Tuple[int, PlanSegment]]" = (
-            OrderedDict()
-        )
+        self._plan_segments: Dict[tuple, Tuple[int, PlanSegment]] = {}
         self._next_key = 0
         #: enumeration counters aggregated over every query this pool has
         #: served (worker chunks and sequential fallbacks alike)
@@ -869,7 +867,7 @@ class MatcherPool:
 
     def _release_segments(self) -> None:
         while self._plan_segments:
-            _, (_, segment) = self._plan_segments.popitem(last=False)
+            _, (_, segment) = self._plan_segments.popitem()
             segment.unlink()
             segment.close()
         if self._store is not None:
@@ -889,24 +887,27 @@ class MatcherPool:
             )
 
     def _plan_segment(self, query: Graph, plan: PreparedQuery) -> Tuple[int, str]:
-        """Encode the plan into a shared segment once per distinct query
-        (LRU-kept in lock-step with the matcher's plan cache capacity;
-        evicted segments are unlinked — attached workers keep their live
-        mappings, POSIX semantics)."""
+        """Encode the plan into a shared segment once per distinct query.
+
+        A segment lives as long as the matcher's plan cache holds its
+        plan (the one being served excepted): before creating a segment,
+        unlink those whose plans the cache has dropped since — attached
+        workers keep their live mappings, POSIX semantics."""
         signature = query.signature()
         entry = self._plan_segments.get(signature)
         if entry is not None:
-            self._plan_segments.move_to_end(signature)
             return entry[0], entry[1].name
+        segments = self._plan_segments
+        for old in [
+            old for old in segments if not self.matcher.has_cached_plan(old)
+        ]:
+            _, dropped = segments.pop(old)
+            dropped.unlink()
+            dropped.close()
         key = self._next_key
         self._next_key += 1
         segment = PlanSegment.create(plan)
-        self._plan_segments[signature] = (key, segment)
-        capacity = max(self.matcher.plan_cache_size, 1)
-        while len(self._plan_segments) > capacity:
-            _, (_, evicted) = self._plan_segments.popitem(last=False)
-            evicted.unlink()
-            evicted.close()
+        segments[signature] = (key, segment)
         return key, segment.name
 
     def _start_query(self, query: Graph):

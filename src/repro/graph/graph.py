@@ -131,8 +131,9 @@ class Graph:
     def version(self) -> int:
         """Mutation counter; always 0, since a static graph never changes.
 
-        Caches keyed by ``(structure, data.version)`` therefore stay
-        valid for a static graph and miss after any mutation of a
+        Caches tied to one ``data.version`` (the plan cache, the batch
+        aux cache) therefore stay valid for a static graph and are
+        dropped after any mutation of a
         :class:`~repro.graph.dynamic.DynamicGraph`.
         """
         return 0

@@ -132,7 +132,7 @@ class TestLiveMatcher:
         """Path 0-1-2 labeled (0, 1, 0) plus an isolated label-1 vertex 3;
         the query is one 0-1 edge.  After ``add_edge(2, 3)`` the matcher
         that answered 2 must answer 3 like a fresh one: its plan cache
-        is keyed by the data version, and the kernel compiles against
+        drops plans of an older data version, and the kernel compiles against
         the graph's current CSR."""
         data = DynamicGraph([0, 1, 0, 1], [(0, 1), (1, 2)])
         query = Graph([0, 1], [(0, 1)])
