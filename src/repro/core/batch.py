@@ -34,10 +34,10 @@ repeated work into one batch-scoped cache:
 The cache's correctness argument: a cached row is the label-matching,
 degree-bucket-filtered *subsequence* of the raw sorted adjacency row.
 Everywhere the builder consumes it, the exact degree condition is either
-re-checked (candidate generation, when the bucket under-approximates the
-query degree) or implied by membership in an already-filtered candidate
-set (adjacency construction), so the built CPI is identical with or
-without the cache.
+re-applied (the first reach of candidate generation keeps only vertices
+of degree at least the query degree) or implied by membership in an
+already-filtered candidate set (every later intersection, and adjacency
+construction), so the built CPI is identical with or without the cache.
 """
 
 from __future__ import annotations

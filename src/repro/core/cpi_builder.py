@@ -18,6 +18,12 @@ Together, both directions of every query edge are exploited for pruning
 (Table 2).  The *naive* builder of Section 4.1 (label-only candidates) is
 also provided — it backs the ``CFL-Match-Naive`` variant of Figure 15.
 
+Steps (1), (2) and Algorithm 4's candidate refinement keep the vertices
+in the *reach* (the union of the data rows of ``u'.C``) of every query
+neighbor ``u'``, which is what Lemma 5.1's gated counter computes; here
+it is one C-level ``set.intersection`` per neighbor (:func:`_reach`).
+The :mod:`repro.core.dynamic` repair sweep runs the same steps.
+
 Both builders accept an optional :class:`~repro.core.stats.SearchStats`
 (per-filter prune counts and the top-down vs bottom-up refinement delta
 — see :mod:`repro.core.stats`) and an optional absolute ``deadline``
@@ -28,7 +34,20 @@ finishing an arbitrarily expensive build.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from bisect import bisect_left
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..graph.graph import Graph
 from .core_match import SearchTimeout
@@ -37,8 +56,8 @@ from .filters import (
     VerifiedCandidates,
     cand_verify,
     has_cand_verify_verdict,
-    make_counting_verify,
     record_rejections,
+    verify_candidates,
 )
 from .stats import SearchStats, monotonic_now
 
@@ -46,11 +65,153 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from .batch import AuxAdjacencyCache
 
 VerifyFn = Callable[[Graph, Graph, int, int], bool]
+#: A query neighbor ``u'`` of the vertex being filtered, with its candidates.
+Source = Tuple[int, Sequence[int]]
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
     if deadline is not None and monotonic_now() > deadline:
         raise SearchTimeout
+
+
+# ----------------------------------------------------------------------
+# Set algebra shared by every builder
+# ----------------------------------------------------------------------
+def _reach(within: Set[int], rows: Iterable[Iterable[int]]) -> Set[int]:
+    """The members of ``within`` that appear in some row of ``rows``.
+
+    One ``set.intersection`` over the chained rows, executed in C.  It
+    may stop reading rows once every member of ``within`` has been seen.
+    """
+    return within.intersection(chain.from_iterable(rows))
+
+
+def _rows(
+    query: Graph,
+    data: Graph,
+    aux: Optional["AuxAdjacencyCache"],
+    u: int,
+    u_prime: int,
+    cands: Sequence[int],
+) -> Iterable[Sequence[int]]:
+    """The data rows of ``cands`` (candidates of ``u_prime``) as seen
+    from ``u``: raw rows, read lazily, or the aux rows restricted to l(u)
+    and ``u``'s degree bucket, all fetched now so that the cache builds
+    and counts the same rows however far a consumer reads."""
+    if aux is None:
+        return map(data.adj.__getitem__, cands)
+    entry = aux.lookup(query.label(u_prime), query.label(u), query.degree(u))
+    return list(map(entry.row, cands))
+
+
+def _restricted(row: Iterable[int], keep: AbstractSet[int]) -> List[int]:
+    """The members of ``row`` that are in ``keep``, in row order."""
+    return list(filter(keep.__contains__, row))
+
+
+def _adjacency_table(
+    parents: Sequence[int],
+    rows: Iterable[Iterable[int]],
+    keep: AbstractSet[int],
+) -> Dict[int, List[int]]:
+    """Lines 24-28 of Algorithm 3: each parent candidate's row (from
+    ``rows``, in ``parents`` order) restricted to ``keep``, the child's
+    candidate set; empty rows are left out."""
+    table: Dict[int, List[int]] = {}
+    for v_p, row in zip(parents, rows):
+        kept = _restricted(row, keep)
+        if kept:
+            table[v_p] = kept
+    return table
+
+
+def _first_reach(
+    query: Graph, data: Graph, u: int, rows: Iterable[Sequence[int]]
+) -> Set[int]:
+    """The label-l(u), degree >= d(u) vertices in some row of ``rows``.
+
+    When the label has fewer vertices than the rows have members, the
+    degree suffix of ``data.degree_index(l(u))`` is intersected with the
+    rows in C; otherwise the members are filtered by label and degree.
+    The label's size stands in for the suffix's because it needs no
+    bisection, which on rows of a few dozen members costs about as much
+    as the filter.
+    """
+    label, degree = query.label(u), query.degree(u)
+    row_list = list(rows)
+    if len(data.vertices_with_label(label)) < sum(map(len, row_list)):
+        vertices, degrees = data.degree_index(label)
+        return _reach(set(vertices[bisect_left(degrees, degree):]), row_list)
+    labels, adj = data.labels, data.adj
+    reach: Set[int] = set()
+    for row in row_list:
+        for v in row:
+            if labels[v] == label and len(adj[v]) >= degree:
+                reach.add(v)
+    return reach
+
+
+def _reached(
+    query: Graph,
+    data: Graph,
+    u: int,
+    within: Set[int],
+    sources: Sequence[Source],
+    aux: Optional["AuxAdjacencyCache"],
+) -> Set[int]:
+    """The members of ``within`` adjacent to some candidate of every
+    neighbor in ``sources``.  With ``within`` = ``u.C``, which passed the
+    label and degree tests, this is Algorithm 3's backward S-NTE pruning
+    and Algorithm 4's candidate refinement."""
+    for u_prime, cands in sources:
+        within = _reach(within, _rows(query, data, aux, u, u_prime, cands))
+    return within
+
+
+def _forward_reach(
+    query: Graph,
+    data: Graph,
+    u: int,
+    sources: Sequence[Source],
+    aux: Optional["AuxAdjacencyCache"],
+) -> Set[int]:
+    """Lines 5-17 of Algorithm 3 before CandVerify: the label and degree
+    survivors adjacent to some candidate of every visited neighbor in
+    ``sources`` (never empty: the BFS parent is visited)."""
+    first, cands = sources[0]
+    within = _first_reach(query, data, u, _rows(query, data, aux, u, first, cands))
+    return _reached(query, data, u, within, sources[1:], aux)
+
+
+def _verified(
+    query: Graph,
+    data: Graph,
+    u: int,
+    structural: List[int],
+    verify: Optional[VerifyFn],
+    stats: Optional[SearchStats],
+) -> List[int]:
+    """CandVerify over ``u``'s label and degree survivors, in their order.
+
+    A ``verify`` with CandVerify's verdict runs in bulk through
+    :func:`verify_candidates`, its rejections counted per filter by
+    :func:`record_rejections`; any other callable is asked once per
+    vertex, its rejections counted as ``filter_other_pruned``.
+    """
+    if stats is not None:
+        stats.cpi_candidates_structural += len(structural)
+    if verify is None or not structural:
+        return structural
+    if has_cand_verify_verdict(verify):
+        verified = verify_candidates(query, data, u, structural)
+        passed = verified.passed
+        if stats is not None and len(passed) < len(structural):
+            record_rejections(verify, stats, query, data, u, verified)
+        return passed
+    passed = [v for v in structural if verify(query, data, u, v)]
+    if stats is not None:
+        stats.filter_other_pruned += len(structural) - len(passed)
+    return passed
 
 
 def _root_candidates(
@@ -60,25 +221,14 @@ def _root_candidates(
     verify: Optional[VerifyFn],
     stats: Optional[SearchStats] = None,
 ) -> List[int]:
-    """Lines 1-2 of Algorithm 3: label + degree + CandVerify on the root.
-
-    ``verify`` must already be counting-wrapped if per-filter attribution
-    is wanted; this helper only counts the degree prunes and the
-    structural (pre-CandVerify) survivors.
-    """
-    root_degree = query.degree(root)
-    cands: List[int] = []
-    for v in data.vertices_with_label(query.label(root)):
-        if data.degree(v) < root_degree:
-            if stats is not None:
-                stats.filter_degree_pruned += 1
-            continue
-        if stats is not None:
-            stats.cpi_candidates_structural += 1
-        if verify is not None and not verify(query, data, root, v):
-            continue
-        cands.append(v)
-    return cands
+    """Lines 1-2 of Algorithm 3: label + degree + CandVerify on the root,
+    in vertex-id order, with the degree prunes and per-filter rejections
+    counted into ``stats``."""
+    vertices, degrees = data.degree_index(query.label(root))
+    start = bisect_left(degrees, query.degree(root))
+    if stats is not None:
+        stats.filter_degree_pruned += start
+    return _verified(query, data, root, sorted(vertices[start:]), verify, stats)
 
 
 def _handed_root_candidates(
@@ -101,6 +251,55 @@ def _handed_root_candidates(
         stats.cpi_candidates_structural += structural
         record_rejections(verify, stats, query, data, root, root_verified)
     return list(root_verified.passed)
+
+
+def _refine_vertex(
+    query: Graph,
+    data: Graph,
+    u: int,
+    cands: Sequence[int],
+    lower: Sequence[Source],
+    children: Sequence[Tuple[Dict[int, List[int]], Optional[AbstractSet[int]]]],
+    stats: Optional[SearchStats],
+    aux: Optional["AuxAdjacencyCache"],
+) -> Sequence[int]:
+    """Algorithm 4 on one query vertex; returns ``u``'s refined candidates
+    (``cands`` itself when none is dropped).
+
+    Lines 2-7 keep the members of ``cands`` reached from every lower
+    neighbor in ``lower``.  ``children`` pairs each tree child's table,
+    edited in place, with the child's refined candidate set, or ``None``
+    when refinement dropped none of them (the rows hold only those
+    already): dropped candidates' rows go, and lines 8-11 restrict the
+    kept rows to the child's set.
+    """
+    if lower:
+        within = _reached(query, data, u, set(cands), lower, aux)
+        if len(within) < len(cands):
+            dropped = [v for v in cands if v not in within]
+            cands = [v for v in cands if v in within]
+            if stats is not None:
+                stats.refine_candidates_pruned += len(dropped)
+            for table, _ in children:
+                for v in dropped:
+                    removed = table.pop(v, None)
+                    if removed is not None and stats is not None:
+                        stats.refine_adjacency_pruned += len(removed)
+    for table, keep in children:
+        if keep is None:
+            continue
+        for v in cands:
+            row = table.get(v)
+            if row is None:
+                continue
+            pruned = _restricted(row, keep)
+            if stats is not None:
+                stats.refine_adjacency_pruned += len(row) - len(pruned)
+            if pruned:
+                table[v] = pruned
+            else:
+                del table[v]
+    return cands
 
 
 def _record_build_totals(cpi: CPI, stats: Optional[SearchStats]) -> None:
@@ -136,12 +335,11 @@ def build_cpi(
     CPI and every counter are identical either way.
     """
     tree = QueryBFSTree.build(query, root)
-    counted = make_counting_verify(verify, stats)
     root_candidates = _handed_root_candidates(
         query, data, root, verify, stats, root_verified
     )
     cpi = _top_down_construct(
-        tree, data, counted, stats, deadline, aux, root_candidates
+        tree, data, verify, stats, deadline, aux, root_candidates
     )
     if stats is not None:
         stats.cpi_candidates_topdown += sum(len(c) for c in cpi.candidates)
@@ -163,19 +361,16 @@ def build_naive_cpi(
     """Section 4.1's naive sound CPI: ``u.C`` = all vertices labeled l(u)."""
     tree = QueryBFSTree.build(query, root)
     candidates = [list(data.vertices_with_label(query.label(u))) for u in query.vertices()]
-    cand_sets = [set(c) for c in candidates]
     adjacency: List[Dict[int, List[int]]] = [dict() for _ in query.vertices()]
     for u in query.vertices():
         _check_deadline(deadline)
         parent = tree.parent[u]
         if parent is None:
             continue
-        u_set = cand_sets[u]
-        table = adjacency[u]
-        for v_p in candidates[parent]:
-            row = [v for v in data.neighbors(v_p) if v in u_set]
-            if row:
-                table[v_p] = row
+        parents = candidates[parent]
+        adjacency[u] = _adjacency_table(
+            parents, _rows(query, data, None, u, parent, parents), set(candidates[u])
+        )
     cpi = CPI(tree, data, candidates, adjacency)
     if stats is not None:
         total = sum(len(c) for c in candidates)
@@ -210,37 +405,21 @@ def _top_down_construct(
 
     visited = [False] * n_q
     visited[root] = True
-    cnt = [0] * data.num_vertices
     unvisited_same_level: List[List[int]] = [[] for _ in range(n_q)]
 
     for level_vertices in tree.levels[1:]:
         # ---- Forward candidate generation (Lines 5-17) ----
         for u in level_vertices:
             _check_deadline(deadline)
-            total, touched = 0, []
+            sources: List[Source] = []
             for u_prime in query.neighbors(u):
                 if not visited[u_prime] and tree.level[u_prime] == tree.level[u]:
                     unvisited_same_level[u].append(u_prime)
                 elif visited[u_prime]:
-                    _accumulate(
-                        query, data, u, query.label(u_prime),
-                        candidates[u_prime], cnt, touched, total, aux,
-                    )
-                    total += 1
-            u_cands: List[int] = []
-            for v in touched:
-                if cnt[v] != total:
-                    continue
-                if stats is not None:
-                    stats.cpi_candidates_structural += 1
-                if verify is not None and not verify(query, data, u, v):
-                    continue
-                u_cands.append(v)
-            u_cands.sort()
-            candidates[u] = u_cands
+                    sources.append((u_prime, candidates[u_prime]))
+            structural = sorted(_forward_reach(query, data, u, sources, aux))
+            candidates[u] = _verified(query, data, u, structural, verify, stats)
             visited[u] = True
-            for v in touched:
-                cnt[v] = 0
 
         # ---- Backward candidate pruning (Lines 18-23) ----
         for u in reversed(level_vertices):
@@ -248,100 +427,30 @@ def _top_down_construct(
             if not pending:
                 continue
             _check_deadline(deadline)
-            total, touched = 0, []
-            for u_prime in pending:
-                _accumulate(
-                    query, data, u, query.label(u_prime),
-                    candidates[u_prime], cnt, touched, total, aux,
-                )
-                total += 1
-            before = len(candidates[u])
-            candidates[u] = [v for v in candidates[u] if cnt[v] == total]
+            before = candidates[u]
+            within = _reached(
+                query, data, u, set(before),
+                [(u_prime, candidates[u_prime]) for u_prime in pending], aux,
+            )
+            candidates[u] = [v for v in before if v in within]
             if stats is not None:
-                stats.filter_snte_pruned += before - len(candidates[u])
-            for v in touched:
-                cnt[v] = 0
+                stats.filter_snte_pruned += len(before) - len(within)
 
         # ---- Adjacency list construction (Lines 24-28) ----
         for u in level_vertices:
             _check_deadline(deadline)
             u_parent = tree.parent[u]
             assert u_parent is not None
-            u_label = query.label(u)
-            u_set = set(candidates[u])
-            table = adjacency[u]
-            if aux is not None:
-                # Every member of u_set passed the degree >= deg(u) gate,
-                # so the bucket-prefiltered aux row keeps exactly the
-                # label-matching neighbors the raw scan would keep.
-                entry = aux.lookup(
-                    query.label(u_parent), u_label, query.degree(u)
-                )
-                for v_p in candidates[u_parent]:
-                    row = [v for v in entry.row(v_p) if v in u_set]
-                    if row:
-                        table[v_p] = row
-                continue
-            for v_p in candidates[u_parent]:
-                row = [
-                    v
-                    for v in data.neighbors(v_p)
-                    if data.label(v) == u_label and v in u_set
-                ]
-                if row:
-                    table[v_p] = row
+            parents = candidates[u_parent]
+            # With aux, every member of u's candidate set passed the
+            # degree >= deg(u) gate, so the bucket-prefiltered aux row
+            # keeps exactly the neighbors the raw row would keep.
+            adjacency[u] = _adjacency_table(
+                parents,
+                _rows(query, data, aux, u, u_parent, parents),
+                set(candidates[u]),
+            )
     return CPI(tree, data, candidates, adjacency)
-
-
-def _accumulate(
-    query: Graph,
-    data: Graph,
-    u: int,
-    parent_label: int,
-    neighbor_candidates: List[int],
-    cnt: List[int],
-    touched: List[int],
-    expected: int,
-    aux: Optional["AuxAdjacencyCache"] = None,
-) -> None:
-    """Lines 11-13 of Algorithm 3: bump ``cnt`` of label/degree-feasible
-    data neighbors of every candidate of a query neighbor of ``u``.
-
-    ``cnt[v]`` is incremented at most once per query neighbor because the
-    bump is gated on ``cnt[v] == expected`` (the neighbors already seen).
-    ``parent_label`` is the query label of the neighbor whose candidates
-    are being expanded (every candidate carries that data label); with
-    ``aux`` the inner scan walks the cached pre-intersected row — the
-    label-matching, degree-bucket-filtered subsequence of the raw
-    adjacency, in the same sorted order, built on its first use — and
-    only re-checks the exact degree when the bucket under-approximates
-    it.
-    """
-    u_label = query.label(u)
-    u_degree = query.degree(u)
-    data_adj = data.adj
-    if aux is not None:
-        entry = aux.lookup(parent_label, u_label, u_degree)
-        exact_degree = u_degree > entry.bucket
-        row = entry.row
-        for v_prime in neighbor_candidates:
-            for v in row(v_prime):
-                if exact_degree and len(data_adj[v]) < u_degree:
-                    continue
-                if cnt[v] == expected:
-                    if expected == 0:
-                        touched.append(v)
-                    cnt[v] = expected + 1
-        return
-    data_labels = data.labels
-    for v_prime in neighbor_candidates:
-        for v in data_adj[v_prime]:
-            if data_labels[v] != u_label or len(data_adj[v]) < u_degree:
-                continue
-            if cnt[v] == expected:
-                if expected == 0:
-                    touched.append(v)
-                cnt[v] = expected + 1
 
 
 # ----------------------------------------------------------------------
@@ -356,56 +465,27 @@ def _bottom_up_refine(
     tree = cpi.tree
     query = tree.query
     data = cpi.data
-    cnt = [0] * data.num_vertices
+    candidates = cpi.candidates
+    shrunk = [False] * query.num_vertices
 
     for level_vertices in reversed(tree.levels):
         for u in level_vertices:
             _check_deadline(deadline)
             lower = [
-                u_prime
+                (u_prime, candidates[u_prime])
                 for u_prime in query.neighbors(u)
                 if tree.level[u_prime] > tree.level[u]
             ]
-            # ---- Candidate refinement (Lines 2-7) ----
-            if lower:
-                total, touched = 0, []
-                for u_prime in lower:
-                    _accumulate(
-                        query, data, u, query.label(u_prime),
-                        cpi.candidates[u_prime], cnt, touched, total, aux,
-                    )
-                    total += 1
-                kept, dropped = [], []
-                for v in cpi.candidates[u]:
-                    if cnt[v] == total:
-                        kept.append(v)
-                    else:
-                        dropped.append(v)
-                if dropped:
-                    cpi.candidates[u] = kept
-                    cpi.cand_sets[u] = set(kept)
-                    if stats is not None:
-                        stats.refine_candidates_pruned += len(dropped)
-                    for child in tree.children[u]:
-                        child_table = cpi.adjacency[child]
-                        for v in dropped:
-                            removed = child_table.pop(v, None)
-                            if removed is not None and stats is not None:
-                                stats.refine_adjacency_pruned += len(removed)
-                for v in touched:
-                    cnt[v] = 0
-            # ---- Adjacency list pruning (Lines 8-11) ----
-            for child in tree.children[u]:
-                child_set = cpi.cand_sets[child]
-                child_table = cpi.adjacency[child]
-                for v in cpi.candidates[u]:
-                    row = child_table.get(v)
-                    if row is None:
-                        continue
-                    pruned = [v_prime for v_prime in row if v_prime in child_set]
-                    if stats is not None:
-                        stats.refine_adjacency_pruned += len(row) - len(pruned)
-                    if pruned:
-                        child_table[v] = pruned
-                    else:
-                        del child_table[v]
+            before = candidates[u]
+            refined = _refine_vertex(
+                query, data, u, before, lower,
+                [
+                    (cpi.adjacency[c], cpi.cand_sets[c] if shrunk[c] else None)
+                    for c in tree.children[u]
+                ],
+                stats, aux,
+            )
+            if refined is not before:
+                candidates[u] = refined
+                cpi.cand_sets[u] = set(refined)
+                shrunk[u] = True

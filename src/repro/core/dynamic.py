@@ -62,13 +62,18 @@ from ..graph.dynamic import Delta, DynamicGraph
 from ..graph.graph import Graph, GraphError
 from .cpi import CPI, QueryBFSTree
 from .cpi_builder import (
-    _accumulate,
+    _adjacency_table,
     _check_deadline,
+    _forward_reach,
+    _reached,
     _record_build_totals,
+    _refine_vertex,
     _root_candidates,
+    _rows,
+    _verified,
 )
 from .decomposition import CFLDecomposition, cfl_decompose
-from .filters import cand_verify, make_counting_verify
+from .filters import cand_verify
 from .matcher import CFLMatch, MatchReport, PreparedQuery
 from .root_selection import select_root
 from .stats import (
@@ -168,7 +173,6 @@ def _repair_sweep(
     else:
         tree = QueryBFSTree.build(query, root)
     n_q = query.num_vertices
-    counted = make_counting_verify(verify, stats)
 
     def label_dirty(u: int) -> bool:
         return dirty is None or query.label(u) in dirty
@@ -182,12 +186,11 @@ def _repair_sweep(
 
     visited = [False] * n_q
     visited[root] = True
-    cnt = [0] * data.num_vertices
     pending_same_level: List[List[int]] = [[] for _ in range(n_q)]
 
     # ---- Root candidates (Algorithm 3, lines 1-2) ----
     if prev is None or label_dirty(root):
-        forward[root] = _root_candidates(query, data, root, counted, stats)
+        forward[root] = _root_candidates(query, data, root, verify, stats)
         forward_changed[root] = prev is None or forward[root] != prev.forward[root]
     else:
         forward[root] = prev.forward[root]
@@ -224,27 +227,12 @@ def _repair_sweep(
                 or any(label_dirty(x) or read_changed(x) for x in sources)
             )
             if recompute:
-                total = 0
-                touched: List[int] = []
-                for u_prime in sources:
-                    _accumulate(
-                        query, data, u, query.label(u_prime),
-                        read_value(u_prime), cnt, touched, total, None,
-                    )
-                    total += 1
-                u_cands: List[int] = []
-                for v in touched:
-                    if cnt[v] != total:
-                        continue
-                    stats.cpi_candidates_structural += 1
-                    if counted is not None and not counted(query, data, u, v):
-                        continue
-                    u_cands.append(v)
-                u_cands.sort()
+                within = _forward_reach(
+                    query, data, u, [(x, read_value(x)) for x in sources], None
+                )
+                u_cands = _verified(query, data, u, sorted(within), verify, stats)
                 forward[u] = u_cands
                 forward_changed[u] = prev is None or u_cands != prev.forward[u]
-                for v in touched:
-                    cnt[v] = 0
             else:
                 assert prev is not None
                 forward[u] = prev.forward[u]
@@ -267,19 +255,12 @@ def _repair_sweep(
                 or any(label_dirty(x) or topdown_changed[x] for x in pending)
             )
             if recompute:
-                total = 0
-                touched = []
-                for u_prime in pending:
-                    _accumulate(
-                        query, data, u, query.label(u_prime),
-                        topdown[u_prime], cnt, touched, total, None,
-                    )
-                    total += 1
-                before = len(forward[u])
-                kept = [v for v in forward[u] if cnt[v] == total]
-                stats.filter_snte_pruned += before - len(kept)
-                for v in touched:
-                    cnt[v] = 0
+                within = _reached(
+                    query, data, u, set(forward[u]),
+                    [(x, topdown[x]) for x in pending], None,
+                )
+                kept = [v for v in forward[u] if v in within]
+                stats.filter_snte_pruned += len(forward[u]) - len(kept)
                 topdown[u] = kept
                 topdown_changed[u] = prev is None or kept != prev.topdown[u]
             else:
@@ -299,17 +280,12 @@ def _repair_sweep(
                 or topdown_changed[u_parent]
             )
             if recompute:
-                u_label = query.label(u)
-                u_set = set(topdown[u])
-                table: Dict[int, List[int]] = {}
-                for v_p in topdown[u_parent]:
-                    row = [
-                        v
-                        for v in data.neighbors(v_p)
-                        if data.label(v) == u_label and v in u_set
-                    ]
-                    if row:
-                        table[v_p] = row
+                parents = topdown[u_parent]
+                table = _adjacency_table(
+                    parents,
+                    _rows(query, data, None, u, u_parent, parents),
+                    set(topdown[u]),
+                )
                 topdown_adj[u] = table
                 adj_changed[u] = prev is None or table != prev.topdown_adj[u]
             else:
@@ -353,49 +329,16 @@ def _repair_sweep(
             # fresh copies and leave the top-down snapshots intact for
             # the next sweep's RepairState.
             work_adj = {c: dict(topdown_adj[c]) for c in children}
-            cands_u = final_cands[u]
-            # ---- Candidate refinement (lines 2-7) ----
-            if lower:
-                total = 0
-                touched = []
-                for u_prime in lower:
-                    _accumulate(
-                        query, data, u, query.label(u_prime),
-                        final_cands[u_prime], cnt, touched, total, None,
-                    )
-                    total += 1
-                kept = []
-                dropped = []
-                for v in cands_u:
-                    if cnt[v] == total:
-                        kept.append(v)
-                    else:
-                        dropped.append(v)
-                if dropped:
-                    cands_u = kept
-                    stats.refine_candidates_pruned += len(dropped)
-                    for c in children:
-                        child_table = work_adj[c]
-                        for v in dropped:
-                            removed = child_table.pop(v, None)
-                            if removed is not None:
-                                stats.refine_adjacency_pruned += len(removed)
-                for v in touched:
-                    cnt[v] = 0
-            # ---- Adjacency pruning (lines 8-11) ----
-            for c in children:
-                child_set = set(final_cands[c])
-                child_table = work_adj[c]
-                for v in cands_u:
-                    row = child_table.get(v)
-                    if row is None:
-                        continue
-                    pruned = [v_prime for v_prime in row if v_prime in child_set]
-                    stats.refine_adjacency_pruned += len(row) - len(pruned)
-                    if pruned:
-                        child_table[v] = pruned
-                    else:
-                        del child_table[v]
+            cands_u = cast(List[int], _refine_vertex(
+                query, data, u, final_cands[u],
+                [(x, final_cands[x]) for x in lower],
+                [
+                    (work_adj[c], set(final_cands[c])
+                     if len(final_cands[c]) < len(topdown[c]) else None)
+                    for c in children
+                ],
+                stats, None,
+            ))
             final_cands[u] = cands_u
             for c in children:
                 final_adj[c] = work_adj[c]

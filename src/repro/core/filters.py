@@ -42,7 +42,7 @@ CPI builder, which counts its rejections per filter with
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from ..graph.graph import Graph
 from .stats import SearchStats
@@ -167,67 +167,6 @@ class ExtendedCandVerify:
         return cand_verify(query, data, u, v)
 
 
-def make_counting_verify(
-    verify: Optional[Callable[[Graph, Graph, int, int], bool]],
-    stats: Optional[SearchStats],
-) -> Optional[Callable[[Graph, Graph, int, int], bool]]:
-    """Wrap a CandVerify callable so rejections are counted per filter.
-
-    For the default :func:`cand_verify` the MND and NLF rejections are
-    attributed to ``filter_mnd_pruned`` / ``filter_nlf_pruned``
-    (preserving Algorithm 6's check order); an
-    :class:`ExtendedCandVerify` additionally attributes its label-pair
-    and NLI rejections to ``filter_label_pair_pruned`` /
-    ``filter_nli_pruned`` in check order; any other callable is
-    counted under ``filter_other_pruned``.  With ``stats=None`` (or
-    ``verify=None``) the original callable is returned untouched, so
-    the uncounted hot path pays nothing.
-    """
-    if stats is None or verify is None:
-        return verify
-    if verify is cand_verify:
-
-        def counted(query: Graph, data: Graph, u: int, v: int) -> bool:
-            if data.mnd(v) < query.mnd(u):
-                stats.filter_mnd_pruned += 1
-                return False
-            if not nlf_ok(query, data, u, v):
-                stats.filter_nlf_pruned += 1
-                return False
-            return True
-
-        return counted
-    if isinstance(verify, ExtendedCandVerify):
-        extended = verify
-
-        def counted_extended(query: Graph, data: Graph, u: int, v: int) -> bool:
-            if extended.label_pair and not extended.pair_ok[u]:
-                stats.filter_label_pair_pruned += 1
-                return False
-            if extended.nli:
-                required = extended.masks[u]
-                if required is None or required & ~data.nli_mask(v):
-                    stats.filter_nli_pruned += 1
-                    return False
-            if data.mnd(v) < query.mnd(u):
-                stats.filter_mnd_pruned += 1
-                return False
-            if not nlf_ok(query, data, u, v):
-                stats.filter_nlf_pruned += 1
-                return False
-            return True
-
-        return counted_extended
-
-    def counted_other(query: Graph, data: Graph, u: int, v: int) -> bool:
-        if not verify(query, data, u, v):
-            stats.filter_other_pruned += 1
-            return False
-        return True
-
-    return counted_other
-
-
 def has_cand_verify_verdict(verify: object) -> bool:
     """True iff ``verify`` accepts exactly what :func:`cand_verify` does
     (the label-pair and NLI filters only reject what NLF rejects)."""
@@ -242,9 +181,10 @@ def record_rejections(
     u: int,
     verified: VerifiedCandidates,
 ) -> None:
-    """Count ``verified``'s rejections as :func:`make_counting_verify`'s
-    wrapper of ``verify`` would have counted them, without re-running
-    NLF.  ``verify`` must pass :func:`has_cand_verify_verdict`."""
+    """Count ``verified``'s rejections per filter, each under the first
+    check of ``verify`` that rejects it (label-pair, NLI, MND, then NLF),
+    without re-running NLF.  ``verify`` must pass
+    :func:`has_cand_verify_verdict`."""
     mnd_failed, nlf_failed = verified.mnd_failed, verified.nlf_failed
     mnd_pruned, nlf_pruned = len(mnd_failed), len(nlf_failed)
     if isinstance(verify, ExtendedCandVerify):

@@ -49,9 +49,11 @@ import mmap
 import os
 from array import array
 from bisect import bisect_left
+from collections.abc import Iterable as IterableBase
 from collections.abc import Set as SetBase
-from itertools import count
+from itertools import count, repeat
 from multiprocessing import resource_tracker, shared_memory
+from operator import sub
 
 try:  # CPython's POSIX shm syscalls; absent only on non-POSIX builds.
     import _posixshmem  # type: ignore[import-not-found]
@@ -423,7 +425,8 @@ class _RowSet(SetBase):
 
     ``collections.abc.Set`` supplies the operators (including the
     reflected forms, so ``frozenset & row_set`` works); results of set
-    algebra materialize as ``frozenset`` via ``_from_iterable``.
+    algebra materialize as ``frozenset`` via ``_from_iterable``.  ``&``
+    with a set of ints (the kernel's short-row path) runs in C instead.
     """
 
     __slots__ = ("_row",)
@@ -446,6 +449,18 @@ class _RowSet(SetBase):
 
     def __hash__(self) -> int:
         return self._hash()
+
+    def __and__(self, other: object) -> FrozenSet[int]:
+        if not isinstance(other, IterableBase):
+            return NotImplemented
+        if isinstance(other, (set, frozenset)) and all(
+            map(isinstance, other, repeat(int))
+        ):
+            return frozenset(self._row).intersection(other)
+        # ``__contains__`` admits ints only: 1.0 must not match a 1.
+        return frozenset(value for value in other if value in self)
+
+    __rand__ = __and__
 
     @classmethod
     def _from_iterable(cls, iterable: object) -> FrozenSet[int]:
@@ -546,6 +561,14 @@ class SharedGraph(Graph):
             }
             self._label_index = index
         return index
+
+    def _degrees_of(self, vertices: Sequence[int]) -> List[int]:
+        # From the CSR offsets: indexing the adjacency would build one
+        # row view per vertex through a Python-level __getitem__.
+        indptr = self.adjacency_csr()[0]
+        ends = indptr[1:]
+        return list(map(sub, map(ends.__getitem__, vertices),
+                        map(indptr.__getitem__, vertices)))
 
     def nlf(self, v: int) -> Dict[int, int]:
         table = self._nlf_tables.get(v)

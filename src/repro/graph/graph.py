@@ -224,10 +224,18 @@ class Graph:
             index = self._degree_index = {}
         entry = index.get(label)
         if entry is None:
-            degree = self.degree
-            ranked = sorted(self.vertices_with_label(label), key=degree)
-            entry = index[label] = (ranked, [degree(v) for v in ranked])
+            bucket = self.vertices_with_label(label)
+            degrees = self._degrees_of(bucket)
+            order = sorted(range(len(bucket)), key=degrees.__getitem__)
+            entry = index[label] = (
+                list(map(bucket.__getitem__, order)),
+                list(map(degrees.__getitem__, order)),
+            )
         return entry
+
+    def _degrees_of(self, vertices: Sequence[int]) -> List[int]:
+        """``[d(v) for v in vertices]``, without a Python call per vertex."""
+        return list(map(len, map(self.adj.__getitem__, vertices)))
 
     def label_frequency(self, label: int) -> int:
         """Number of vertices carrying ``label``."""

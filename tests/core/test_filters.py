@@ -4,13 +4,45 @@ from repro.core import cand_verify, full_candidate_check, label_degree_ok, mnd_o
 from repro.core.filters import (
     ExtendedCandVerify,
     has_cand_verify_verdict,
-    make_counting_verify,
     record_rejections,
     verify_candidates,
 )
 from repro.core.stats import SearchStats
 from repro.graph import Graph
 from repro.testing.workloads import SCENARIOS, generate_case
+
+
+def counting_verify(verify, stats):
+    """Per-vertex reference for the builders' rejection counters.
+
+    ``verify`` judges as it would uncounted; each rejection is counted
+    under the first check that fails, in Algorithm 6's order after an
+    :class:`ExtendedCandVerify`'s label-pair and NLI checks, and under
+    ``filter_other_pruned`` for a callable without CandVerify's verdict.
+    """
+    def counted(query, data, u, v):
+        if not has_cand_verify_verdict(verify):
+            if verify(query, data, u, v):
+                return True
+            stats.filter_other_pruned += 1
+            return False
+        if isinstance(verify, ExtendedCandVerify):
+            if verify.label_pair and not verify.pair_ok[u]:
+                stats.filter_label_pair_pruned += 1
+                return False
+            required = verify.masks[u] if verify.nli else 0
+            if required is None or required & ~data.nli_mask(v):
+                stats.filter_nli_pruned += 1
+                return False
+        if not mnd_ok(query, data, u, v):
+            stats.filter_mnd_pruned += 1
+            return False
+        if not nlf_ok(query, data, u, v):
+            stats.filter_nlf_pruned += 1
+            return False
+        return True
+
+    return counted
 
 
 def star(center_label, leaf_labels):
@@ -100,7 +132,7 @@ class TestCandVerify:
 
 class TestRecordRejections:
     """``record_rejections`` over a :func:`verify_candidates` outcome
-    counts exactly what the counting wrapper counts per vertex."""
+    counts exactly what :func:`counting_verify` counts per vertex."""
 
     STACKS = [(False, False), (True, False), (False, True), (True, True)]
 
@@ -111,7 +143,7 @@ class TestRecordRejections:
             if data.degree(v) >= query.degree(u)
         ]
         per_vertex = SearchStats()
-        counted = make_counting_verify(verify, per_vertex)
+        counted = counting_verify(verify, per_vertex)
         passed = [v for v in vertices if counted(query, data, u, v)]
         outcome = verify_candidates(query, data, u, vertices)
         recorded = SearchStats()
