@@ -105,9 +105,8 @@ def bench_loop_overhead(case, repeats: int) -> Dict:
     Iterates every int32 of every stage's base and CSR candidate rows
     doing no per-item work at all — the floor any per-candidate Python
     cursor loop pays before matching logic even starts.  ``per_item_us``
-    is the number the frontier-at-a-time numpy intersection exists to
-    sidestep: vectorized rows pay one call per *row* instead of this per
-    *item*.
+    is that floor per candidate, the cost any scalar intersection or
+    probe loop adds per item it touches.
     """
     matcher = CFLMatch(case.data, engine="reference")
     plan = matcher.prepare(case.query)

@@ -38,16 +38,6 @@ MATCHERS: Dict[str, Callable[[Graph], object]] = {
     "CFL-Match-Naive": lambda g: CFLMatch(g, cpi_mode="naive"),
     "CFL-Match-Boost": lambda g: BoostMatch(g, order_strategy="cfl"),
     "CFL-Match-Hierarchical": lambda g: CFLMatch(g, core_strategy="hierarchical"),
-    # Optimizer round-2 variants: each toggles one feature so the fuzz
-    # differential exercises them against the plain engines.
-    "CFL-Match-LPF": lambda g: CFLMatch(g, label_pair_filter=True, nli_filter=True),
-    "CFL-Match-Adaptive": lambda g: CFLMatch(
-        g, adaptive=True, adaptive_ratio=2.0, adaptive_min_nodes=64
-    ),
-    "CFL-Match-Optimized": lambda g: CFLMatch(
-        g, label_pair_filter=True, nli_filter=True,
-        adaptive=True, adaptive_ratio=2.0, adaptive_min_nodes=64,
-    ),
     "TurboISO": lambda g: TurboISOMatch(g),
     "TurboISO-Boost": lambda g: BoostMatch(g, order_strategy="turbo"),
     "QuickSI": lambda g: QuickSIMatch(g),

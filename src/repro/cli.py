@@ -22,7 +22,7 @@ from typing import List, Optional
 from .bench.experiments import EXPERIMENTS, PROFILES, run_experiment
 from .bench.harness import MATCHERS, make_matcher
 from .core.batch import DEFAULT_AUX_BYTES
-from .core.matcher import ENGINES, VECTOR_MODES, CFLMatch
+from .core.matcher import ENGINES, CFLMatch
 from .graph.io import load_graph
 from .workloads.datasets import DATASETS, SCALES, dataset_spec
 
@@ -42,22 +42,15 @@ def _cmd_match(args: argparse.Namespace) -> int:
         from .core.parallel import parallel_search_iter
 
         embeddings = parallel_search_iter(
-            data, query, workers=workers, limit=args.limit, engine=args.engine,
-            adaptive=args.adaptive,
+            data, query, workers=workers, limit=args.limit, engine=args.engine
         )
     else:
         if args.algorithm == "CFL-Match":
-            matcher = CFLMatch(data, engine=args.engine, adaptive=args.adaptive)
+            matcher = CFLMatch(data, engine=args.engine)
         else:
             if args.engine != "kernel":
                 print(
                     f"error: --engine applies to CFL-Match, not {args.algorithm}",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.adaptive:
-                print(
-                    f"error: --adaptive applies to CFL-Match, not {args.algorithm}",
                     file=sys.stderr,
                 )
                 return 2
@@ -81,13 +74,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
         from .core.parallel import parallel_count
 
         total = parallel_count(
-            data, query, workers=args.workers, limit=args.limit,
-            engine=args.engine, adaptive=args.adaptive,
+            data, query, workers=args.workers, limit=args.limit, engine=args.engine
         )
     else:
-        total = CFLMatch(data, engine=args.engine, adaptive=args.adaptive).count(
-            query, limit=args.limit
-        )
+        total = CFLMatch(data, engine=args.engine).count(query, limit=args.limit)
     elapsed = time.perf_counter() - started
     suffix = "+" if args.limit is not None and total >= args.limit else ""
     print(f"{total}{suffix} embedding(s) in {1000 * elapsed:.1f} ms")
@@ -120,7 +110,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         use_aux=not args.no_aux,
         aux_max_bytes=args.aux_max_bytes,
         engine=args.engine,
-        vector_mode=args.vector_mode,
     )
     report = matcher.run(
         queries, limit=args.limit, time_limit_s=args.time_limit
@@ -232,7 +221,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     data = load_graph(args.data)
     query = load_graph(args.query)
-    matcher = CFLMatch(data, adaptive=args.adaptive)
+    matcher = CFLMatch(data)
     prepared = matcher.prepare(query)
     report = None
     if args.execute:
@@ -255,7 +244,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         if report is not None:
             payload["status"] = report.status
             payload["embeddings"] = report.embeddings
-            payload["adaptive_replans"] = report.stats.adaptive_replans
         print(json.dumps(payload, indent=2))
         return 0
     print(explain(matcher, query))
@@ -281,7 +269,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         time_limit_s=args.time_limit,
         count_only=not args.enumerate,
         engine=args.engine,
-        adaptive=args.adaptive,
     )
     if args.out:
         Path(args.out).write_text(json.dumps(profile, indent=2) + "\n")
@@ -517,11 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="CFL-Match enumeration engine: compiled flat-array kernel "
              "(default) or the reference backtracker",
     )
-    p_match.add_argument(
-        "--adaptive", action="store_true",
-        help="re-plan the matching-order suffix mid-search when actual "
-             "breadth blows past the cost-model estimate (CFL-Match only)",
-    )
     p_match.set_defaults(func=_cmd_match)
 
     p_count = sub.add_parser("count", help="count embeddings (leaf permutations not expanded)")
@@ -536,11 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default="kernel", choices=ENGINES,
         help="enumeration engine: compiled flat-array kernel (default) "
              "or the reference backtracker",
-    )
-    p_count.add_argument(
-        "--adaptive", action="store_true",
-        help="re-plan the matching-order suffix mid-search when actual "
-             "breadth blows past the cost-model estimate",
     )
     p_count.set_defaults(func=_cmd_count)
 
@@ -572,12 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--aux-max-bytes", type=int, default=DEFAULT_AUX_BYTES,
         help="auxiliary adjacency byte budget (LRU-evicted above it)",
-    )
-    p_batch.add_argument(
-        "--vector-mode", default="auto", choices=VECTOR_MODES,
-        help="frontier vectorization of the kernel's eager intersections: "
-             "per-stage breadth heuristic (auto, default), always (on), "
-             "never (off)",
     )
     p_batch.add_argument(
         "--engine", default="kernel", choices=ENGINES,
@@ -641,10 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the plan summary and breadth rows as JSON",
     )
     p_explain.add_argument(
-        "--adaptive", action="store_true",
-        help="enable mid-search re-planning during --execute",
-    )
-    p_explain.add_argument(
         "--max-expansions", type=int, default=None,
         help="work budget for --execute (partial rows are flagged)",
     )
@@ -691,12 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumeration engine: compiled flat-array kernel (default) "
              "or the reference backtracker (recorded in the profile's "
              "run section)",
-    )
-    p_profile.add_argument(
-        "--adaptive", action="store_true",
-        help="re-plan the matching-order suffix mid-search when actual "
-             "breadth blows past the cost-model estimate "
-             "(adaptive_replans counts re-plans)",
     )
     p_profile.set_defaults(func=_cmd_profile)
 

@@ -206,7 +206,7 @@ def _verified(
         verified = verify_candidates(query, data, u, structural)
         passed = verified.passed
         if stats is not None and len(passed) < len(structural):
-            record_rejections(verify, stats, query, data, u, verified)
+            record_rejections(stats, verified)
         return passed
     passed = [v for v in structural if verify(query, data, u, v)]
     if stats is not None:
@@ -249,7 +249,7 @@ def _handed_root_candidates(
         bucket = len(data.vertices_with_label(query.label(root)))
         stats.filter_degree_pruned += bucket - structural
         stats.cpi_candidates_structural += structural
-        record_rejections(verify, stats, query, data, root, root_verified)
+        record_rejections(stats, root_verified)
     return list(root_verified.passed)
 
 

@@ -161,12 +161,8 @@ def _repair_sweep(
     unit's computation is a pure function of those inputs.  Per-filter
     prune counters therefore count only recomputed work on repairs.
 
-    ``verify`` must match the owning matcher's filter stack (see
-    :meth:`~repro.core.matcher.CFLMatch.cand_verify_for`) and — for an
-    :class:`~repro.core.filters.ExtendedCandVerify` — be constructed
-    fresh against the *current* graph state at every sweep: its
-    precomputed label-pair/NLI tables are snapshots, and a stale
-    snapshot could reject candidates the NLF filter accepts.
+    ``verify`` is the CandVerify callable, as in
+    :func:`~repro.core.cpi_builder.build_cpi`.
     """
     if prev is not None:
         tree = prev.tree
@@ -404,7 +400,6 @@ class IncrementalMatcher:
         engine: str = "kernel",
         rebuild_threshold: float = 0.75,
         mode: str = "cfl",
-        **matcher_kwargs,
     ) -> None:
         if not isinstance(data, DynamicGraph):
             raise TypeError("IncrementalMatcher requires a DynamicGraph")
@@ -415,12 +410,7 @@ class IncrementalMatcher:
         self.rebuild_threshold = rebuild_threshold
         # plan_cache_size=0: this class owns plan reuse; the inner
         # matcher must never serve a stale cached plan of its own.
-        # ``matcher_kwargs`` forwards optimizer knobs (filter toggles,
-        # adaptive) so dynamic matching honors them too.
-        self._matcher = CFLMatch(
-            data, mode=mode, engine=engine, plan_cache_size=0,
-            **matcher_kwargs,
-        )
+        self._matcher = CFLMatch(data, mode=mode, engine=engine, plan_cache_size=0)
         self._plans: Dict[int, _Registration] = {}
 
     # -- plan lifecycle ------------------------------------------------
@@ -466,10 +456,7 @@ class IncrementalMatcher:
         decomposition, root = self._decompose(query)
         phase_times["decomposition"] = monotonic_now() - started
         cpi_started = monotonic_now()
-        cpi, state = _repair_sweep(
-            query, self.data, root, None, None, build_stats,
-            verify=self._matcher.cand_verify_for(query),
-        )
+        cpi, state = _repair_sweep(query, self.data, root, None, None, build_stats)
         phase_times["cpi_build"] = monotonic_now() - cpi_started
         prepared = self._matcher._assemble_plan(
             query, decomposition, root, cpi, started,
@@ -530,10 +517,7 @@ class IncrementalMatcher:
             self._rebuild_registration(reg, sync_started)
             return
         stats = reg.build_stats
-        cpi, state = _repair_sweep(
-            query, data, root, frozenset(dirty), reg.state, stats,
-            verify=self._matcher.cand_verify_for(query),
-        )
+        cpi, state = _repair_sweep(query, data, root, frozenset(dirty), reg.state, stats)
         stats.cpi_repairs += 1
         stats.dirty_region_size += len(region)
         repair_elapsed = monotonic_now() - sync_started
@@ -558,10 +542,7 @@ class IncrementalMatcher:
         decomposition, root = self._decompose(query)
         phase_times["decomposition"] = monotonic_now() - build_started
         cpi_started = monotonic_now()
-        cpi, state = _repair_sweep(
-            query, self.data, root, None, None, stats,
-            verify=self._matcher.cand_verify_for(query),
-        )
+        cpi, state = _repair_sweep(query, self.data, root, None, None, stats)
         phase_times["cpi_build"] = monotonic_now() - cpi_started
         prepared = self._matcher._assemble_plan(
             query, decomposition, root, cpi, build_started,

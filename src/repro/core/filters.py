@@ -15,25 +15,6 @@ The label and degree filters are applied inline by the CPI builders (they
 fall out of the candidate-generation loops); :func:`cand_verify` bundles
 the MND and NLF checks exactly as Algorithm 6 does.
 
-Optimizer round 2 adds two cheaper l2Match-style pre-checks ahead of
-MND/NLF, packaged as :class:`ExtendedCandVerify` (a drop-in ``verify``
-callable bound to one (query, data) pair):
-
-5. **label-pair filter** — for every label ``l`` among ``u``'s
-   neighbors, the data graph must contain at least one edge connecting
-   ``l(u)`` and ``l`` (:meth:`~repro.graph.graph.Graph.label_pair_index`).
-   The verdict is independent of ``v``, precomputed once per query
-   vertex, and rejects whole candidate sets at constant cost.
-6. **neighboring-label (NLI) filter** — the set of labels around ``u``
-   must be a subset of the labels around ``v``; both sides are bitmasks
-   (:meth:`~repro.graph.graph.Graph.nli_mask`), so the check is one
-   integer operation (a strictly weaker but much cheaper form of NLF).
-
-Both are pruning-only: every vertex they reject is also rejected by the
-NLF filter, so enabling them never changes the built CPI — only how
-cheaply rejected candidates are discarded (and which counter records
-the rejection).
-
 Root selection runs CandVerify over a whole run of candidates at once
 (:func:`verify_candidates`) and hands the chosen root's outcome to the
 CPI builder, which counts its rejections per filter with
@@ -42,7 +23,7 @@ CPI builder, which counts its rejections per filter with
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple
 
 from ..graph.graph import Graph
 from .stats import SearchStats
@@ -121,86 +102,14 @@ def full_candidate_check(query: Graph, data: Graph, u: int, v: int) -> bool:
     return label_degree_ok(query, data, u, v) and cand_verify(query, data, u, v)
 
 
-class ExtendedCandVerify:
-    """CandVerify preceded by the label-pair and/or NLI filters.
-
-    Bound to one ``(query, data)`` pair at construction: the per-query-
-    vertex label-pair verdicts and required NLI masks are precomputed
-    once, so the per-candidate cost is one list index plus (for NLI) one
-    integer subset test before Algorithm 6 runs.  Instances are created
-    fresh per CPI build (and per incremental repair sweep), never cached
-    across graph versions.
-    """
-
-    __slots__ = ("query", "data", "label_pair", "nli", "pair_ok", "masks")
-
-    def __init__(
-        self,
-        query: Graph,
-        data: Graph,
-        label_pair: bool = True,
-        nli: bool = True,
-    ) -> None:
-        self.query = query
-        self.data = data
-        self.label_pair = label_pair
-        self.nli = nli
-        self.pair_ok: List[bool] = []
-        self.masks: List[Optional[int]] = []
-        for u in query.vertices():
-            neighbor_labels = query.nlf(u)
-            if label_pair:
-                lu = query.label(u)
-                self.pair_ok.append(
-                    all(data.has_label_pair(lu, lab) for lab in neighbor_labels)
-                )
-            if nli:
-                self.masks.append(data.nli_required_mask(neighbor_labels))
-
-    def __call__(self, query: Graph, data: Graph, u: int, v: int) -> bool:
-        if self.label_pair and not self.pair_ok[u]:
-            return False
-        if self.nli:
-            required = self.masks[u]
-            if required is None or required & ~data.nli_mask(v):
-                return False
-        return cand_verify(query, data, u, v)
-
-
 def has_cand_verify_verdict(verify: object) -> bool:
-    """True iff ``verify`` accepts exactly what :func:`cand_verify` does
-    (the label-pair and NLI filters only reject what NLF rejects)."""
-    return verify is cand_verify or isinstance(verify, ExtendedCandVerify)
+    """True iff ``verify`` is :func:`cand_verify`, whose verdict
+    :func:`verify_candidates` computes in bulk."""
+    return verify is cand_verify
 
 
-def record_rejections(
-    verify: object,
-    stats: SearchStats,
-    query: Graph,
-    data: Graph,
-    u: int,
-    verified: VerifiedCandidates,
-) -> None:
-    """Count ``verified``'s rejections per filter, each under the first
-    check of ``verify`` that rejects it (label-pair, NLI, MND, then NLF),
-    without re-running NLF.  ``verify`` must pass
-    :func:`has_cand_verify_verdict`."""
-    mnd_failed, nlf_failed = verified.mnd_failed, verified.nlf_failed
-    mnd_pruned, nlf_pruned = len(mnd_failed), len(nlf_failed)
-    if isinstance(verify, ExtendedCandVerify):
-        if verify.label_pair and not verify.pair_ok[u]:
-            stats.filter_label_pair_pruned += mnd_pruned + nlf_pruned
-            return
-        if verify.nli:
-            required = verify.masks[u]
-            if required is None:
-                stats.filter_nli_pruned += mnd_pruned + nlf_pruned
-                return
-            nli_mask = data.nli_mask
-            mnd_nli = sum(1 for v in mnd_failed if required & ~nli_mask(v))
-            nlf_nli = sum(1 for v in nlf_failed if required & ~nli_mask(v))
-            stats.filter_nli_pruned += mnd_nli + nlf_nli
-            mnd_pruned -= mnd_nli
-            nlf_pruned -= nlf_nli
-    stats.filter_mnd_pruned += mnd_pruned
-    stats.filter_nlf_pruned += nlf_pruned
+def record_rejections(stats: SearchStats, verified: VerifiedCandidates) -> None:
+    """Count ``verified``'s rejections per filter of Algorithm 6 (MND,
+    then NLF) without re-running either."""
+    stats.filter_mnd_pruned += len(verified.mnd_failed)
+    stats.filter_nlf_pruned += len(verified.nlf_failed)

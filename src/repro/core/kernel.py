@@ -79,11 +79,6 @@ from typing import (
     Tuple,
 )
 
-try:  # gated: the scalar paths need no numpy (see _intersect_numpy)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None
-
 from ..graph.graph import AdjacencyCSR, Graph, IntVector
 from .core_match import OrderedVertex, SearchTimeout, failing_set_masks
 from .cpi import CPI
@@ -532,56 +527,6 @@ def _intersect(
     return cur_v, cur_r
 
 
-def _intersect_numpy(
-    vs: IntVector,
-    rs: IntVector,
-    begin: int,
-    stop: int,
-    adj_np: "_np.ndarray",
-    bounds: List[Tuple[int, int]],
-    want_ranks: bool,
-) -> Tuple[Sequence[int], Sequence[int]]:
-    """Frontier-at-a-time counterpart of :func:`_intersect`.
-
-    Computes the *same* set intersection as the scalar galloping loop —
-    the base window and every adjacency row are strictly increasing, so
-    one ``searchsorted`` of the shorter side into the longer plus an
-    equality gather yields exactly the scalar survivors, in the same
-    ascending order.  Survivor positions relative to the original
-    ``[begin, stop)`` window are threaded through the rounds so ranks
-    can be gathered once at the end.  Returns plain Python ints
-    (``tolist``) so downstream consumers — embeddings, JSON profiles —
-    never see numpy scalars.
-    """
-    np = _np
-    cur_v = np.frombuffer(vs, dtype=np.int32)[begin:stop]
-    cur_idx = None
-    for row_lo, row_hi in bounds:
-        row = adj_np[row_lo:row_hi]
-        size = int(cur_v.size)
-        if size == 0 or row_hi == row_lo:
-            return _NO_CHECKS, _NO_CHECKS
-        if (row_hi - row_lo) * 4 < size:
-            # The adjacency row is much shorter: place it in the stream.
-            at = np.searchsorted(cur_v, row)
-            safe = np.minimum(at, size - 1)
-            positions = at[cur_v[safe] == row]
-        else:
-            # Comparable or longer row: place the stream in the row.
-            at = np.searchsorted(row, cur_v)
-            safe = np.minimum(at, (row_hi - row_lo) - 1)
-            positions = np.flatnonzero(row[safe] == cur_v)
-        cur_v = cur_v[positions]
-        cur_idx = positions if cur_idx is None else cur_idx[positions]
-    survivors_v: List[int] = cur_v.tolist()
-    if want_ranks and survivors_v:
-        window_r = np.frombuffer(rs, dtype=np.int32)[begin:stop]
-        survivors_r: List[int] = window_r[cur_idx].tolist()
-    else:
-        survivors_r = []
-    return survivors_v, survivors_r
-
-
 class KernelBacktracker:
     """Cursor-based backtracking over one compiled stage.
 
@@ -600,8 +545,6 @@ class KernelBacktracker:
         stats: Optional[SearchStats] = None,
         deadline: Optional[float] = None,
         budget: Optional[WorkBudget] = None,
-        vectorize: bool = False,
-        vector_min_row: int = 64,
     ) -> None:
         self.stage = stage
         self.stats = stats if stats is not None else SearchStats()
@@ -610,19 +553,6 @@ class KernelBacktracker:
         self._adj_indptr = kernel_plan.adj_indptr
         self._adj_flat = kernel_plan.adj_flat
         self._adj_sets = kernel_plan.adj_sets
-        # Frontier vectorization of the eager backward intersections:
-        # candidate rows at least ``vector_min_row`` long go through
-        # ``_intersect_numpy`` instead of the scalar galloping loop.
-        # Both compute the exact same intersection, so survivors,
-        # eliminated counts, enumeration order and every counter are
-        # bit-identical — the switch is purely a throughput knob.
-        self._vectorize = vectorize and _np is not None
-        self._vector_min_row = vector_min_row
-        self._adj_np = (
-            _np.frombuffer(self._adj_flat, dtype=_np.int32)
-            if self._vectorize
-            else None
-        )
         # Static per-depth dispatch, derived once per backtracker (the
         # stage is tiny).  ``_kinds`` splits descends into the two
         # branch-free fast paths and the general ``_enter`` path;
@@ -737,16 +667,10 @@ class KernelBacktracker:
                     bounds.append((adj_indptr[image], adj_indptr[image + 1]))
                 if len(bounds) > 1:
                     bounds.sort(key=_bound_span)
-                if self._vectorize and stop - begin >= self._vector_min_row:
-                    survivors_v, survivors_r = _intersect_numpy(
-                        vs, rs, begin, stop, self._adj_np, bounds,
-                        self._needs_rank[depth],
-                    )
-                else:
-                    survivors_v, survivors_r = _intersect(
-                        vs, rs, begin, stop, self._adj_flat, bounds,
-                        self._needs_rank[depth],
-                    )
+                survivors_v, survivors_r = _intersect(
+                    vs, rs, begin, stop, self._adj_flat, bounds,
+                    self._needs_rank[depth],
+                )
                 stream_v[depth] = survivors_v
                 stream_r[depth] = survivors_r
                 pos[depth] = 0

@@ -42,7 +42,7 @@ from .core_match import (
 from .cpi import CPI
 from .cpi_builder import _record_build_totals, build_cpi, build_naive_cpi
 from .decomposition import CFLDecomposition, cfl_decompose
-from .filters import ExtendedCandVerify, VerifiedCandidates, cand_verify
+from .filters import VerifiedCandidates
 from .kernel import KernelBacktracker, KernelPlan, build_data_csr, compile_kernel_plan
 from .leaf_match import (
     BLOCK_NODE_CAP,
@@ -61,14 +61,6 @@ from .stats import (
     empty_phase_times,
 )
 
-#: Upper bound on adaptive trigger checkpoints per search: the root
-#: candidates are split into at most this many chunks, and the
-#: re-planning trigger is evaluated between chunks.  Each chunk costs a
-#: root-restricted sub-plan plus backtracker setup, so the bound keeps
-#: the adaptive mode's overhead on well-ordered plans flat in the root
-#: count while still giving a mis-ordered search 15 chances to bail.
-_ADAPTIVE_CHECKPOINTS = 16
-
 MODES = ("cfl", "cf", "match")
 CPI_MODES = ("full", "td", "naive")
 CORE_STRATEGIES = ("paths", "hierarchical")
@@ -80,13 +72,6 @@ CORE_STRATEGIES = ("paths", "hierarchical")
 #: the kernel module docstring for the one attribution caveat on the
 #: rejection-counter split).
 ENGINES = ("kernel", "reference")
-#: Frontier vectorization of the kernel's eager backward intersections:
-#: ``"auto"`` turns the numpy path on per stage when the stage's
-#: estimated breadth crosses ``vector_breadth``; ``"on"`` forces it for
-#: every eligible intersection; ``"off"`` keeps the scalar galloping
-#: loop.  Results, enumeration order and every counter are bit-identical
-#: in all three modes (the numpy path computes the same intersection).
-VECTOR_MODES = ("auto", "on", "off")
 
 #: Byte bound of every matcher's plan cache (the sum of the cached
 #: plans' :attr:`PreparedQuery.nbytes`): plans range from tens of KB on
@@ -188,16 +173,6 @@ class PreparedQuery:
     #: compiled lazily when a plan built elsewhere reaches a kernel
     #: matcher, e.g. after ``decode_plan`` in a worker).
     kernel: Optional[KernelPlan] = None
-    #: memoized ``vector_mode="auto"`` decision:
-    #: ``(vector_breadth, core_vectorized, forest_vectorized)`` —
-    #: recomputed when a matcher with a different threshold reuses the
-    #: plan (see ``CFLMatch._vector_stages``).
-    vector_stages: Optional[Tuple[int, bool, bool]] = None
-    #: memoized core+forest tree-embedding estimate (the adaptive
-    #: trigger's baseline; see ``CFLMatch._breadth_estimate``) — the DP
-    #: walks the whole CPI, so serving workloads that re-run the same
-    #: plan must not pay it per search.
-    breadth_estimate: Optional[int] = None
     _nbytes: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -303,36 +278,11 @@ class CFLMatch:
         the serving-workload fast path.  The cache is also bounded by
         the bytes its plans hold (:data:`PLAN_CACHE_BYTES`); ``None``
         leaves that the only bound, ``0`` disables caching.
-    vector_mode / vector_breadth / vector_min_row:
-        frontier vectorization of the kernel's eager backward
-        intersections (see :data:`VECTOR_MODES`).  ``vector_breadth``
-        is the per-stage estimated-breadth threshold ``"auto"`` uses;
-        ``vector_min_row`` is the smallest candidate row the numpy path
-        takes over from the scalar galloping loop.  Bit-identical
-        results in every mode.
     aux_cache:
         a batch-shared :class:`~repro.core.batch.AuxAdjacencyCache`
         serving pre-intersected label-pair adjacency rows to CPI
         construction (``None`` — the default — builds from the raw
         graph).  The built CPI is identical either way.
-    label_pair_filter / nli_filter:
-        optimizer round-2 pre-checks ahead of CandVerify during CPI
-        construction (:class:`~repro.core.filters.ExtendedCandVerify`).
-        Both are pruning-only subsets of the NLF filter, so the built
-        CPI — and therefore every downstream result and counter except
-        the per-filter attribution split — is identical with them on or
-        off.
-    adaptive / adaptive_ratio / adaptive_min_nodes:
-        mid-search re-planning.  With ``adaptive=True`` the root
-        candidates are enumerated one at a time (a pure partition of
-        the result set — same embeddings, same order, same counters);
-        when the accumulated search nodes exceed
-        ``max(adaptive_min_nodes, adaptive_ratio * estimated_breadth)``
-        the matching-order suffix for the *remaining* roots is
-        re-planned against the restricted CPI (Algorithm 2 re-run on
-        the surviving root candidates) and enumeration resumes —
-        embeddings already emitted are kept.  At most one re-plan per
-        search; ``adaptive_replans`` counts it.
     """
 
     name = "CFL-Match"
@@ -345,15 +295,7 @@ class CFLMatch:
         core_strategy: str = "paths",
         engine: str = "kernel",
         plan_cache_size: Optional[int] = 16,
-        vector_mode: str = "auto",
-        vector_breadth: int = 4096,
-        vector_min_row: int = 64,
         aux_cache: Optional["AuxAdjacencyCache"] = None,
-        label_pair_filter: bool = False,
-        nli_filter: bool = False,
-        adaptive: bool = False,
-        adaptive_ratio: float = 8.0,
-        adaptive_min_nodes: int = 1024,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -365,31 +307,13 @@ class CFLMatch:
             raise ValueError(f"engine must be one of {ENGINES}")
         if plan_cache_size is not None and plan_cache_size < 0:
             raise ValueError("plan_cache_size must be >= 0 or None")
-        if vector_mode not in VECTOR_MODES:
-            raise ValueError(f"vector_mode must be one of {VECTOR_MODES}")
-        if vector_breadth < 0:
-            raise ValueError("vector_breadth must be >= 0")
-        if vector_min_row < 1:
-            raise ValueError("vector_min_row must be >= 1")
-        if adaptive_ratio <= 0:
-            raise ValueError("adaptive_ratio must be > 0")
-        if adaptive_min_nodes < 0:
-            raise ValueError("adaptive_min_nodes must be >= 0")
         self.data = data
         self.mode = mode
         self.cpi_mode = cpi_mode
         self.core_strategy = core_strategy
         self.engine = engine
         self.plan_cache_size = plan_cache_size
-        self.vector_mode = vector_mode
-        self.vector_breadth = vector_breadth
-        self.vector_min_row = vector_min_row
         self.aux_cache = aux_cache
-        self.label_pair_filter = label_pair_filter
-        self.nli_filter = nli_filter
-        self.adaptive = adaptive
-        self.adaptive_ratio = adaptive_ratio
-        self.adaptive_min_nodes = adaptive_min_nodes
         #: signature -> plan, all built at ``_plan_version`` of the graph
         self._plan_cache: "OrderedDict[tuple, PreparedQuery]" = OrderedDict()
         self._plan_version = data.version
@@ -663,17 +587,14 @@ class CFLMatch:
         """Core and forest backtrackers for the configured engine."""
         if self.engine == "kernel":
             compiled = self._ensure_kernel(plan)
-            core_vec, forest_vec = self._vector_stages(plan)
             return (
                 KernelBacktracker(
                     compiled, compiled.core, core_stats,
                     deadline=deadline, budget=budget,
-                    vectorize=core_vec, vector_min_row=self.vector_min_row,
                 ),
                 KernelBacktracker(
                     compiled, compiled.forest, forest_stats,
                     deadline=deadline, budget=budget,
-                    vectorize=forest_vec, vector_min_row=self.vector_min_row,
                 ),
             )
         return (
@@ -687,58 +608,6 @@ class CFLMatch:
             ),
         )
 
-    def _vector_stages(self, plan: PreparedQuery) -> Tuple[bool, bool]:
-        """Per-stage frontier-vectorization decision for ``plan``.
-
-        ``"auto"`` vectorizes a stage when its estimated breadth (the
-        same tree-embedding DP :func:`~repro.core.explain.stage_breadth`
-        reports) reaches ``vector_breadth`` — high-breadth stages
-        amortize the numpy call overhead, low-breadth ones stay on the
-        scalar path.  The decision is memoized on the plan keyed by the
-        threshold, so serving workloads pay the DP once per plan.
-        """
-        if self.vector_mode == "off":
-            return False, False
-        if self.vector_mode == "on":
-            return True, True
-        cached = plan.vector_stages
-        if cached is not None and cached[0] == self.vector_breadth:
-            return cached[1], cached[2]
-        cpi = plan.cpi
-        core_breadth = forest_breadth = 0
-        if plan.core_order:
-            core_breadth = estimate_tree_embeddings(
-                cpi, cpi.root, set(plan.core_order)
-            )
-        if plan.forest_order:
-            forest_breadth = estimate_tree_embeddings(
-                cpi, cpi.root, set(plan.core_order) | set(plan.forest_order)
-            )
-        decision = (
-            self.vector_breadth,
-            core_breadth >= self.vector_breadth,
-            forest_breadth >= self.vector_breadth,
-        )
-        plan.vector_stages = decision
-        return decision[1], decision[2]
-
-    def cand_verify_for(self, query: Graph):
-        """The CandVerify callable this matcher's filter knobs select.
-
-        The plain :func:`~repro.core.filters.cand_verify` when neither
-        round-2 filter is on (preserving the builders' identity-based
-        fast paths), otherwise an
-        :class:`~repro.core.filters.ExtendedCandVerify` bound fresh to
-        ``(query, data)`` — also used by the incremental repair path so
-        repairs verify with the exact same filter stack as a cold build.
-        """
-        if self.label_pair_filter or self.nli_filter:
-            return ExtendedCandVerify(
-                query, self.data,
-                label_pair=self.label_pair_filter, nli=self.nli_filter,
-            )
-        return cand_verify
-
     def _build_cpi(
         self,
         query: Graph,
@@ -751,10 +620,9 @@ class CFLMatch:
             return build_naive_cpi(
                 query, self.data, root, stats=stats, deadline=deadline
             )
-        verify = self.cand_verify_for(query)
         refine = self.cpi_mode == "full"
         return build_cpi(
-            query, self.data, root, refine=refine, verify=verify, stats=stats,
+            query, self.data, root, refine=refine, stats=stats,
             deadline=deadline, aux=self.aux_cache, root_verified=root_verified,
         )
 
@@ -834,12 +702,12 @@ class CFLMatch:
         plan = prepared if prepared is not None else self.prepare(query)
         if plan.cpi.is_empty():
             return
-        roots: Optional[List[int]] = None
         if root_candidates is not None:
             allowed = plan.cpi.cand_sets[plan.root]
             roots = [v for v in root_candidates if v in allowed]
             if not roots:
                 return
+            plan = self._with_root_candidates(plan, roots)
         stats = stats if stats is not None else SearchStats()
         if stage_stats is not None:
             core_stats = stage_stats.setdefault("core", SearchStats())
@@ -851,78 +719,72 @@ class CFLMatch:
         used = bytearray(self.data.num_vertices)
         emitted = 0
         blocks = self.engine == "kernel"
-        for sub_plan in self._plan_sequence(
-            query, plan, roots, core_stats, forest_stats, leaf_stats,
-            stage_stats is not None, stats,
-        ):
-            core_bt, forest_bt = self._backtrackers(
-                sub_plan, core_stats, forest_stats, deadline, budget
-            )
-            cpi = sub_plan.cpi
-            leaf_plan = sub_plan.leaf_plan
-            for _ in core_bt.extend(mapping, used):
-                for _ in forest_bt.extend(mapping, used):
-                    block = None
-                    if blocks and leaf_plan.classes:
-                        # Build no more than the consumer may take: the
-                        # oracle expands at least one leaf node per
-                        # embedding, so the remaining ``limit`` and
-                        # budget bound the build's cost too.
-                        allowance = BLOCK_NODE_CAP
-                        if limit is not None:
-                            allowance = min(allowance, limit - emitted)
-                        if budget is not None:
-                            allowance = min(allowance, budget.remaining)
-                        block = build_leaf_block(
-                            cpi, leaf_plan, mapping, used, allowance
-                        )
-                        if block is not None and budget is not None:
-                            if budget.remaining < block.nodes:
-                                # The budget runs out inside this block:
-                                # the oracle finds the exact point.
-                                block = None
-                            else:
-                                budget.charge(block.nodes)
-                    if block is None:
-                        for _ in enumerate_leaf_matches(
-                            cpi, leaf_plan, mapping, used,
-                            leaf_stats, budget=budget,
-                        ):
-                            stats.embeddings += 1
-                            emitted += 1
-                            yield tuple(mapping)
-                            if limit is not None and emitted >= limit:
-                                return
-                        continue
-                    if not block.size:
-                        leaf_stats.nodes += block.nodes
-                        continue
-                    stream = block.stream(tuple(mapping), leaf_plan.getter)
+        core_bt, forest_bt = self._backtrackers(
+            plan, core_stats, forest_stats, deadline, budget
+        )
+        cpi = plan.cpi
+        leaf_plan = plan.leaf_plan
+        for _ in core_bt.extend(mapping, used):
+            for _ in forest_bt.extend(mapping, used):
+                block = None
+                if blocks and leaf_plan.classes:
+                    # Build no more than the consumer may take: the
+                    # oracle expands at least one leaf node per
+                    # embedding, so the remaining ``limit`` and
+                    # budget bound the build's cost too.
+                    allowance = BLOCK_NODE_CAP
                     if limit is not None:
-                        stream = islice(stream, limit - emitted)
-                    # compress() passes every item and advances the
-                    # counter once per item consumed, never past it.
-                    consumed = count(1)
-                    exhausted = False
-                    try:
-                        yield from compress(stream, consumed)
-                        exhausted = True
-                    finally:
-                        taken = next(consumed) - 1
-                        stats.embeddings += taken
-                        emitted += taken
-                        # A block cut by ``limit`` ends where the oracle
-                        # stops: at its last yield, before trailing dead
-                        # ends.
-                        if exhausted and (limit is None or emitted < limit):
-                            leaf_nodes = block.nodes
+                        allowance = min(allowance, limit - emitted)
+                    if budget is not None:
+                        allowance = min(allowance, budget.remaining)
+                    block = build_leaf_block(cpi, leaf_plan, mapping, used, allowance)
+                    if block is not None and budget is not None:
+                        if budget.remaining < block.nodes:
+                            # The budget runs out inside this block:
+                            # the oracle finds the exact point.
+                            block = None
                         else:
-                            leaf_nodes = block.nodes_through(taken) if taken else 0
-                            if budget is not None:
-                                budget.remaining += block.nodes - leaf_nodes
-                        leaf_stats.nodes += leaf_nodes
-                    if limit is not None and emitted >= limit:
-                        return
+                            budget.charge(block.nodes)
+                if block is None:
+                    for _ in enumerate_leaf_matches(
+                        cpi, leaf_plan, mapping, used,
+                        leaf_stats, budget=budget,
+                    ):
+                        stats.embeddings += 1
+                        emitted += 1
+                        yield tuple(mapping)
+                        if limit is not None and emitted >= limit:
+                            return
+                    continue
+                if not block.size:
+                    leaf_stats.nodes += block.nodes
+                    continue
+                stream = block.stream(tuple(mapping), leaf_plan.getter)
+                if limit is not None:
+                    stream = islice(stream, limit - emitted)
+                # compress() passes every item and advances the
+                # counter once per item consumed, never past it.
+                consumed = count(1)
+                exhausted = False
+                try:
+                    yield from compress(stream, consumed)
+                    exhausted = True
+                finally:
+                    taken = next(consumed) - 1
+                    stats.embeddings += taken
+                    emitted += taken
+                    # A block cut by ``limit`` ends where the oracle
+                    # stops: at its last yield, before trailing dead
+                    # ends.
+                    if exhausted and (limit is None or emitted < limit):
+                        leaf_nodes = block.nodes
+                    else:
+                        leaf_nodes = block.nodes_through(taken) if taken else 0
+                        if budget is not None:
+                            budget.remaining += block.nodes - leaf_nodes
+                    leaf_stats.nodes += leaf_nodes
+                if limit is not None and emitted >= limit:
+                    return
 
     def _with_root_candidates(
         self, plan: PreparedQuery, filtered: List[int]
@@ -956,123 +818,7 @@ class CFLMatch:
             phase_times=plan.phase_times,
             build_stats=plan.build_stats,
             kernel=kernel,
-            vector_stages=plan.vector_stages,
         )
-
-    def _plan_sequence(
-        self,
-        query: Graph,
-        plan: PreparedQuery,
-        roots: Optional[List[int]],
-        core_stats: SearchStats,
-        forest_stats: SearchStats,
-        leaf_stats: SearchStats,
-        split_stats: bool,
-        stats: SearchStats,
-    ):
-        """The plans one enumeration runs, in order.
-
-        Normally a single (possibly root-restricted) plan.  With
-        ``adaptive`` and more than one root candidate, a lazy per-root
-        sequence: each root candidate is a pure partition of the result
-        set, so enumerating them one at a time yields the same
-        embeddings in the same order with the same counters — and gives
-        :meth:`_adaptive_plan_sequence` a safe point between roots to
-        compare progress against the cost-model estimate and re-plan
-        the remaining suffix.
-        """
-        if self.adaptive:
-            all_roots = (
-                roots if roots is not None
-                else list(plan.cpi.candidates[plan.root])
-            )
-            if len(all_roots) > 1:
-                # Prime the parent plan's memoized kernel compilation and
-                # frontier-vectorization decision before fanning out: the
-                # per-root sub-plans are fresh PreparedQuery objects, so
-                # anything not cached here would be recomputed once per
-                # root candidate (the vectorization DP alone walks the
-                # whole CPI).
-                if self.engine == "kernel":
-                    self._ensure_kernel(plan)
-                    self._vector_stages(plan)
-                if split_stats:
-                    def node_count() -> int:
-                        return (
-                            core_stats.nodes
-                            + forest_stats.nodes
-                            + leaf_stats.nodes
-                        )
-                else:
-                    # core/forest/leaf share one stats object: its
-                    # ``nodes`` already totals every stage.
-                    def node_count() -> int:
-                        return stats.nodes
-                return self._adaptive_plan_sequence(
-                    query, plan, all_roots, node_count, stats
-                )
-        if roots is not None:
-            return (self._with_root_candidates(plan, roots),)
-        return (plan,)
-
-    def _adaptive_plan_sequence(
-        self,
-        query: Graph,
-        plan: PreparedQuery,
-        roots: List[int],
-        node_count,
-        stats: SearchStats,
-    ) -> Iterator[PreparedQuery]:
-        """Root-chunk plans with at most one mid-search re-plan.
-
-        The trigger compares search nodes accrued so far against the
-        ordering cost model's own breadth estimate (the same DP
-        :func:`~repro.core.explain.stage_breadth` reports): once actual
-        work exceeds ``adaptive_ratio``× the estimate (and the
-        ``adaptive_min_nodes`` floor), the estimate that chose the
-        current matching order was clearly wrong — Algorithm 2 is
-        re-run against the CPI restricted to the *remaining* root
-        candidates, whose candidate distribution the first roots just
-        revealed, and the rest of the search runs the new order.
-        Embeddings already emitted are untouched: roots partition the
-        result set, so no partial work is redone or lost.
-
-        Roots are walked in chunks bounded by ``_ADAPTIVE_CHECKPOINTS``
-        rather than one at a time: each chunk pays a sub-plan
-        restriction plus backtracker setup, so per-root checkpoints
-        would tax well-ordered high-root plans (the ``>= 0.95x`` dense
-        regression gate) for trigger granularity no real workload
-        needs.
-        """
-        threshold = max(
-            self.adaptive_min_nodes,
-            int(self.adaptive_ratio * self._breadth_estimate(plan)),
-        )
-        chunk = max(1, -(-len(roots) // _ADAPTIVE_CHECKPOINTS))
-        start = node_count()
-        for begin in range(0, len(roots), chunk):
-            if begin and node_count() - start > threshold:
-                remaining = roots[begin:]
-                replanned = self.prepare_from_cpi(
-                    query, plan.cpi.with_root_candidates(remaining)
-                )
-                stats.adaptive_replans += 1
-                yield replanned
-                return
-            yield self._with_root_candidates(plan, roots[begin:begin + chunk])
-
-    def _breadth_estimate(self, plan: PreparedQuery) -> int:
-        """Estimated tree embeddings over the core+forest order — the
-        quantity the matching order was optimized against.  Memoized on
-        the plan: the estimate only depends on the CPI, which is frozen
-        once prepared."""
-        if plan.breadth_estimate is None:
-            scope = set(plan.core_order) | set(plan.forest_order)
-            plan.breadth_estimate = (
-                estimate_tree_embeddings(plan.cpi, plan.cpi.root, scope)
-                if scope else 0
-            )
-        return plan.breadth_estimate
 
     def count(
         self,
@@ -1097,12 +843,12 @@ class CFLMatch:
         plan = prepared if prepared is not None else self.prepare(query)
         if plan.cpi.is_empty():
             return 0
-        roots: Optional[List[int]] = None
         if root_candidates is not None:
             allowed = plan.cpi.cand_sets[plan.root]
             roots = [v for v in root_candidates if v in allowed]
             if not roots:
                 return 0
+            plan = self._with_root_candidates(plan, roots)
         stats = stats if stats is not None else SearchStats()
         if stage_stats is not None:
             core_stats = stage_stats.setdefault("core", SearchStats())
@@ -1113,23 +859,19 @@ class CFLMatch:
         mapping = [-1] * query.num_vertices
         used = bytearray(self.data.num_vertices)
         total = 0
-        for sub_plan in self._plan_sequence(
-            query, plan, roots, core_stats, forest_stats, leaf_stats,
-            stage_stats is not None, stats,
-        ):
-            core_bt, forest_bt = self._backtrackers(
-                sub_plan, core_stats, forest_stats, deadline, budget
-            )
-            for _ in core_bt.extend(mapping, used):
-                for _ in forest_bt.extend(mapping, used):
-                    cap = None if limit is None else limit - total
-                    total += count_leaf_matches(
-                        sub_plan.cpi, sub_plan.leaf_plan, mapping, used,
-                        cap=cap, stats=leaf_stats, budget=budget,
-                    )
-                    if limit is not None and total >= limit:
-                        stats.embeddings += limit
-                        return limit
+        core_bt, forest_bt = self._backtrackers(
+            plan, core_stats, forest_stats, deadline, budget
+        )
+        for _ in core_bt.extend(mapping, used):
+            for _ in forest_bt.extend(mapping, used):
+                cap = None if limit is None else limit - total
+                total += count_leaf_matches(
+                    plan.cpi, plan.leaf_plan, mapping, used,
+                    cap=cap, stats=leaf_stats, budget=budget,
+                )
+                if limit is not None and total >= limit:
+                    stats.embeddings += limit
+                    return limit
         stats.embeddings += total
         return total
 

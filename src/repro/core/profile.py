@@ -27,7 +27,7 @@ from .matcher import CFLMatch, MatchReport, PreparedQuery
 from .parallel import parallel_run
 from .stats import SearchStats, cpi_level_totals, empty_phase_times, monotonic_now
 
-PROFILE_SCHEMA_VERSION = 7
+PROFILE_SCHEMA_VERSION = 8
 
 #: JSON Schema (draft-07 subset) for ``profile_query`` output.  Kept in
 #: lock-step with ``docs/profile.schema.json`` (a test asserts equality).
@@ -148,9 +148,6 @@ PROFILE_SCHEMA: Dict[str, Any] = {
                 "cpi_repairs",
                 "cpi_rebuilds",
                 "dirty_region_size",
-                "filter_label_pair_pruned",
-                "filter_nli_pruned",
-                "adaptive_replans",
             ],
             "additionalProperties": {"type": "integer", "minimum": 0},
         },

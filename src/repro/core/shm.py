@@ -537,9 +537,6 @@ class SharedGraph(Graph):
         graph._mnd = views[_G_MND]
         graph._adjacency_csr = (views[_G_ADJ_INDPTR], views[_G_ADJ_FLAT])
         graph._signature = None
-        graph._label_pairs = None
-        graph._label_bits = None
-        graph._nli_masks = None
         graph._label_sections = (
             views[_G_LABEL_KEYS], views[_G_LABEL_INDPTR], views[_G_LABEL_FLAT]
         )

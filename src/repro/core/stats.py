@@ -178,18 +178,6 @@ class SearchStats:
     ``dirty_region_size``
         cumulative number of query vertices inside repaired dirty
         regions (0 for label-disjoint no-op repairs).
-
-    Optimizer round-2 counters:
-
-    ``filter_label_pair_pruned`` / ``filter_nli_pruned``
-        candidates removed by the l2Match-style label-pair and
-        neighboring-label (NLI) pre-checks of
-        :class:`~repro.core.filters.ExtendedCandVerify` (zero unless the
-        corresponding ``CFLMatch`` knob is on).
-    ``adaptive_replans``
-        mid-search re-plans: the adaptive monitor observed actual
-        breadth exceeding the cost-model estimate past the configured
-        ratio and re-ran the ordering for the remaining root partition.
     """
 
     # -- enumeration ---------------------------------------------------
@@ -226,10 +214,6 @@ class SearchStats:
     cpi_repairs: int = 0
     cpi_rebuilds: int = 0
     dirty_region_size: int = 0
-    # -- optimizer round 2 ---------------------------------------------
-    filter_label_pair_pruned: int = 0
-    filter_nli_pruned: int = 0
-    adaptive_replans: int = 0
 
     # ------------------------------------------------------------------
     def merge(self, other: "SearchStats") -> "SearchStats":

@@ -7,9 +7,8 @@ query machinery (:mod:`repro.core.dynamic`): ``add_edge`` /
 ``remove_edge`` / ``add_vertex`` / ``remove_vertex`` mutate the graph in
 place while *incrementally* maintaining every derived structure the
 matchers read — the sorted adjacency rows and neighbor sets, the label
-index, the NLF / MND filter tables (Section A.6), and the optimizer
-round-2 label-pair index and NLI bitmasks — instead of invalidating and
-rebuilding them.
+index and the NLF / MND filter tables (Section A.6) — instead of
+invalidating and rebuilding them.
 
 The kernel's int32 adjacency CSR (:meth:`~DynamicGraph.adjacency_csr`)
 is patched rather than rebuilt: edge deltas record the vertices whose
@@ -22,8 +21,8 @@ lowers the whole adjacency again.  The per-label degree index
 (:meth:`~repro.graph.graph.Graph.degree_index`) is kept per label: an
 edge delta drops the entries of its two endpoint labels (the only
 vertices whose degree changed), which the next request re-derives,
-while a vertex delta drops the whole index.  Only the numpy CSR views
-and the structural signature are dropped on every mutation.
+while a vertex delta drops the whole index.  Only the structural
+signature is dropped on every mutation.
 
 Every mutation bumps a monotonically increasing ``version`` and appends
 a :class:`TouchSet` to a bounded mutation log: the set of data labels
@@ -50,6 +49,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import (
+    Any,
     Deque,
     Dict,
     FrozenSet,
@@ -61,11 +61,6 @@ from typing import (
     Tuple,
     cast,
 )
-
-try:  # gated: the pure-array shift below gives byte-identical output
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None
 
 from .graph import AdjacencyCSR, Graph, GraphError, IntVector
 
@@ -296,8 +291,6 @@ class DynamicGraph(Graph):
             self._nlf.append({})
         if self._mnd is not None:
             cast(List[int], self._mnd).append(0)
-        if self._nli_masks is not None:
-            self._nli_masks.append(0)
         self._drop_adjacency_csr()
         self._degree_index = None
         self._commit(frozenset((label,)))
@@ -337,13 +330,6 @@ class DynamicGraph(Graph):
             for w in adj[v]:
                 if mnd[w] < dv:
                     mnd[w] = dv
-        if self._label_pairs is not None:
-            lu, lv = labels[u], labels[v]
-            key = (lu, lv) if lu <= lv else (lv, lu)
-            self._label_pairs[key] = self._label_pairs.get(key, 0) + 1
-        if self._nli_masks is not None:
-            self._nli_masks[u] |= 1 << self._nli_bit(labels[v])
-            self._nli_masks[v] |= 1 << self._nli_bit(labels[u])
         self._commit(touched)
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -401,8 +387,6 @@ class DynamicGraph(Graph):
             if self._mnd is not None:
                 mnd = cast(List[int], self._mnd)
                 mnd[v] = mnd[last]
-            if self._nli_masks is not None:
-                self._nli_masks[v] = self._nli_masks[last]
         labels.pop()
         adj.pop()
         adj_sets.pop()
@@ -410,8 +394,6 @@ class DynamicGraph(Graph):
             self._nlf.pop()
         if self._mnd is not None:
             cast(List[int], self._mnd).pop()
-        if self._nli_masks is not None:
-            self._nli_masks.pop()
         self._drop_adjacency_csr()
         self._degree_index = None
         self._commit(frozenset(touched), renumbered=renumbered)
@@ -467,22 +449,6 @@ class DynamicGraph(Graph):
             affected.update(adj[v])
             for x in sorted(affected):
                 mnd[x] = max((len(adj[w]) for w in adj[x]), default=0)
-        if self._label_pairs is not None:
-            lu, lv = labels[u], labels[v]
-            key = (lu, lv) if lu <= lv else (lv, lu)
-            remaining_pairs = self._label_pairs[key] - 1
-            if remaining_pairs:
-                self._label_pairs[key] = remaining_pairs
-            else:
-                del self._label_pairs[key]
-        if self._nli_masks is not None:
-            # A neighbor label may persist through other edges, so the
-            # endpoint masks are recomputed exactly from their rows.
-            for a in (u, v):
-                mask = 0
-                for w in adj[a]:
-                    mask |= 1 << self._nli_bit(labels[w])
-                self._nli_masks[a] = mask
 
     def _mark_rows(self, u: int, v: int) -> None:
         """Record rows ``u`` and ``v`` for the next CSR patch."""
@@ -547,13 +513,32 @@ def patch_adjacency(
     return _shift_indptr(old_indptr, dirty, growth), flat
 
 
+#: numpy once :func:`_load_numpy` has run, ``None`` before that and when
+#: numpy is absent: importing this module never imports numpy
+_np: Any = None
+_np_loaded = False
+
+
+def _load_numpy() -> Any:
+    """numpy, imported on first use; the outcome, absence included, is
+    cached, so only the first call pays for the import attempt."""
+    global _np, _np_loaded
+    if not _np_loaded:
+        _np_loaded = True
+        try:
+            import numpy as _np
+        except ImportError:  # pragma: no cover - numpy is optional
+            _np = None
+    return _np
+
+
 def _shift_indptr(
     indptr: IntVector, dirty: Sequence[int], growth: Sequence[int]
 ) -> "array[int]":
     """``indptr`` with every entry after ``dirty[i]`` raised by the
     running sum of ``growth[:i + 1]``; numpy does it in one pass when
     present, and the pure ``array`` path produces the same bytes."""
-    if _np is not None:
+    if _load_numpy() is not None:
         shift = _np.zeros(len(indptr), dtype=_np.intc)
         shift[_np.asarray(dirty, dtype=_np.intp) + 1] = growth
         _np.cumsum(shift, dtype=_np.intc, out=shift)

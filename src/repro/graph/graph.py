@@ -70,9 +70,6 @@ class Graph:
         "_mnd",
         "_adjacency_csr",
         "_signature",
-        "_label_pairs",
-        "_label_bits",
-        "_nli_masks",
     )
 
     # Storage is annotated with read-only protocols rather than the
@@ -110,9 +107,6 @@ class Graph:
         self._mnd: Optional[Sequence[int]] = None
         self._adjacency_csr: Optional[AdjacencyCSR] = None
         self._signature: Optional[Signature] = None
-        self._label_pairs: Optional[Dict[Tuple[int, int], int]] = None
-        self._label_bits: Optional[Dict[int, int]] = None
-        self._nli_masks: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -261,82 +255,6 @@ class Graph:
             adj = self.adj
             self._mnd = [max((len(adj[w]) for w in nbrs), default=0) for nbrs in adj]
         return self._mnd[v]
-
-    def label_pair_index(self) -> Dict[Tuple[int, int], int]:
-        """Map unordered label pair ``(a, b)`` with ``a <= b`` to the number
-        of data edges connecting the two labels (l2Match's label-pair
-        index).  Stored as counts, not a set, so the dynamic-graph layer
-        can decrement on edge removal and drop pairs that reach zero.
-        """
-        if self._label_pairs is None:
-            pairs: Dict[Tuple[int, int], int] = {}
-            labels = self.labels
-            for u, nbrs in enumerate(self.adj):
-                lu = labels[u]
-                for v in nbrs:
-                    if u < v:
-                        lv = labels[v]
-                        key = (lu, lv) if lu <= lv else (lv, lu)
-                        pairs[key] = pairs.get(key, 0) + 1
-            self._label_pairs = pairs
-        return self._label_pairs
-
-    def has_label_pair(self, a: int, b: int) -> bool:
-        """True iff some data edge connects labels ``a`` and ``b``."""
-        key = (a, b) if a <= b else (b, a)
-        return key in self.label_pair_index()
-
-    def label_bits(self) -> Dict[int, int]:
-        """Map label -> bit position for NLI mask encoding.
-
-        Bits are assigned to the labels present in this graph (sorted for
-        determinism).  Labels absent from the map cannot appear in any
-        vertex's neighborhood, so a query needing one matches nothing.
-        """
-        if self._label_bits is None:
-            self._label_bits = {
-                lab: i for i, lab in enumerate(sorted(self.label_index()))
-            }
-        return self._label_bits
-
-    def nli_mask(self, v: int) -> int:
-        """Neighboring-label set of ``v`` as a bitmask over :meth:`label_bits`.
-
-        A candidate check reduces to one integer subset test:
-        ``required_mask & ~nli_mask(v) == 0``.
-        """
-        if self._nli_masks is None:
-            labels = self.labels
-            masks: List[int] = []
-            for nbrs in self.adj:
-                mask = 0
-                for w in nbrs:
-                    mask |= 1 << self._nli_bit(labels[w])
-                masks.append(mask)
-            self._nli_masks = masks
-        return self._nli_masks[v]
-
-    def _nli_bit(self, label: int) -> int:
-        """Bit position for ``label``, assigning a fresh one when the
-        cached map predates the label (dynamic graphs grow labels)."""
-        bits = self.label_bits()
-        bit = bits.get(label)
-        if bit is None:
-            bit = bits[label] = len(bits)
-        return bit
-
-    def nli_required_mask(self, neighbor_labels: Iterable[int]) -> Optional[int]:
-        """Bitmask a candidate's NLI must cover to host a query vertex whose
-        neighborhood carries ``neighbor_labels``; ``None`` when some label
-        has no bit here (no data vertex can satisfy it)."""
-        bits = self.label_bits()
-        mask = 0
-        for lab in neighbor_labels:
-            bit = bits.get(lab)
-            if bit is None:
-                return None
-            mask |= 1 << bit
-        return mask
 
     def adjacency_csr(self) -> AdjacencyCSR:
         """The kernel's int32 adjacency CSR ``(indptr, flat)``, lowered once.

@@ -1,11 +1,13 @@
 """R008 dtype-escape: numpy values are sanitized before they escape.
 
-The vectorized kernel (PR 7) computes with numpy arrays but promises
-that nothing numpy-typed ever reaches core state: ``SearchStats``
-counters feed JSON profiles, embeddings are compared against
-pure-Python engines, plan arrays are pickled across spawn boundaries —
-an ``np.int64`` in any of them breaks serialization equality in ways no
-unit test of the kernel itself notices.
+``DynamicGraph``'s indptr shift (:func:`repro.graph.dynamic._shift_indptr`)
+computes with numpy when it is installed, and nothing numpy-typed may
+reach core state: ``SearchStats`` counters feed JSON profiles,
+embeddings are compared against pure-Python engines, plan arrays are
+pickled across spawn boundaries — an ``np.int64`` in any of them breaks
+serialization equality in ways no unit test of the shift itself
+notices.  The kernel and the batch engine are pure Python and stay in
+scope so that numpy cannot enter them unchecked.
 
 The rule runs the taint domain over each function's CFG: values
 originating from a numpy call (through an import alias, ``np.X(...)``)
@@ -131,12 +133,12 @@ RULE = register(
         rationale=(
             "np.int64 in a profile breaks JSON serialization, in a plan "
             "breaks spawn pickling equality, in an embedding breaks "
-            "differential comparison against the pure-Python engines "
-            "(PR 7 invariant: the vectorized kernel is bit-identical)"
+            "differential comparison against the pure-Python engines"
         ),
         paths=(
             "src/repro/core/batch.py",
             "src/repro/core/kernel.py",
+            "src/repro/graph/dynamic.py",
         ),
         check=check,
         dataflow=True,

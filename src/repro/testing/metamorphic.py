@@ -32,19 +32,6 @@ counters* (the observability layer of :mod:`repro.core.stats`):
                                 counters equal the failing-set model's
 ==============================  ========================================
 
-Two relations cover the round-2 optimizer features (PR 10):
-
-==============================  ========================================
-``stats-optimizer-identity``    turning on the label-pair/NLI filters
-                                leaves every counter identical except
-                                the per-filter attribution split, whose
-                                sum of rejections is conserved (both
-                                engines)
-``adaptive-replanning``         an aggressively-triggered mid-search
-                                re-plan produces the same embedding set
-                                as the pinned-order run (both engines)
-==============================  ========================================
-
 One relation pins the two enumeration engines to each other:
 
 ==============================  ========================================
@@ -225,15 +212,6 @@ ABLATION_CONFIGS = (
     ("cfl/td", {"cpi_mode": "td"}),
     ("cfl/naive", {"cpi_mode": "naive"}),
     ("cfl/full/hierarchical", {"core_strategy": "hierarchical"}),
-    # optimizer round 2: label-pair / NLI filters are pruning-only
-    # subsets of NLF and adaptive re-planning only reorders the
-    # remaining suffix — neither may change the embedding set.
-    ("cfl/full/label-pair", {"label_pair_filter": True}),
-    ("cfl/full/nli", {"nli_filter": True}),
-    ("cfl/full/optimized", {
-        "label_pair_filter": True, "nli_filter": True,
-        "adaptive": True, "adaptive_ratio": 2.0, "adaptive_min_nodes": 64,
-    }),
 )
 
 
@@ -385,85 +363,6 @@ def relation_stats_filter_ablation(data, query, matcher_name, rng) -> Optional[s
                 f"ablation {tag} decreased expansions "
                 f"({full_report.stats.expansions} -> {report.stats.expansions}) "
                 f"despite weaker filtering"
-            )
-    return None
-
-
-#: Counters allowed to differ when the round-2 filters are toggled: the
-#: four filter attribution counters re-split the same rejection total.
-_OPTIMIZER_EXEMPT = frozenset(
-    {
-        "filter_label_pair_pruned",
-        "filter_nli_pruned",
-        "filter_mnd_pruned",
-        "filter_nlf_pruned",
-    }
-)
-
-
-def relation_stats_optimizer_identity(data, query, matcher_name, rng) -> Optional[str]:
-    """Round-2 filters are counter-invisible where promised.
-
-    With the label-pair/NLI filters on, every counter must match the
-    plain run bit-for-bit except the per-filter attribution split —
-    whose *sum* of rejections must still be conserved (the filters
-    reject the same candidates, just earlier and cheaper).  Checked on
-    both engines.
-    """
-    if not query.is_connected():
-        return None
-    for engine in ("kernel", "reference"):
-        base = CFLMatch(data, engine=engine).run(query, limit=None, count_only=True)
-        optimized = CFLMatch(
-            data, engine=engine,
-            label_pair_filter=True, nli_filter=True,
-        ).run(query, limit=None, count_only=True)
-        base_counters = base.counters()
-        optimized_counters = optimized.counters()
-        diffs = {
-            name: (base_counters[name], optimized_counters[name])
-            for name in base_counters
-            if name not in _OPTIMIZER_EXEMPT
-            and base_counters[name] != optimized_counters[name]
-        }
-        if diffs:
-            return f"optimizer features changed {engine} counters: {diffs}"
-        base_rejected = sum(base_counters[n] for n in _OPTIMIZER_EXEMPT)
-        optimized_rejected = sum(optimized_counters[n] for n in _OPTIMIZER_EXEMPT)
-        if base_rejected != optimized_rejected:
-            return (
-                f"{engine} filter rejections not conserved "
-                f"({base_rejected} -> {optimized_rejected})"
-            )
-    return None
-
-
-def relation_adaptive_replanning(data, query, matcher_name, rng) -> Optional[str]:
-    """Mid-search re-planning never changes the result set.
-
-    An aggressive trigger (ratio + floor forced low so nearly every
-    multi-root search re-plans) must produce the same embeddings as the
-    pinned-order run on both engines: roots partition the result set
-    and the re-planned suffix only reorders enumeration of the
-    remaining partition.
-    """
-    if not query.is_connected():
-        return None
-    pinned = set(CFLMatch(data).search(query))
-    for engine in ("kernel", "reference"):
-        adaptive = set(
-            CFLMatch(
-                data, engine=engine,
-                adaptive=True, adaptive_ratio=0.01, adaptive_min_nodes=0,
-            ).search(query)
-        )
-        if adaptive != pinned:
-            missing = sorted(pinned - adaptive)[:3]
-            extra = sorted(adaptive - pinned)[:3]
-            return (
-                f"adaptive re-planning changed the {engine} embedding set "
-                f"(|pinned|={len(pinned)}, |adaptive|={len(adaptive)}, "
-                f"missing={missing}, extra={extra})"
             )
     return None
 
@@ -622,8 +521,6 @@ METAMORPHIC_RELATIONS: Dict[str, Relation] = {
     "filter-ablation": relation_filter_ablation,
     "stats-vertex-permutation": relation_stats_vertex_permutation,
     "stats-filter-ablation": relation_stats_filter_ablation,
-    "stats-optimizer-identity": relation_stats_optimizer_identity,
-    "adaptive-replanning": relation_adaptive_replanning,
     "engine-identity": relation_engine_identity,
     "delta-commutativity": relation_delta_commutativity,
     "insert-remove-inverse": relation_insert_remove_inverse,

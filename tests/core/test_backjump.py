@@ -11,7 +11,7 @@ The contract under test (see ``CPIBacktracker`` and
 * ``nodes``/``backtracks``/``backjumps`` agree between the engines and
   with the independent model of :mod:`repro.testing.failing_sets`,
   including on budget- and deadline-truncated runs;
-* root partitions (``root_candidates``, ``adaptive``, ``parallel_count``)
+* root partitions (``root_candidates``, ``parallel_count``)
   sum to the unsplit run's counters under both core strategies;
 * a stage without a backward edge never jumps, and pruning never adds
   a node.
@@ -236,19 +236,6 @@ class TestRootPartition:
             )
         assert total == count
         assert _counters(parts) == _counters(whole)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_untriggered_adaptive_is_counter_identical(self, strategy):
-        case = _jumping_case()
-        plain, chunked = SearchStats(), SearchStats()
-        n0 = CFLMatch(case.data, core_strategy=strategy).count(case.query, stats=plain)
-        n1 = CFLMatch(
-            case.data, core_strategy=strategy,
-            adaptive=True, adaptive_ratio=1e9, adaptive_min_nodes=10**9,
-        ).count(case.query, stats=chunked)
-        assert n0 == n1
-        assert chunked.adaptive_replans == 0
-        assert plain.to_dict() == chunked.to_dict()
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_parallel_count_sums_to_the_unsplit_run(self, strategy):

@@ -10,10 +10,7 @@ The contract under test (see ``repro/core/batch.py``):
   never of the entry being filled) without changing results;
 * a budget-truncated query cannot poison the shared caches for later
   queries (a row is stored only once it is whole);
-* a batch report keeps its own run's aux counters;
-* the frontier-vectorized kernel path is bit-identical to the scalar
-  path in embeddings, order and *all* counters, and agrees with the
-  reference engine.
+* a batch report keeps its own run's aux counters.
 """
 
 import random
@@ -29,7 +26,6 @@ from repro.core.batch import (
     degree_bucket,
     label_signature,
 )
-from repro.core.stats import SearchStats
 from repro.graph import Graph
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import random_walk_query
@@ -40,7 +36,7 @@ from repro.testing.workloads import (
 )
 
 #: Dense enough that core slots carry backward non-tree edges, so the
-#: eager intersection (and its vectorized variant) actually runs.
+#: eager intersection actually runs.
 DENSE_SPEC = WorkloadSpec(
     scenarios=("dense",), data_vertices=(60, 60), query_vertices=(7, 7)
 )
@@ -341,67 +337,6 @@ class TestExecutionOrder:
         report = BatchMatcher(case.data).run(queries)
         assert [result.index for result in report.results] == [0, 1, 2]
         assert report.results[0].embeddings == report.results[2].embeddings
-
-
-class TestVectorizedKernel:
-    def test_vector_mode_validated(self):
-        case = generate_case(0, 0, DENSE_SPEC)
-        with pytest.raises(ValueError, match="vector_mode"):
-            CFLMatch(case.data, vector_mode="sometimes")
-
-    @pytest.mark.parametrize("scenario", CONNECTED_QUERY_SCENARIOS)
-    def test_forced_on_bit_identical_to_scalar(self, scenario):
-        spec = WorkloadSpec(scenarios=(scenario,))
-        for seed in range(3):
-            case = generate_case(seed, 0, spec)
-            scalar = CFLMatch(case.data, vector_mode="off")
-            vector = CFLMatch(
-                case.data, vector_mode="on", vector_min_row=1
-            )
-            s_stats, v_stats = SearchStats(), SearchStats()
-            s_emb = list(scalar.search(case.query, stats=s_stats))
-            v_emb = list(vector.search(case.query, stats=v_stats))
-            assert s_emb == v_emb, case.describe()
-            # every counter, not just the headline ones
-            assert s_stats.to_dict() == v_stats.to_dict(), case.describe()
-
-    def test_forced_on_matches_reference_engine(self):
-        case = generate_case(3, 0, DENSE_SPEC)
-        reference = CFLMatch(case.data, engine="reference")
-        vector = CFLMatch(case.data, vector_mode="on", vector_min_row=1)
-        assert list(reference.search(case.query)) == list(
-            vector.search(case.query)
-        )
-
-    def test_limit_truncation_same_prefix(self):
-        case = generate_case(0, 0, DENSE_SPEC)
-        scalar = CFLMatch(case.data, vector_mode="off")
-        vector = CFLMatch(case.data, vector_mode="on", vector_min_row=1)
-        for limit in (1, 7, 100):
-            assert list(scalar.search(case.query, limit=limit)) == list(
-                vector.search(case.query, limit=limit)
-            )
-
-    def test_auto_decision_memoized_on_plan(self):
-        case = generate_case(0, 0, DENSE_SPEC)
-        matcher = CFLMatch(case.data, vector_mode="auto", vector_breadth=1)
-        plan = matcher.prepare(case.query)
-        assert plan.vector_stages is None
-        matcher.count(case.query, prepared=plan)
-        assert plan.vector_stages is not None
-        assert plan.vector_stages[0] == 1
-        # low threshold + dense workload: the core stage vectorizes
-        assert plan.vector_stages[1] is True
-
-    def test_auto_matches_off_bitwise(self):
-        case = generate_case(1, 0, DENSE_SPEC)
-        off = CFLMatch(case.data, vector_mode="off")
-        auto = CFLMatch(case.data, vector_mode="auto", vector_breadth=1)
-        o_stats, a_stats = SearchStats(), SearchStats()
-        assert list(off.search(case.query, stats=o_stats)) == list(
-            auto.search(case.query, stats=a_stats)
-        )
-        assert o_stats.to_dict() == a_stats.to_dict()
 
 
 class TestBatchPool:

@@ -1,12 +1,7 @@
 """Unit tests for candidate filters (CandVerify, Section A.6)."""
 
 from repro.core import cand_verify, full_candidate_check, label_degree_ok, mnd_ok, nlf_ok
-from repro.core.filters import (
-    ExtendedCandVerify,
-    has_cand_verify_verdict,
-    record_rejections,
-    verify_candidates,
-)
+from repro.core.filters import has_cand_verify_verdict, record_rejections, verify_candidates
 from repro.core.stats import SearchStats
 from repro.graph import Graph
 from repro.testing.workloads import SCENARIOS, generate_case
@@ -16,8 +11,7 @@ def counting_verify(verify, stats):
     """Per-vertex reference for the builders' rejection counters.
 
     ``verify`` judges as it would uncounted; each rejection is counted
-    under the first check that fails, in Algorithm 6's order after an
-    :class:`ExtendedCandVerify`'s label-pair and NLI checks, and under
+    under the first check that fails, in Algorithm 6's order, and under
     ``filter_other_pruned`` for a callable without CandVerify's verdict.
     """
     def counted(query, data, u, v):
@@ -26,14 +20,6 @@ def counting_verify(verify, stats):
                 return True
             stats.filter_other_pruned += 1
             return False
-        if isinstance(verify, ExtendedCandVerify):
-            if verify.label_pair and not verify.pair_ok[u]:
-                stats.filter_label_pair_pruned += 1
-                return False
-            required = verify.masks[u] if verify.nli else 0
-            if required is None or required & ~data.nli_mask(v):
-                stats.filter_nli_pruned += 1
-                return False
         if not mnd_ok(query, data, u, v):
             stats.filter_mnd_pruned += 1
             return False
@@ -134,34 +120,27 @@ class TestRecordRejections:
     """``record_rejections`` over a :func:`verify_candidates` outcome
     counts exactly what :func:`counting_verify` counts per vertex."""
 
-    STACKS = [(False, False), (True, False), (False, True), (True, True)]
-
     @staticmethod
-    def _both_ways(query, data, u, verify):
+    def _both_ways(query, data, u):
         vertices = [
             v for v in data.vertices_with_label(query.label(u))
             if data.degree(v) >= query.degree(u)
         ]
         per_vertex = SearchStats()
-        counted = counting_verify(verify, per_vertex)
+        counted = counting_verify(cand_verify, per_vertex)
         passed = [v for v in vertices if counted(query, data, u, v)]
         outcome = verify_candidates(query, data, u, vertices)
         recorded = SearchStats()
-        record_rejections(verify, recorded, query, data, u, outcome)
+        record_rejections(recorded, outcome)
         assert outcome.passed == passed
         assert outcome.structural == len(vertices)
         return recorded.to_dict(), per_vertex.to_dict()
 
     def _check(self, query, data):
-        for label_pair, nli in self.STACKS:
-            if label_pair or nli:
-                verify = ExtendedCandVerify(query, data, label_pair=label_pair, nli=nli)
-            else:
-                verify = cand_verify
-            assert has_cand_verify_verdict(verify)
-            for u in query.vertices():
-                recorded, expected = self._both_ways(query, data, u, verify)
-                assert recorded == expected, (label_pair, nli, u)
+        assert has_cand_verify_verdict(cand_verify)
+        for u in query.vertices():
+            recorded, expected = self._both_ways(query, data, u)
+            assert recorded == expected, u
 
     def test_fuzz_cases(self):
         for seed in range(3):
@@ -169,11 +148,11 @@ class TestRecordRejections:
                 case = generate_case(seed, index)
                 self._check(case.query, case.data)
 
-    def test_label_pair_nli_and_absent_labels(self):
+    def test_absent_labels_and_mnd_nlf_failures(self):
         """Query vertex 0 (label 0) needs neighbors labeled 1, 2 and 3.
-        No data edge joins labels 0 and 2, and label 3 is absent, so
-        every filter stack rejects vertex 0's candidates differently; the
-        data also has vertices failing MND and NLI together."""
+        No data edge joins labels 0 and 2, and label 3 is absent, so NLF
+        rejects every candidate of vertex 0; the data also has vertices
+        failing MND and NLF together."""
         query = Graph([0, 1, 2, 3, 1], [(0, 1), (0, 2), (0, 3), (1, 4)])
         data = Graph(
             [0, 0, 0, 1, 1, 2, 1, 0],

@@ -157,14 +157,6 @@ class TestAgainstLinearScan:
 # ----------------------------------------------------------------------
 # Handing the root's candidates to the CPI builder
 # ----------------------------------------------------------------------
-FILTER_STACKS = [
-    {},
-    {"label_pair_filter": True},
-    {"nli_filter": True},
-    {"label_pair_filter": True, "nli_filter": True},
-]
-
-
 def _without_handoff(monkeypatch):
     """Make the matcher's root selection store nothing, so the builder
     verifies the root itself as it did before the handoff."""
@@ -176,13 +168,12 @@ def _without_handoff(monkeypatch):
     monkeypatch.setattr(matcher_module, "select_root", select_root_only)
 
 
-@pytest.mark.parametrize("filters", FILTER_STACKS)
-def test_build_stats_identical_with_and_without_handoff(monkeypatch, filters):
+def test_build_stats_identical_with_and_without_handoff(monkeypatch):
     pairs = [
         (case.query, case.data) for case in _fuzz_cases(range(3))
         if case.query.num_vertices and case.query.is_connected()
     ]
-    # The root's candidates fail the label-pair, NLI, MND and NLF checks.
+    # The root's candidates fail the MND and NLF checks.
     pairs.append((
         Graph([0, 1, 2, 3, 1], [(0, 1), (0, 2), (0, 3), (1, 4)]),
         Graph(
@@ -193,11 +184,11 @@ def test_build_stats_identical_with_and_without_handoff(monkeypatch, filters):
     ))
     with_handoff = []
     for query, data in pairs:
-        plan = CFLMatch(data, **filters).prepare(query)
+        plan = CFLMatch(data).prepare(query)
         with_handoff.append((plan.build_stats.to_dict(), plan.cpi.candidates))
     _without_handoff(monkeypatch)
     for (query, data), expected in zip(pairs, with_handoff):
-        plan = CFLMatch(data, **filters).prepare(query)
+        plan = CFLMatch(data).prepare(query)
         assert (plan.build_stats.to_dict(), plan.cpi.candidates) == expected
 
 

@@ -12,6 +12,9 @@ out earlier never changes.
 """
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -284,8 +287,32 @@ class TestAdjacencyCSR:
         flip_edges(dynamic, random.Random("shift"), 12)
         dirty = sorted(dynamic._csr_dirty)
         assert dirty
+        assert dynamic_module._load_numpy() is not None
         with_numpy = patch_adjacency(snapshot, dynamic.adj, dirty)
+        # numpy absent: the cached outcome of the import is None
         monkeypatch.setattr(dynamic_module, "_np", None)
         pure = patch_adjacency(snapshot, dynamic.adj, dirty)
         assert csr_bytes(pure) == csr_bytes(with_numpy)
         assert csr_bytes(pure) == csr_bytes(dynamic.to_static().adjacency_csr())
+
+    def test_numpy_absence_is_cached(self, monkeypatch):
+        monkeypatch.setattr(dynamic_module, "_np", None)
+        monkeypatch.setattr(dynamic_module, "_np_loaded", False)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy raises
+        assert dynamic_module._load_numpy() is None
+        assert dynamic_module._np_loaded
+        case = generate_case(6, 0, WorkloadSpec())
+        dynamic = DynamicGraph.from_graph(case.data)
+        dynamic.adjacency_csr()
+        flip_edges(dynamic, random.Random("shift"), 12)
+        assert csr_bytes(dynamic.adjacency_csr()) == csr_bytes(
+            dynamic.to_static().adjacency_csr()
+        )
+
+    def test_importing_the_package_and_cli_loads_no_numpy(self):
+        src = str(Path(dynamic_module.__file__).resolve().parents[2])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import repro, repro.cli; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)

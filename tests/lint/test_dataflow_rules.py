@@ -380,6 +380,29 @@ class TestR008:
         )
         assert [d.rule for d in diags] == ["R008"]
 
+    def test_fires_on_lazily_imported_numpy_in_the_dynamic_graph(self):
+        """The indptr shift's pattern: numpy bound to a module global by
+        an import inside a function."""
+        diags = run(
+            """
+            _np = None
+
+
+            def _load_numpy():
+                global _np
+                import numpy as _np
+                return _np
+
+
+            def fill(stats, arr):
+                _load_numpy()
+                stats.nodes = _np.sum(arr)
+            """,
+            DYNAMIC,
+            ["R008"],
+        )
+        assert [d.rule for d in diags] == ["R008"]
+
 
 # ----------------------------------------------------------------------
 # R009 mutation-version discipline

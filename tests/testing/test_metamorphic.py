@@ -198,7 +198,6 @@ class TestMetamorphicCheck:
 
     def test_registry_has_all_relations(self):
         assert sorted(METAMORPHIC_RELATIONS) == [
-            "adaptive-replanning",
             "delta-commutativity",
             "disjoint-union",
             "edge-monotonicity",
@@ -207,7 +206,6 @@ class TestMetamorphicCheck:
             "insert-remove-inverse",
             "label-renaming",
             "stats-filter-ablation",
-            "stats-optimizer-identity",
             "stats-vertex-permutation",
             "vertex-permutation",
         ]
