@@ -104,16 +104,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print("error: the manifest lists no query files", file=sys.stderr)
         return 2
     queries = [load_graph(str(path)) for path in paths]
-    matcher = BatchMatcher(
+    with BatchMatcher(
         data,
         workers=args.workers,
         use_aux=not args.no_aux,
         aux_max_bytes=args.aux_max_bytes,
         engine=args.engine,
-    )
-    report = matcher.run(
-        queries, limit=args.limit, time_limit_s=args.time_limit
-    )
+    ) as matcher:
+        report = matcher.run(
+            queries, limit=args.limit, time_limit_s=args.time_limit
+        )
     payload = report.to_dict()
     payload["query_files"] = [str(path) for path in paths]
     if args.out:

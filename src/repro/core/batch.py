@@ -25,7 +25,7 @@ repeated work into one batch-scoped cache:
 * :class:`BatchMatcher` — accepts a list of queries against one data
   graph, groups them by label signature (so aux-cache locality lines
   up), runs them through one matcher whose plan cache is bounded only
-  by the bytes its plans hold (or a
+  by the bytes its plans hold (enumerating on a
   :class:`~repro.core.parallel.MatcherPool` when ``workers > 1``) and
   returns per-query reports in input order.  Results, enumeration order
   and per-query counters are bit-identical to one-at-a-time serving;
@@ -45,12 +45,15 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph
 from .core_match import SearchTimeout
 from .matcher import CFLMatch, MatchReport
 from .stats import SearchStats, monotonic_now
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from .parallel import MatcherPool
 
 __all__ = [
     "AuxAdjacencyCache",
@@ -335,9 +338,12 @@ class BatchMatcher:
     ``matcher_kwargs`` is forwarded); on top of them:
 
     ``workers``
-        ``> 1`` routes enumeration through a
-        :class:`~repro.core.parallel.MatcherPool` (the aux cache stays
-        parent-side — workers only enumerate prebuilt plans).
+        ``> 1`` routes enumeration through one
+        :class:`~repro.core.parallel.MatcherPool`, built by the first
+        run and kept until :meth:`close` (or the end of a ``with``
+        block).  :attr:`matcher` still prepares every query, so plans
+        survive from run to run; the aux cache stays parent-side —
+        workers only enumerate prebuilt plans.
     ``use_aux`` / ``aux_max_bytes``
         enable (default) and bound the shared auxiliary adjacency.
 
@@ -370,12 +376,46 @@ class BatchMatcher:
             else None
         )
         self._matcher_kwargs = dict(matcher_kwargs)
+        #: prepares every query, inline and pooled alike
         self.matcher = CFLMatch(
             data,
             plan_cache_size=None,
             aux_cache=self.aux,
             **matcher_kwargs,
         )
+        #: the worker pool (``workers > 1``), built by the first run and
+        #: rebuilt by the first run after ``data.version`` moves
+        self._pool: Optional["MatcherPool"] = None
+        self._pool_version = data.version
+
+    def __enter__(self) -> "BatchMatcher":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Release the worker pool, if a run built one (idempotent; a
+        later run builds a fresh pool)."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+
+    def _worker_pool(self) -> "MatcherPool":
+        """The pool serving ``workers > 1`` runs, over the graph's current
+        version: a pool whose copy of the graph went stale is replaced."""
+        if self._pool is not None and self._pool_version != self.data.version:
+            self.close()
+        if self._pool is None:
+            from .parallel import MatcherPool
+
+            pool = MatcherPool(
+                self.data, workers=self.workers, **self._matcher_kwargs
+            )
+            pool.matcher = self.matcher
+            self._pool = pool
+            self._pool_version = self.data.version
+        return self._pool
 
     def run(
         self,
@@ -392,15 +432,19 @@ class BatchMatcher:
         (a truncated query cannot poison the shared caches: plans enter
         the plan cache only when preparation completed, and an aux row
         is stored only once it is whole).  ``collect`` materializes
-        embeddings (ignored under ``count_only``, the default).
+        embeddings (ignored under ``count_only``, the default).  With
+        ``workers > 1`` enumeration runs on the batch's worker pool
+        (release it with :meth:`close`); embeddings then arrive in chunk
+        completion order.
         """
+        pool: Optional["MatcherPool"] = None
         if self.workers > 1:
             if time_limit_s is not None or max_expansions is not None:
                 raise ValueError(
                     "per-query budgets (time_limit_s/max_expansions) "
                     "require workers=1"
                 )
-            return self._run_pool(queries, limit=limit, count_only=count_only)
+            pool = self._worker_pool()
         matcher = self.matcher
         started = monotonic_now()
         aux_before = self._aux_counters()
@@ -427,15 +471,24 @@ class BatchMatcher:
                     enumeration_time=0.0,
                 )
                 continue
-            report = matcher.run(
-                query,
-                limit=limit,
-                collect=collect,
-                count_only=count_only,
-                max_expansions=max_expansions,
-                deadline=deadline,
-                prepared=plan,
-            )
+            if pool is None:
+                report = matcher.run(
+                    query,
+                    limit=limit,
+                    collect=collect,
+                    count_only=count_only,
+                    max_expansions=max_expansions,
+                    deadline=deadline,
+                    prepared=plan,
+                )
+            else:
+                report = pool.run(
+                    query,
+                    limit=limit,
+                    collect=collect,
+                    count_only=count_only,
+                    prepared=plan,
+                )
             outcomes[index] = self._result_from_report(index, report)
         wall = monotonic_now() - started
         return self._finish(
@@ -443,52 +496,6 @@ class BatchMatcher:
             groups=_group_count(queries),
             plan_cache_hits=matcher.plan_cache_hits - hits_before,
             plan_bytes=matcher.plan_cache_bytes,
-            workers=1,
-        )
-
-    def _run_pool(
-        self,
-        queries: Sequence[Graph],
-        limit: Optional[int],
-        count_only: bool,
-    ) -> BatchReport:
-        from .parallel import MatcherPool
-
-        started = monotonic_now()
-        aux_before = self._aux_counters()
-        outcomes: List[Optional[BatchQueryResult]] = [None] * len(queries)
-        with MatcherPool(
-            self.data,
-            workers=self.workers,
-            plan_cache_size=None,
-            aux_cache=self.aux,
-            **self._matcher_kwargs,
-        ) as pool:
-            batched = pool.run_batch(
-                queries, limit=limit, count_only=count_only
-            )
-            hits = pool.matcher.plan_cache_hits
-            for index, (value, stats, elapsed) in enumerate(batched):
-                plan = pool.matcher.prepare(queries[index])
-                embeddings = value if isinstance(value, int) else len(value)
-                outcomes[index] = BatchQueryResult(
-                    index=index,
-                    embeddings=embeddings,
-                    status="ok",
-                    stats=stats,
-                    build_stats=plan.build_stats,
-                    ordering_time=plan.ordering_time,
-                    enumeration_time=elapsed,
-                    results=None if isinstance(value, int) else list(value),
-                )
-            plan_bytes = pool.matcher.plan_cache_bytes
-        wall = monotonic_now() - started
-        return self._finish(
-            outcomes, wall, aux_before,
-            groups=_group_count(queries),
-            plan_cache_hits=hits,
-            plan_bytes=plan_bytes,
-            workers=self.workers,
         )
 
     def _result_from_report(
@@ -516,7 +523,6 @@ class BatchMatcher:
         groups: int,
         plan_cache_hits: int,
         plan_bytes: int,
-        workers: int,
     ) -> BatchReport:
         results = [outcome for outcome in outcomes if outcome is not None]
         # This run's own share of the cache's lifetime counters: a
@@ -536,7 +542,7 @@ class BatchMatcher:
             aux_bytes_in_use=(
                 self.aux.bytes_in_use if self.aux is not None else 0
             ),
-            workers=workers,
+            workers=self.workers,
             plan_bytes_in_use=plan_bytes,
         )
 

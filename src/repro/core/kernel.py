@@ -366,9 +366,10 @@ class KernelPlan:
     """Core + forest :class:`CompiledStage` pair plus the data-graph CSR.
 
     Attached to a :class:`~repro.core.matcher.PreparedQuery` (its
-    ``kernel`` field) by the matcher when ``engine="kernel"``; shared
-    copy-on-write across fork workers and recompiled from the decoded
-    CPI wire form in spawn workers.  Restriction goes through
+    ``kernel`` field) by the matcher when ``engine="kernel"``.  Pool
+    workers get it from the plan's shared segment
+    (:func:`~repro.core.shm.read_plan_segment` wraps the stage sections
+    in place, no recompilation).  Restriction goes through
     :meth:`with_root_candidates` — the same copy-making discipline
     repro-lint R003 enforces for the CPI itself.
     """

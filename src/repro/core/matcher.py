@@ -170,8 +170,8 @@ class PreparedQuery:
     #: CandVerify / CPI-construction counters recorded while building.
     build_stats: SearchStats = field(default_factory=SearchStats)
     #: flat-array compilation of the stages (``engine="kernel"`` plans;
-    #: compiled lazily when a plan built elsewhere reaches a kernel
-    #: matcher, e.g. after ``decode_plan`` in a worker).
+    #: compiled when a plan built elsewhere reaches a kernel matcher,
+    #: e.g. a reference-engine plan read from a shared plan segment).
     kernel: Optional[KernelPlan] = None
     _nbytes: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
@@ -452,9 +452,8 @@ class CFLMatch:
         """Rebuild a :class:`PreparedQuery` around a prebuilt CPI.
 
         This is the cheap re-preparation path for plans shipped across
-        process boundaries (a :class:`~repro.core.cpi_storage.CompiledCPI`
-        decoded in a spawn worker, or a :mod:`repro.core.shm` plan
-        segment): Algorithms 3+4 are *not* re-run, and when the parent
+        process boundaries (a :mod:`repro.core.shm` plan segment read
+        in a pool worker): Algorithms 3+4 are *not* re-run, and when the parent
         also ships its ``core_order``/``forest_order`` the Algorithm 2
         DP is skipped too — only query-sized metadata (decomposition,
         slots, leaf plan) is recomputed.  ``kernel_plan`` injects an
@@ -562,9 +561,8 @@ class CFLMatch:
         """The plan's compiled form, compiling on first use.
 
         Plans assembled by this matcher under ``engine="kernel"`` arrive
-        precompiled; plans built elsewhere (the reference engine, or a
-        CPI decoded from the wire in a worker before this matcher was
-        switched to the kernel) are compiled here once and the result is
+        precompiled; plans built elsewhere (by a reference-engine
+        matcher, then searched with this one) are compiled here once and the result is
         memoized on the plan.
         """
         kernel = plan.kernel

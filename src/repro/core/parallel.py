@@ -5,41 +5,45 @@ embedding maps the matching order's first vertex (the BFS root) to
 exactly one of its candidates, so partitioning the root candidate set
 partitions the embedding set.
 
-The engine prepares the query **once** in the parent — the paper's whole
-point is that CPI construction is cheap-and-polynomial while enumeration
-is the expensive part, so enumeration is what gets parallelized:
+:class:`MatcherPool` is the one parallel engine.  It prepares each query
+**once** in the parent — the paper's whole point is that CPI
+construction is cheap-and-polynomial while enumeration is the expensive
+part, so enumeration is what gets parallelized — on ``data`` itself,
+and publishes the plan as a :class:`~repro.core.shm.PlanSegment`: the
+compiled kernel stages as contiguous int32 sections the workers consume
+as ``memoryview`` slices without reconstruction.  How the workers see
+the data graph depends on the start method:
 
-* **fork** start method (the default where available): workers inherit
-  the parent's :class:`~repro.core.matcher.PreparedQuery` copy-on-write;
-  nothing is rebuilt, pickled or shipped.
-* **spawn** start method: the data graph lives in a
+* **fork** (the default where available): workers inherit ``data``
+  copy-on-write, together with everything the parent built before they
+  started (the kernel's data CSR included); nothing graph-sized is
+  copied or pickled.
+* **spawn**: the graph lives in a
   :class:`~repro.core.shm.SharedGraphStore` (one shared-memory segment
-  per host; workers attach by name, zero copies) and the plan travels
-  as a :class:`~repro.core.shm.PlanSegment` — the compiled kernel
-  stages as contiguous int32 sections the worker consumes as
-  ``memoryview`` slices without reconstruction.  Only query-sized
-  metadata is rebuilt worker-side; nothing graph- or plan-sized is
-  pickled.  (:func:`encode_plan`/:func:`decode_plan` remain as the
-  JSON-safe diagnostic wire format.)
+  per host, reused as-is when ``data`` already is a
+  :class:`~repro.core.shm.SharedGraph`, e.g. a ``cfl-match ingest``
+  file); workers attach it by name, zero copies.
 
-Workers restrict the shared plan through the O(|V(q)|)-cheap
-``with_root_candidates`` path instead of rebuilding the CPI per chunk.
-Chunks are *cost-weighted*: per-root work estimates from the Algorithm 2
-cardinality DP (:func:`~repro.core.cost_model.estimate_root_costs`) are
-balanced across ``workers * tasks_per_worker`` buckets by LPT greedy
-packing, replacing blind round-robin.  Dispatch is wave-based with a
-shrinking remaining-``limit`` budget per submitted chunk, and a shared
-cancellation event stops in-flight workers between root candidates once
-a global ``limit`` has been reached.
+Workers start with the first query that splits across them, so a pool
+whose queries all run inline (``workers=1``, a single root candidate,
+an empty CPI) never starts a process.  They restrict the shared plan
+through the O(|V(q)|)-cheap ``with_root_candidates`` path instead of
+rebuilding the CPI per chunk.  Chunks are *cost-weighted*: per-root work
+estimates from the Algorithm 2 cardinality DP
+(:func:`~repro.core.cost_model.estimate_root_costs`) are balanced across
+``workers * TASKS_PER_WORKER`` buckets by LPT greedy packing.  Dispatch
+is wave-based with a shrinking remaining-``limit`` budget per submitted
+chunk, and a shared cancellation event stops in-flight workers between
+root candidates once a global ``limit`` has been reached.
 
-Three entry points serve one-shot calls; :class:`MatcherPool` keeps a
-persistent worker pool alive to serve many queries over one data graph
-without re-forking (repeated queries additionally hit the parent-side
-LRU plan cache and skip ``prepare()`` entirely).  Pool workers attach
-the data graph by shared-memory handle and resolve each query's plan
-segment by name; segment lifecycle (create/attach/close/unlink) is
-threaded through dispatcher cancellation and pool shutdown so no
-``/dev/shm`` entry outlives its pool.
+A serving deployment keeps one pool per data graph (repeated queries hit
+the parent-side LRU plan cache and skip ``prepare()`` entirely); the
+one-shot entry points :func:`parallel_count`,
+:func:`parallel_search_iter`/:func:`parallel_search` and
+:func:`parallel_run` are short-lived pools.  Segment lifecycle
+(create/attach/close/unlink) is threaded through dispatcher
+cancellation and pool shutdown so no ``/dev/shm`` entry outlives its
+pool.
 """
 
 from __future__ import annotations
@@ -49,11 +53,10 @@ import os
 import queue as _queue_mod
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..graph.graph import Graph
 from .cost_model import estimate_root_costs
-from .cpi_storage import CompiledCPI
 from .matcher import CFLMatch, MatchReport, PreparedQuery
 from .shm import (
     GraphHandle,
@@ -73,10 +76,14 @@ __all__ = [
     "parallel_search_iter",
 ]
 
+#: chunks per worker: enough slack for LPT packing to absorb a
+#: mis-estimated root without a long tail on one worker
+TASKS_PER_WORKER = 4
+
 
 def _default_start_method() -> str:
-    """``fork`` where the platform offers it (copy-on-write plan sharing),
-    ``spawn`` otherwise (macOS default / Windows)."""
+    """``fork`` where the platform offers it (copy-on-write graph
+    sharing), ``spawn`` otherwise (macOS default / Windows)."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
@@ -86,61 +93,8 @@ def _default_workers() -> int:
 
 
 # ----------------------------------------------------------------------
-# Plan wire format (spawn contexts and persistent pools)
-# ----------------------------------------------------------------------
-def encode_plan(plan: PreparedQuery) -> Dict[str, Any]:
-    """JSON-safe wire form of a prepared plan: the compiled CPI plus the
-    matching orders (so the receiver skips the ordering DP too).
-
-    The runtime no longer ships this across process boundaries — plans
-    travel as :class:`~repro.core.shm.PlanSegment` flat buffers — but it
-    remains the diagnostic/serialization format (and the reference the
-    differential tests compare the segment decode against).
-
-    The flat-array kernel compilation is deliberately *not* shipped: it
-    is a pure function of the CPI + orders, so :func:`decode_plan`'s
-    ``prepare_from_cpi`` recompiles it worker-side (once per worker, the
-    data-graph CSR cached on the worker's matcher) rather than paying to
-    pickle megabytes of redundant arrays.  Fork-start workers never hit
-    this path at all — they inherit the parent plan's compiled kernel
-    copy-on-write."""
-    return {
-        "cpi": CompiledCPI.from_cpi(plan.cpi).to_dict(),
-        "core_order": list(plan.core_order),
-        "forest_order": list(plan.forest_order),
-    }
-
-
-def decode_plan(
-    matcher: CFLMatch, query: Graph, wire: Dict[str, Any]
-) -> PreparedQuery:
-    """Rebuild a :class:`PreparedQuery` from :func:`encode_plan` output.
-
-    Only query-sized metadata (decomposition, slots, leaf plan) is
-    recomputed; the CPI and the orders come off the wire."""
-    compiled = CompiledCPI.from_dict(wire["cpi"])
-    cpi = compiled.to_cpi(query, matcher.data)
-    return matcher.prepare_from_cpi(
-        query,
-        cpi,
-        core_order=list(wire["core_order"]),
-        forest_order=list(wire["forest_order"]),
-    )
-
-
-# ----------------------------------------------------------------------
 # Chunking
 # ----------------------------------------------------------------------
-def _chunks(items: List[int], pieces: int) -> List[List[int]]:
-    """Split ``items`` into at most ``pieces`` round-robin chunks (the
-    cost-blind fallback, kept for tests and as a baseline)."""
-    pieces = max(1, min(pieces, len(items)))
-    buckets: List[List[int]] = [[] for _ in range(pieces)]
-    for index, item in enumerate(items):
-        buckets[index % pieces].append(item)
-    return [bucket for bucket in buckets if bucket]
-
-
 def _cost_weighted_chunks(
     roots: Sequence[int], costs: Dict[int, int], pieces: int
 ) -> List[List[int]]:
@@ -150,7 +104,7 @@ def _cost_weighted_chunks(
     to the currently lightest bucket.  Buckets come back heaviest-first
     so the scheduler dispatches the long poles early.  Roots missing
     from ``costs`` (subtree count zero — they prune immediately) get
-    unit weight.
+    unit weight, so uniform costs deal the roots out round-robin.
     """
     pieces = max(1, min(pieces, len(roots)))
     weighted = sorted(
@@ -170,53 +124,31 @@ def _cost_weighted_chunks(
     return [buckets[i] for i in order if buckets[i]]
 
 
-def _plan_chunks(plan: PreparedQuery, pieces: int) -> List[List[int]]:
-    roots = list(plan.cpi.candidates[plan.root])
-    return _cost_weighted_chunks(roots, estimate_root_costs(plan.cpi), pieces)
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-# Globals installed by the pool initializers.  Under fork they alias the
-# parent's objects copy-on-write; under spawn they are rebuilt once per
-# worker process.
+# Globals installed by the pool initializer, once per worker process.
 _WORKER: Dict[str, Any] = {}
 
-#: per-worker decoded-plan LRU for persistent pools (plan key -> plan)
+#: per-worker decoded-plan LRU (plan key -> plan)
 _PLAN_CACHE_CAPACITY = 8
 
 
-def _init_oneshot_fork(matcher: CFLMatch, plan: PreparedQuery, cancel) -> None:
-    _WORKER.clear()
-    _WORKER.update(matcher=matcher, plan=plan, cancel=cancel)
-
-
-def _init_oneshot_shared(
-    handle: GraphHandle, matcher_kwargs: dict, plan_name: str, cancel
+def _init_pool_worker(
+    graph: Union[Graph, GraphHandle], matcher_kwargs: dict, cancel
 ) -> None:
-    """Spawn-context one-shot initializer: attach the shared graph store
-    and the plan segment *by name* — nothing graph- or plan-sized is
-    pickled into the worker.  The store and segment objects are parked
-    in ``_WORKER`` so their mappings outlive the initializer (the plan's
-    memoryview sections point straight into them)."""
-    store = attach_graph_store(handle)
-    matcher = CFLMatch(store.graph, **matcher_kwargs)
-    plan, segment = attach_plan_segment(matcher, plan_name)
+    """The pool initializer.  ``graph`` is the data graph itself under
+    fork (inherited copy-on-write, never pickled) or, under spawn, the
+    shared-memory (or mmap-file) handle it is attached through.  Plans
+    arrive later, per task, as named segments resolved by
+    :func:`_resolve_pool_plan`."""
+    store = None
+    if not isinstance(graph, Graph):
+        store = attach_graph_store(graph)
+        graph = store.graph
     _WORKER.clear()
     _WORKER.update(
-        matcher=matcher, plan=plan, cancel=cancel, store=store, segment=segment
-    )
-
-
-def _init_pool_worker(handle: GraphHandle, matcher_kwargs: dict, cancel) -> None:
-    """Persistent-pool initializer: attach the data graph through its
-    shared-memory (or mmap-file) handle; plans arrive later, per task,
-    as named segments resolved by :func:`_resolve_pool_plan`."""
-    store = attach_graph_store(handle)
-    _WORKER.clear()
-    _WORKER.update(
-        matcher=CFLMatch(store.graph, **matcher_kwargs),
+        matcher=CFLMatch(graph, **matcher_kwargs),
         cancel=cancel,
         store=store,
         plans=OrderedDict(),
@@ -225,8 +157,8 @@ def _init_pool_worker(handle: GraphHandle, matcher_kwargs: dict, cancel) -> None
 
 def _resolve_pool_plan(key: int, name: str) -> Optional[PreparedQuery]:
     """Attach and decode (at most once per worker per plan epoch) the
-    plan segment named in a persistent-pool task; cache keyed by the
-    pool's plan epoch so a re-prepared query gets a fresh attach.
+    plan segment named in a task; cache keyed by the pool's plan epoch
+    so a re-prepared query gets a fresh attach.
 
     Returns ``None`` when the segment is already unlinked *and* the
     cluster is cancelling — the pool-shutdown race, not an error; the
@@ -248,8 +180,6 @@ def _resolve_pool_plan(key: int, name: str) -> Optional[PreparedQuery]:
         _, evicted = plans.popitem(last=False)
         evicted[1].close()
     return plan
-
-
 def _count_roots(
     matcher: CFLMatch, plan: PreparedQuery, roots: List[int], budget: Optional[int], cancel
 ) -> Tuple[int, Dict[str, int]]:
@@ -316,25 +246,6 @@ def _search_roots(
             )
     aggregate_stage_stats(stage_stats, into=stats)
     return results, stats.to_dict()
-
-
-def _oneshot_count_task(
-    args: Tuple[List[int], Optional[int]]
-) -> Tuple[int, Dict[str, int]]:
-    roots, budget = args
-    return _count_roots(
-        _WORKER["matcher"], _WORKER["plan"], roots, budget, _WORKER["cancel"]
-    )
-
-
-def _oneshot_search_task(
-    args: Tuple[List[int], Optional[int]]
-) -> Tuple[List[Tuple[int, ...]], Dict[str, int]]:
-    roots, budget = args
-    return _search_roots(
-        _WORKER["matcher"], _WORKER["plan"], roots, budget, _WORKER["cancel"]
-    )
-
 
 def _pool_count_task(
     args: Tuple[int, str, List[int], Optional[int]]
@@ -412,32 +323,14 @@ def _dispatch(
         submit_more()
 
 
-# ----------------------------------------------------------------------
-# One-shot entry points
-# ----------------------------------------------------------------------
-def _oneshot_setup(
-    data: Graph,
-    query: Graph,
-    workers: int,
-    matcher_kwargs: dict,
-):
-    """Prepare once in the parent; classify sequential-fallback cases."""
-    matcher = CFLMatch(data, **matcher_kwargs)
-    plan = matcher.prepare(query)
-    if plan.cpi.is_empty():
-        return matcher, plan, None
-    roots = list(plan.cpi.candidates[plan.root])
-    if workers <= 1 or len(roots) <= 1:
-        return matcher, plan, None
-    return matcher, plan, roots
-
 
 def _shared_store(
     data: Graph,
 ) -> Tuple[GraphHandle, Optional[SharedGraphStore]]:
-    """A handle workers can attach ``data`` through.  Creates a segment
-    only when the graph is not already shared; a created store is the
-    caller's to unlink (the second element, ``None`` when reused)."""
+    """A handle spawn workers can attach ``data`` through.  Creates a
+    segment only when the graph is not already shared; a created store
+    is the caller's to unlink (the second element, ``None`` when
+    reused)."""
     if isinstance(data, SharedGraph):
         return data.worker_handle(), None
     store = SharedGraphStore.create(data)
@@ -451,328 +344,13 @@ def _shared_store(
         raise
 
 
-def _oneshot_pool(
-    ctx,
-    method: str,
-    workers: int,
-    matcher: CFLMatch,
-    plan: PreparedQuery,
-    matcher_kwargs: dict,
-    cancel,
-):
-    """Build the one-shot worker pool; returns ``(pool, release)``.
-
-    ``release()`` unlinks every shared segment the pool was built on —
-    call it after the pool has been terminated and joined, on every
-    exit path (the dispatchers run it in ``finally``).  The fork path
-    shares the parent's plan copy-on-write and has nothing to release.
-    """
-    if method == "fork":
-        pool = ctx.Pool(
-            workers, initializer=_init_oneshot_fork,
-            initargs=(matcher, plan, cancel),
-        )
-        return pool, (lambda: None)
-    handle, store = _shared_store(matcher.data)
-    segment: Optional[PlanSegment] = None
-
-    def release() -> None:
-        if segment is not None:
-            segment.unlink()
-            segment.close()
-        if store is not None:
-            store.unlink()
-            store.close()
-
-    try:
-        segment = PlanSegment.create(plan)
-        pool = ctx.Pool(
-            workers, initializer=_init_oneshot_shared,
-            initargs=(handle, matcher_kwargs, segment.name, cancel),
-        )
-    except BaseException:
-        release()
-        raise
-    return pool, release
-
-
-def _sequential_count(
-    matcher: CFLMatch,
-    query: Graph,
-    plan: PreparedQuery,
-    limit: Optional[int],
-    stats: Optional[SearchStats],
-) -> int:
-    """Single-process fallback with the same counter discipline as the
-    workers (per-stage split folded through ``aggregate_stage_stats``)."""
-    if stats is None:
-        return matcher.count(query, limit=limit, prepared=plan)
-    stage_stats: dict = {}
-    total = matcher.count(
-        query, limit=limit, prepared=plan, stats=stats, stage_stats=stage_stats
-    )
-    aggregate_stage_stats(stage_stats, into=stats)
-    return total
-
-
-def parallel_count(
-    data: Graph,
-    query: Graph,
-    workers: int = 2,
-    limit: Optional[int] = None,
-    tasks_per_worker: int = 4,
-    start_method: Optional[str] = None,
-    stats: Optional[SearchStats] = None,
-    **matcher_kwargs,
-) -> int:
-    """Count embeddings of ``query`` in ``data`` across ``workers``
-    processes.  Equals ``CFLMatch(data).count(query)`` (without ``limit``;
-    with a limit the result saturates at it).  ``prepare()`` runs exactly
-    once, in the parent; workers share the plan (see module docs).
-
-    ``stats`` (when given) accumulates the enumeration counters
-    aggregated across every worker chunk; without a ``limit`` they equal
-    the sequential counters exactly (root-partition invariance)."""
-    if limit is not None and limit <= 0:
-        return 0
-    matcher, plan, roots = _oneshot_setup(data, query, workers, matcher_kwargs)
-    if roots is None:
-        if plan.cpi.is_empty():
-            return 0
-        return _sequential_count(matcher, query, plan, limit, stats)
-    chunks = _cost_weighted_chunks(
-        roots, estimate_root_costs(plan.cpi), workers * tasks_per_worker
-    )
-    method = start_method or _default_start_method()
-    ctx = multiprocessing.get_context(method)
-    cancel = ctx.Event()
-    pool, release = _oneshot_pool(
-        ctx, method, workers, matcher, plan, matcher_kwargs, cancel
-    )
-    try:
-        with pool:
-            total = 0
-            max_inflight = workers if limit is not None else len(chunks)
-            for part, chunk_stats in _dispatch(
-                pool, _oneshot_count_task, lambda c, b: (c, b), chunks,
-                limit, cancel, lambda value: value[0], max_inflight,
-            ):
-                total += part
-                if stats is not None:
-                    stats.merge(SearchStats.from_dict(chunk_stats))
-        pool.join()
-    finally:
-        release()
-    if limit is not None:
-        return min(total, limit)
-    return total
-
-
-def parallel_search_iter(
-    data: Graph,
-    query: Graph,
-    workers: int = 2,
-    limit: Optional[int] = None,
-    tasks_per_worker: int = 4,
-    start_method: Optional[str] = None,
-    stats: Optional[SearchStats] = None,
-    **matcher_kwargs,
-) -> Iterator[Tuple[int, ...]]:
-    """Stream embeddings as worker chunks complete (unordered).
-
-    The embedding *set* equals the sequential one; arrival order follows
-    chunk completion.  Abandoning the iterator early cancels in-flight
-    workers and tears the pool down.  ``stats`` accumulates worker
-    counters chunk-by-chunk as their results arrive.
-    """
-    if limit is not None and limit <= 0:
-        return
-    matcher, plan, roots = _oneshot_setup(data, query, workers, matcher_kwargs)
-    if roots is None:
-        if plan.cpi.is_empty():
-            return
-        if stats is None:
-            yield from matcher.search(query, limit=limit, prepared=plan)
-            return
-        stage_stats: dict = {}
-        yield from matcher.search(
-            query, limit=limit, prepared=plan, stats=stats,
-            stage_stats=stage_stats,
-        )
-        aggregate_stage_stats(stage_stats, into=stats)
-        return
-    chunks = _cost_weighted_chunks(
-        roots, estimate_root_costs(plan.cpi), workers * tasks_per_worker
-    )
-    method = start_method or _default_start_method()
-    ctx = multiprocessing.get_context(method)
-    cancel = ctx.Event()
-    pool, release = _oneshot_pool(
-        ctx, method, workers, matcher, plan, matcher_kwargs, cancel
-    )
-    try:
-        emitted = 0
-        max_inflight = workers if limit is not None else len(chunks)
-        for part, chunk_stats in _dispatch(
-            pool, _oneshot_search_task, lambda c, b: (c, b), chunks,
-            limit, cancel, lambda value: len(value[0]), max_inflight,
-        ):
-            if stats is not None:
-                stats.merge(SearchStats.from_dict(chunk_stats))
-            for embedding in part:
-                yield embedding
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
-    finally:
-        cancel.set()
-        pool.terminate()
-        pool.join()
-        release()
-
-
-def parallel_search(
-    data: Graph,
-    query: Graph,
-    workers: int = 2,
-    limit: Optional[int] = None,
-    tasks_per_worker: int = 4,
-    start_method: Optional[str] = None,
-    stats: Optional[SearchStats] = None,
-    **matcher_kwargs,
-) -> List[Tuple[int, ...]]:
-    """All (or first ``limit``) embeddings, computed in parallel.
-
-    Materialized form of :func:`parallel_search_iter`."""
-    return list(
-        parallel_search_iter(
-            data, query, workers=workers, limit=limit,
-            tasks_per_worker=tasks_per_worker, start_method=start_method,
-            stats=stats, **matcher_kwargs,
-        )
-    )
-
-
-def parallel_run(
-    data: Graph,
-    query: Graph,
-    workers: int = 2,
-    limit: Optional[int] = None,
-    collect: bool = False,
-    count_only: bool = False,
-    tasks_per_worker: int = 4,
-    start_method: Optional[str] = None,
-    **matcher_kwargs,
-) -> MatchReport:
-    """Parallel analogue of :meth:`CFLMatch.run`: prepare once in the
-    parent (fresh, honestly timed), enumerate across ``workers``, and
-    return a :class:`MatchReport` whose enumeration counters are the
-    aggregate of every worker chunk.
-
-    Build counters and phase timers come from the parent's single
-    ``prepare``; without a ``limit`` the aggregated enumeration counters
-    equal a sequential :meth:`CFLMatch.run`'s exactly (the root-candidate
-    partition is also a partition of the search work).  ``count_only``
-    routes through the NEC-combination counting path; ``collect`` is then
-    ignored.
-    """
-    matcher = CFLMatch(data, **matcher_kwargs)
-    build_stats = SearchStats()
-    plan = matcher.prepare(query, use_cache=False, build_stats=build_stats)
-    stats = SearchStats()
-    results: Optional[List[Tuple[int, ...]]] = (
-        [] if collect and not count_only else None
-    )
-    found = 0
-    started = monotonic_now()
-    roots: Optional[List[int]] = None
-    if not plan.cpi.is_empty():
-        roots = list(plan.cpi.candidates[plan.root])
-        if workers <= 1 or len(roots) <= 1:
-            roots = None
-    if roots is None:
-        if not plan.cpi.is_empty():
-            stage_stats: dict = {}
-            if count_only:
-                found = matcher.count(
-                    query, limit=limit, prepared=plan, stats=stats,
-                    stage_stats=stage_stats,
-                )
-            else:
-                for embedding in matcher.search(
-                    query, limit=limit, prepared=plan, stats=stats,
-                    stage_stats=stage_stats,
-                ):
-                    found += 1
-                    if results is not None:
-                        results.append(embedding)
-            aggregate_stage_stats(stage_stats, into=stats)
-    else:
-        chunks = _cost_weighted_chunks(
-            roots, estimate_root_costs(plan.cpi), workers * tasks_per_worker
-        )
-        method = start_method or _default_start_method()
-        ctx = multiprocessing.get_context(method)
-        cancel = ctx.Event()
-        task = _oneshot_count_task if count_only else _oneshot_search_task
-        measure = (
-            (lambda value: value[0]) if count_only
-            else (lambda value: len(value[0]))
-        )
-        pool, release = _oneshot_pool(
-            ctx, method, workers, matcher, plan, matcher_kwargs, cancel
-        )
-        try:
-            with pool:
-                max_inflight = workers if limit is not None else len(chunks)
-                for part, chunk_stats in _dispatch(
-                    pool, task, lambda c, b: (c, b), chunks,
-                    limit, cancel, measure, max_inflight,
-                ):
-                    stats.merge(SearchStats.from_dict(chunk_stats))
-                    if count_only:
-                        found += part
-                    else:
-                        for embedding in part:
-                            if limit is not None and found >= limit:
-                                break
-                            found += 1
-                            if results is not None:
-                                results.append(embedding)
-            pool.join()
-        finally:
-            release()
-        if limit is not None:
-            found = min(found, limit)
-    enumeration_time = monotonic_now() - started
-    phase_times = dict(plan.phase_times)
-    phase_times["enumeration"] = enumeration_time
-    return MatchReport(
-        embeddings=found,
-        ordering_time=plan.ordering_time,
-        enumeration_time=enumeration_time,
-        cpi_size=plan.cpi.size(),
-        candidate_counts=plan.cpi.candidate_counts(),
-        stats=stats,
-        results=results,
-        stage_nodes={
-            "core": stats.core_expansions,
-            "forest": stats.forest_expansions,
-            "leaf": stats.leaf_expansions,
-        },
-        phase_times=phase_times,
-        build_stats=build_stats,
-    )
-
-
 # ----------------------------------------------------------------------
-# Persistent pool
+# The pool
 # ----------------------------------------------------------------------
 class MatcherPool:
-    """A reusable worker pool serving many queries over one data graph.
+    """A worker pool serving queries over one data graph.
 
-    Forking (or spawning) a pool per query wastes the data-graph setup;
-    a serving deployment keeps one ``MatcherPool`` per data graph and
+    A serving deployment keeps one ``MatcherPool`` per data graph and
     pushes every query through it::
 
         with MatcherPool(data, workers=4) as pool:
@@ -780,72 +358,60 @@ class MatcherPool:
             for embedding in pool.search_iter(query_b, limit=100):
                 ...
 
-    The data graph is laid into a :class:`~repro.core.shm.SharedGraphStore`
-    once per pool (reused as-is when ``data`` is already a
-    :class:`~repro.core.shm.SharedGraph`, e.g. loaded from a
-    ``cfl-match ingest`` file); every worker attaches it by handle, so
-    the graph is materialized once per host no matter the start method.
-    Per query, the parent prepares the plan once (repeated queries hit
-    the :class:`CFLMatch` LRU plan cache and skip even that), encodes it
-    into a shared :class:`~repro.core.shm.PlanSegment` a single time,
-    and ships only ``(epoch key, segment name)`` alongside each chunk;
-    workers attach and decode it at most once each and keep a small
-    plan LRU, so a hot query costs the workers no preparation at all.
-    :meth:`close` unlinks every segment the pool created.  Not
-    thread-safe: run one query at a time per pool.  The workers hold a
-    copy of ``data`` as it was at construction, so once a
+    Per query, :attr:`matcher` prepares the plan once on ``data``
+    (repeated queries hit its LRU plan cache and skip even that); the
+    pool encodes it into a shared :class:`~repro.core.shm.PlanSegment`
+    a single time and ships only ``(epoch key, segment name)`` alongside
+    each chunk.  Workers attach and decode it at most once each and keep
+    a small plan LRU, so a hot query costs the workers no preparation at
+    all.  They see ``data`` copy-on-write under fork, or through a
+    :class:`~repro.core.shm.SharedGraphStore` under spawn, and start
+    with the first query that splits across them (see the module docs).
+    :meth:`close` terminates them and unlinks every segment the pool
+    created.  Not thread-safe: run one query at a time per pool.  The
+    workers hold ``data`` as it was at construction, so once a
     :class:`~repro.graph.dynamic.DynamicGraph` moves to a new version
-    every query method raises instead of answering from the stale copy.
+    every query method raises instead of answering from a stale copy.
     """
 
     def __init__(
         self,
         data: Graph,
         workers: Optional[int] = None,
-        tasks_per_worker: int = 4,
         start_method: Optional[str] = None,
         plan_cache_size: Optional[int] = 16,
         aux_cache=None,
         **matcher_kwargs,
     ):
         self.data = data
-        #: the graph version the shared copy holds (see _require_open)
+        #: the graph version the workers' copy holds (see _require_open)
         self._version = data.version
         self.workers = workers if workers is not None else _default_workers()
-        self.tasks_per_worker = tasks_per_worker
-        handle, store = _shared_store(data)
-        #: the pool-created store (``None`` when ``data`` was already
-        #: shared); unlinked by :meth:`close`
-        self._store = store
-        # ``aux_cache`` (a batch-shared AuxAdjacencyCache) stays strictly
-        # parent-side: preparation happens in the parent, workers only
-        # enumerate prebuilt plans, so it is deliberately NOT part of the
-        # worker initargs below.
+        #: the parent-side matcher that prepares every query on ``data``.
+        #: A caller may install its own matcher over ``data`` built with
+        #: the same keyword arguments; BatchMatcher does, so one plan
+        #: cache serves its inline and its pooled runs.  ``aux_cache``
+        #: stays strictly parent-side: workers only enumerate prebuilt
+        #: plans, so it is not part of the worker initargs.
         self.matcher = CFLMatch(
-            store.graph if store is not None else data,
-            plan_cache_size=plan_cache_size, aux_cache=aux_cache,
+            data, plan_cache_size=plan_cache_size, aux_cache=aux_cache,
             **matcher_kwargs,
         )
+        self._matcher_kwargs = matcher_kwargs
         self.start_method = start_method or _default_start_method()
         self._ctx = multiprocessing.get_context(self.start_method)
         self._cancel = self._ctx.Event()
-        try:
-            self._pool = self._ctx.Pool(
-                max(self.workers, 1),
-                initializer=_init_pool_worker,
-                initargs=(handle, matcher_kwargs, self._cancel),
-            )
-        except BaseException:
-            if store is not None:
-                store.unlink()
-                store.close()
-            raise
+        #: the worker processes, started by the first query that splits
+        self._pool = None
+        #: the store created for spawn workers (``None`` under fork or
+        #: when ``data`` was already shared); unlinked by :meth:`close`
+        self._store: Optional[SharedGraphStore] = None
         self._closed = False
         # plan epoch bookkeeping: signature -> (key, shared plan segment)
         self._plan_segments: Dict[tuple, Tuple[int, PlanSegment]] = {}
         self._next_key = 0
         #: enumeration counters aggregated over every query this pool has
-        #: served (worker chunks and sequential fallbacks alike)
+        #: served (worker chunks and inline runs alike)
         self.total_stats = SearchStats()
 
     # -- lifecycle -----------------------------------------------------
@@ -858,14 +424,13 @@ class MatcherPool:
     def close(self) -> None:
         """Terminate the workers and unlink every shared segment this
         pool created; the pool cannot be used afterwards."""
-        if not self._closed:
-            self._closed = True
-            self._cancel.set()
+        if self._closed:
+            return
+        self._closed = True
+        self._cancel.set()
+        if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
-            self._release_segments()
-
-    def _release_segments(self) -> None:
         while self._plan_segments:
             _, (_, segment) = self._plan_segments.popitem()
             segment.unlink()
@@ -885,6 +450,21 @@ class MatcherPool:
                 f"to {self.data.version} after the pool copied it; "
                 f"build a new pool"
             )
+
+    def _worker_pool(self):
+        """The worker processes, started on first use.  Under fork they
+        inherit ``data`` and whatever the parent has built on it so far;
+        under spawn they attach a shared store of it."""
+        if self._pool is None:
+            graph: Union[Graph, GraphHandle] = self.data
+            if self.start_method != "fork":
+                graph, self._store = _shared_store(self.data)
+            self._pool = self._ctx.Pool(
+                self.workers,
+                initializer=_init_pool_worker,
+                initargs=(graph, self._matcher_kwargs, self._cancel),
+            )
+        return self._pool
 
     def _plan_segment(self, query: Graph, plan: PreparedQuery) -> Tuple[int, str]:
         """Encode the plan into a shared segment once per distinct query.
@@ -910,48 +490,51 @@ class MatcherPool:
         segments[signature] = (key, segment)
         return key, segment.name
 
-    def _start_query(self, query: Graph):
-        """Shared per-query setup; returns (plan, chunks-or-None)."""
-        self._require_open()
-        plan = self.matcher.prepare(query)
-        if plan.cpi.is_empty():
-            return plan, None
-        roots = list(plan.cpi.candidates[plan.root])
+    def _chunks(self, plan: PreparedQuery) -> Optional[List[List[int]]]:
+        """The plan's root candidates as cost-weighted chunks, or
+        ``None`` when the query runs inline (one worker, one root)."""
+        roots = plan.cpi.candidates[plan.root]
         if self.workers <= 1 or len(roots) <= 1:
-            return plan, None
-        self._cancel.clear()
-        chunks = _cost_weighted_chunks(
-            roots,
-            estimate_root_costs(plan.cpi),
-            self.workers * self.tasks_per_worker,
+            return None
+        return _cost_weighted_chunks(
+            roots, estimate_root_costs(plan.cpi), self.workers * TASKS_PER_WORKER
         )
-        return plan, chunks
 
-    def _absorb(
-        self, chunk_stats: Dict[str, int], stats: Optional[SearchStats]
-    ) -> None:
-        decoded = SearchStats.from_dict(chunk_stats)
-        self.total_stats.merge(decoded)
-        if stats is not None:
-            stats.merge(decoded)
-
-    # -- query API -----------------------------------------------------
-    def count(
+    def _run_chunks(
         self,
         query: Graph,
-        limit: Optional[int] = None,
-        stats: Optional[SearchStats] = None,
-    ) -> int:
-        """Parallel :meth:`CFLMatch.count` through the persistent pool.
+        plan: PreparedQuery,
+        chunks: List[List[int]],
+        task: Callable[[tuple], Any],
+        limit: Optional[int],
+        measure: Callable[[Any], int],
+    ) -> Iterator[Any]:
+        """Publish the plan, start the workers if this is the first
+        split query, and stream the chunks' raw results."""
+        key, name = self._plan_segment(query, plan)
+        self._cancel.clear()
+        return _dispatch(
+            self._worker_pool(), task, lambda c, b: (key, name, c, b),
+            chunks, limit, self._cancel, measure,
+            self.workers if limit is not None else len(chunks),
+        )
 
-        ``stats`` accumulates this call's worker-aggregated enumeration
-        counters; :attr:`total_stats` always accumulates them."""
-        if limit is not None and limit <= 0:
+    def _absorb(self, chunk: SearchStats, stats: Optional[SearchStats]) -> None:
+        self.total_stats.merge(chunk)
+        if stats is not None:
+            stats.merge(chunk)
+
+    def _count(
+        self,
+        query: Graph,
+        plan: PreparedQuery,
+        limit: Optional[int],
+        stats: Optional[SearchStats],
+    ) -> int:
+        if plan.cpi.is_empty() or (limit is not None and limit <= 0):
             return 0
-        plan, chunks = self._start_query(query)
+        chunks = self._chunks(plan)
         if chunks is None:
-            if plan.cpi.is_empty():
-                return 0
             local = SearchStats()
             stage_stats: dict = {}
             total = self.matcher.count(
@@ -959,34 +542,28 @@ class MatcherPool:
                 stage_stats=stage_stats,
             )
             aggregate_stage_stats(stage_stats, into=local)
-            self._absorb(local.to_dict(), stats)
+            self._absorb(local, stats)
             return total
-        key, name = self._plan_segment(query, plan)
         total = 0
-        max_inflight = self.workers if limit is not None else len(chunks)
-        for part, chunk_stats in _dispatch(
-            self._pool, _pool_count_task, lambda c, b: (key, name, c, b),
-            chunks, limit, self._cancel, lambda value: value[0], max_inflight,
+        for part, chunk_stats in self._run_chunks(
+            query, plan, chunks, _pool_count_task, limit,
+            lambda value: value[0],
         ):
             total += part
-            self._absorb(chunk_stats, stats)
-        if limit is not None:
-            return min(total, limit)
-        return total
+            self._absorb(SearchStats.from_dict(chunk_stats), stats)
+        return total if limit is None else min(total, limit)
 
-    def search_iter(
+    def _search_iter(
         self,
         query: Graph,
-        limit: Optional[int] = None,
-        stats: Optional[SearchStats] = None,
+        plan: PreparedQuery,
+        limit: Optional[int],
+        stats: Optional[SearchStats],
     ) -> Iterator[Tuple[int, ...]]:
-        """Stream embeddings (unordered) through the persistent pool."""
-        if limit is not None and limit <= 0:
+        if plan.cpi.is_empty() or (limit is not None and limit <= 0):
             return
-        plan, chunks = self._start_query(query)
+        chunks = self._chunks(plan)
         if chunks is None:
-            if plan.cpi.is_empty():
-                return
             local = SearchStats()
             stage_stats: dict = {}
             yield from self.matcher.search(
@@ -994,18 +571,15 @@ class MatcherPool:
                 stage_stats=stage_stats,
             )
             aggregate_stage_stats(stage_stats, into=local)
-            self._absorb(local.to_dict(), stats)
+            self._absorb(local, stats)
             return
-        key, name = self._plan_segment(query, plan)
         emitted = 0
-        max_inflight = self.workers if limit is not None else len(chunks)
         try:
-            for part, chunk_stats in _dispatch(
-                self._pool, _pool_search_task, lambda c, b: (key, name, c, b),
-                chunks, limit, self._cancel, lambda value: len(value[0]),
-                max_inflight,
+            for part, chunk_stats in self._run_chunks(
+                query, plan, chunks, _pool_search_task, limit,
+                lambda value: len(value[0]),
             ):
-                self._absorb(chunk_stats, stats)
+                self._absorb(SearchStats.from_dict(chunk_stats), stats)
                 for embedding in part:
                     yield embedding
                     emitted += 1
@@ -1016,6 +590,40 @@ class MatcherPool:
             # immediately reusable; the next query clears the event.
             self._cancel.set()
 
+    # -- query API -----------------------------------------------------
+    def count(
+        self,
+        query: Graph,
+        limit: Optional[int] = None,
+        stats: Optional[SearchStats] = None,
+    ) -> int:
+        """Parallel :meth:`CFLMatch.count` through the pool.
+
+        ``stats`` accumulates this call's worker-aggregated enumeration
+        counters; :attr:`total_stats` always accumulates them."""
+        if limit is not None and limit <= 0:
+            return 0
+        self._require_open()
+        return self._count(query, self.matcher.prepare(query), limit, stats)
+
+    def search_iter(
+        self,
+        query: Graph,
+        limit: Optional[int] = None,
+        stats: Optional[SearchStats] = None,
+    ) -> Iterator[Tuple[int, ...]]:
+        """Stream embeddings through the pool.
+
+        The embedding *set* equals the sequential one; arrival order
+        follows chunk completion.  Abandoning the iterator early cancels
+        in-flight workers."""
+        if limit is not None and limit <= 0:
+            return
+        self._require_open()
+        yield from self._search_iter(
+            query, self.matcher.prepare(query), limit, stats
+        )
+
     def search(
         self,
         query: Graph,
@@ -1025,6 +633,63 @@ class MatcherPool:
         """All (or first ``limit``) embeddings via :meth:`search_iter`."""
         return list(self.search_iter(query, limit=limit, stats=stats))
 
+    def run(
+        self,
+        query: Graph,
+        limit: Optional[int] = None,
+        collect: bool = False,
+        count_only: bool = False,
+        prepared: Optional[PreparedQuery] = None,
+    ) -> MatchReport:
+        """Parallel analogue of :meth:`CFLMatch.run`: prepare afresh in
+        the parent (honestly timed; ``prepared`` reuses an existing plan
+        and its timers instead), enumerate across the workers, and
+        return a :class:`MatchReport` whose enumeration counters are the
+        aggregate of every worker chunk.
+
+        Build counters and phase timers come from the single prepare;
+        without a ``limit`` the aggregated enumeration counters equal a
+        sequential :meth:`CFLMatch.run`'s exactly (the root-candidate
+        partition is also a partition of the search work).
+        ``count_only`` routes through the NEC-combination counting path;
+        ``collect`` is then ignored.
+        """
+        self._require_open()
+        plan = prepared
+        if plan is None:
+            plan = self.matcher.prepare(query, use_cache=False)
+        stats = SearchStats()
+        results: Optional[List[Tuple[int, ...]]] = (
+            [] if collect and not count_only else None
+        )
+        started = monotonic_now()
+        if count_only:
+            found = self._count(query, plan, limit, stats)
+        else:
+            found = 0
+            for embedding in self._search_iter(query, plan, limit, stats):
+                found += 1
+                if results is not None:
+                    results.append(embedding)
+        enumeration_time = monotonic_now() - started
+        phase_times = dict(plan.phase_times)
+        phase_times["enumeration"] = enumeration_time
+        return MatchReport(
+            embeddings=found,
+            ordering_time=plan.ordering_time,
+            enumeration_time=enumeration_time,
+            cpi_size=plan.cpi.size(),
+            candidate_counts=plan.cpi.candidate_counts(),
+            stats=stats,
+            results=results,
+            stage_nodes={
+                "core": stats.core_expansions,
+                "forest": stats.forest_expansions,
+                "leaf": stats.leaf_expansions,
+            },
+            phase_times=phase_times,
+            build_stats=plan.build_stats,
+        )
     def run_batch(
         self,
         queries: Sequence[Graph],
@@ -1057,3 +722,91 @@ class MatcherPool:
                 value = self.search(query, limit=limit, stats=stats)
             outcomes[index] = (value, stats, monotonic_now() - started)
         return [outcome for outcome in outcomes if outcome is not None]
+
+
+# ----------------------------------------------------------------------
+# One-shot entry points: a short-lived pool per call
+# ----------------------------------------------------------------------
+def parallel_count(
+    data: Graph,
+    query: Graph,
+    workers: int = 2,
+    limit: Optional[int] = None,
+    start_method: Optional[str] = None,
+    stats: Optional[SearchStats] = None,
+    **matcher_kwargs,
+) -> int:
+    """Count embeddings of ``query`` in ``data`` across ``workers``
+    processes.  Equals ``CFLMatch(data).count(query)`` (without ``limit``;
+    with a limit the result saturates at it).  ``prepare()`` runs exactly
+    once, in the parent; workers share the plan (see module docs).
+
+    ``stats`` (when given) accumulates the enumeration counters
+    aggregated across every worker chunk; without a ``limit`` they equal
+    the sequential counters exactly (root-partition invariance)."""
+    with MatcherPool(
+        data, workers=workers, start_method=start_method, **matcher_kwargs
+    ) as pool:
+        return pool.count(query, limit=limit, stats=stats)
+
+
+def parallel_search_iter(
+    data: Graph,
+    query: Graph,
+    workers: int = 2,
+    limit: Optional[int] = None,
+    start_method: Optional[str] = None,
+    stats: Optional[SearchStats] = None,
+    **matcher_kwargs,
+) -> Iterator[Tuple[int, ...]]:
+    """Stream embeddings as worker chunks complete (unordered).
+
+    The embedding *set* equals the sequential one; arrival order follows
+    chunk completion.  Abandoning the iterator early cancels in-flight
+    workers and tears the pool down.  ``stats`` accumulates worker
+    counters chunk-by-chunk as their results arrive.
+    """
+    with MatcherPool(
+        data, workers=workers, start_method=start_method, **matcher_kwargs
+    ) as pool:
+        yield from pool.search_iter(query, limit=limit, stats=stats)
+
+
+def parallel_search(
+    data: Graph,
+    query: Graph,
+    workers: int = 2,
+    limit: Optional[int] = None,
+    start_method: Optional[str] = None,
+    stats: Optional[SearchStats] = None,
+    **matcher_kwargs,
+) -> List[Tuple[int, ...]]:
+    """All (or first ``limit``) embeddings, computed in parallel.
+
+    Materialized form of :func:`parallel_search_iter`."""
+    return list(
+        parallel_search_iter(
+            data, query, workers=workers, limit=limit,
+            start_method=start_method, stats=stats, **matcher_kwargs,
+        )
+    )
+
+
+def parallel_run(
+    data: Graph,
+    query: Graph,
+    workers: int = 2,
+    limit: Optional[int] = None,
+    collect: bool = False,
+    count_only: bool = False,
+    start_method: Optional[str] = None,
+    **matcher_kwargs,
+) -> MatchReport:
+    """Parallel analogue of :meth:`CFLMatch.run` through a short-lived
+    pool; see :meth:`MatcherPool.run`."""
+    with MatcherPool(
+        data, workers=workers, start_method=start_method, **matcher_kwargs
+    ) as pool:
+        return pool.run(
+            query, limit=limit, collect=collect, count_only=count_only
+        )

@@ -24,7 +24,7 @@ from ..graph.graph import Graph
 from .core_match import SearchTimeout
 from .explain import stage_breadth
 from .matcher import CFLMatch, MatchReport, PreparedQuery
-from .parallel import parallel_run
+from .parallel import MatcherPool
 from .stats import SearchStats, cpi_level_totals, empty_phase_times, monotonic_now
 
 PROFILE_SCHEMA_VERSION = 8
@@ -345,8 +345,8 @@ def profile_query(
 
     ``count_only`` (the default) counts through the NEC-combination path
     — the cheap way to profile search breadth without materializing
-    every leaf permutation.  ``workers > 1`` routes enumeration through
-    :func:`~repro.core.parallel.parallel_run` and reports the
+    every leaf permutation.  ``workers > 1`` prepares once and enumerates
+    through a :class:`~repro.core.parallel.MatcherPool`, reporting the
     worker-aggregated counters (which, without a ``limit``, equal the
     sequential ones exactly).  ``max_expansions`` and ``time_limit_s``
     bound work and wall clock; truncated runs come back with
@@ -358,14 +358,16 @@ def profile_query(
             "max_expansions/time_limit_s require workers=1 (worker chunks "
             "would each need their own budget share)"
         )
-    matcher = CFLMatch(data, **matcher_kwargs)
+    plan: Optional[PreparedQuery]
     if workers > 1:
-        report = parallel_run(
-            data, query, workers=workers, limit=limit, count_only=count_only,
-            **matcher_kwargs,
-        )
-        plan: Optional[PreparedQuery] = matcher.prepare(query)
+        with MatcherPool(data, workers=workers, **matcher_kwargs) as pool:
+            matcher = pool.matcher
+            plan = matcher.prepare(query, use_cache=False)
+            report = pool.run(
+                query, limit=limit, count_only=count_only, prepared=plan
+            )
     else:
+        matcher = CFLMatch(data, **matcher_kwargs)
         deadline = (
             monotonic_now() + time_limit_s
             if time_limit_s is not None

@@ -1,23 +1,21 @@
 """Shared-memory CSR graph store and flat-buffer plan segments.
 
-Parallel search (PR 2) lost ground as workers were added because every
-spawn worker *re-materialized* the data graph (pickled ``Graph`` in the
-initializer) and received each plan as a pickled ``CompiledCPI`` wire
-object — redundant per-process work, the process-level analogue of the
-Cartesian products the paper postpones.  This module removes both
-copies:
+A parallel worker needs the data graph and the prepared plan.  Pickling
+either into every worker would re-materialize it once per process — the
+process-level analogue of the Cartesian products the paper postpones.
+This module publishes each once per host instead:
 
 * :class:`SharedGraphStore` lays the data graph — the kernel's int32
   adjacency CSR (:func:`~repro.core.kernel.build_data_csr` layout) plus
   the label index, NLF tables and MND array — into **one**
   ``multiprocessing.shared_memory`` segment with a versioned header.
-  Workers (fork *and* spawn) attach by name and get a
+  Spawn workers attach by name and get a
   :class:`SharedGraph`: a :class:`~repro.graph.graph.Graph` whose rows
   are ``memoryview`` slices of the segment — zero copies, one
   materialization per host.  The identical byte layout serialized to a
   file (``cfl-match ingest``) is attached via ``mmap`` instead: load
   once, map forever.
-* :func:`plan_sections` / :func:`decode_plan_segment` ship a prepared
+* :func:`plan_sections` / :func:`read_plan_segment` ship a prepared
   plan (CPI candidate sets, per-tree-edge adjacency, matching orders,
   and the compiled kernel stages) as contiguous int32 sections in a
   :class:`PlanSegment`.  The worker-side decode wraps views over the
@@ -99,11 +97,11 @@ __all__ = [
     "SharedGraphStore",
     "attach_graph_store",
     "attach_plan_segment",
-    "decode_plan_segment",
     "graph_sections",
     "open_graph_file",
     "pack_segment",
     "plan_sections",
+    "read_plan_segment",
     "read_segment",
     "section_sizes",
     "segment_nbytes",
@@ -924,7 +922,7 @@ def _decode_stage(
     )
 
 
-def decode_plan_segment(
+def read_plan_segment(
     matcher: "CFLMatch",
     buffer: object,
     attach_started: Optional[float] = None,
@@ -1067,7 +1065,7 @@ def attach_plan_segment(
     started = monotonic_now() if attach_started is None else attach_started
     segment = PlanSegment.attach(name)
     try:
-        plan = decode_plan_segment(matcher, segment.buffer, started)
+        plan = read_plan_segment(matcher, segment.buffer, started)
     except BaseException:
         segment.close()
         raise

@@ -1,7 +1,7 @@
 """Project-wide function index and best-effort call resolution.
 
 The call graph is deliberately *syntactic*: functions are indexed by
-dotted qualname (``PlanSegment.create``, ``_oneshot_pool.release``) per
+dotted qualname (``PlanSegment.create``, ``_dispatch.submit_more``) per
 module, imports are tracked as alias → dotted-target maps, and a call is
 resolved by pattern — ``name(...)``, ``self.m(...)``/``cls.m(...)``,
 ``Class.m(...)``, ``module_alias.f(...)`` — to the unique definition it

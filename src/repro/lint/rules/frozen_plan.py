@@ -1,25 +1,26 @@
 """R003 frozen-plan: prepared plans are immutable outside the build layer.
 
-The parallel engine shares one :class:`PreparedQuery` (and its ``CPI`` /
-``CompiledCPI`` wire form) across workers — copy-on-write under ``fork``,
-decoded-once-and-cached under ``spawn`` pools.  Any in-place mutation of
-a shared plan after preparation corrupts *sibling chunks of the same
-query* (fork) or *every later query that hits the worker-side plan LRU*
-(spawn).  The sanctioned way to specialize a plan is the copy-making API:
-``CPI.with_root_candidates`` / ``CFLMatch._with_root_candidates``.
+A :class:`PreparedQuery` (and its ``CPI``) is shared once built: the
+matcher's plan cache hands the same object to every later query with
+the same signature, and each pool worker keeps the plans it reads from
+shared plan segments in a per-worker LRU, their CPI rows being
+``memoryview`` slices of the segment.  Any in-place mutation of a plan
+after preparation corrupts *sibling chunks of the same query* and
+*every later query that hits either cache*.  The sanctioned way to
+specialize a plan is the copy-making API: ``CPI.with_root_candidates`` /
+``CFLMatch._with_root_candidates``.
 
 The rule flags any statement that assigns through an attribute (or a
 subscript of an attribute chain) rooted at a plan-like object, outside
 the modules whose *job* is plan construction: ``cpi.py`` itself,
-``cpi_builder.py``, ``cpi_storage.py`` and ``matcher.py`` (the
-``prepare*`` family).
+``cpi_builder.py`` and ``matcher.py`` (the ``prepare*`` family).
 
 Plan-like objects are inferred from parameter annotations
-(``PreparedQuery``/``CPI``/``CompiledCPI``), from assignments whose value
-is a plan-producing call (``prepare``, ``prepare_from_cpi``,
-``decode_plan``, ``with_root_candidates``, ``to_cpi``, a ``CompiledCPI``
-classmethod, or a bare type construction), and from the project's
-naming vocabulary (``plan``, ``prepared``, ``cpi``, ``compiled``).
+(``PreparedQuery``/``CPI``), from assignments whose value is a
+plan-producing call (``prepare``, ``prepare_from_cpi``,
+``with_root_candidates``, ``build_cpi``, ``build_naive_cpi``, or a bare
+type construction), and from the project's naming vocabulary (``plan``,
+``prepared``, ``cpi``, ``compiled``).
 
 The same discipline extends to the shared-memory layer (PR 6): a packed
 segment is *published read-only*.  Workers in other processes map the
@@ -59,7 +60,7 @@ from ..registry import Rule, register
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..analyzer import ModuleContext
 
-PLAN_TYPE_NAMES = frozenset({"PreparedQuery", "CPI", "CompiledCPI"})
+PLAN_TYPE_NAMES = frozenset({"PreparedQuery", "CPI"})
 PLAN_VAR_NAMES = frozenset({"plan", "prepared", "cpi", "compiled"})
 #: annotation words meaning "container of plans", which may be mutated —
 #: the worker-side plan LRU is an OrderedDict[int, PreparedQuery]
@@ -83,10 +84,7 @@ PLAN_PRODUCERS = frozenset(
     {
         "prepare",
         "prepare_from_cpi",
-        "decode_plan",
         "with_root_candidates",
-        "to_cpi",
-        "from_cpi",
         "build_cpi",
         "build_naive_cpi",
     }
@@ -102,7 +100,7 @@ def _expr_produces_plan(node: ast.AST) -> bool:
     parts = called.split(".")
     if parts[-1] in PLAN_PRODUCERS:
         return True
-    # Type constructions and classmethods: CPI(...), CompiledCPI.from_dict(...)
+    # Type constructions: CPI(...), PreparedQuery(...)
     return any(part in PLAN_TYPE_NAMES for part in parts)
 
 
@@ -266,19 +264,18 @@ RULE = register(
         id="R003",
         name="frozen-plan",
         summary=(
-            "no attribute/element assignment on PreparedQuery, CPI or "
-            "CompiledCPI objects outside the plan-construction modules"
+            "no attribute/element assignment on PreparedQuery or CPI "
+            "objects outside the plan-construction modules"
         ),
         rationale=(
-            "workers share plans copy-on-write (fork) or via a decoded-plan "
-            "LRU (spawn pools); in-place mutation corrupts sibling chunks "
-            "and later cached queries (PR 2 invariant)."
+            "the plan cache and every pool worker's plan-segment LRU hand "
+            "one plan to many queries; in-place mutation corrupts sibling "
+            "chunks and later cached queries."
         ),
         paths=("src/repro/*.py",),
         excludes=(
             "src/repro/core/cpi.py",
             "src/repro/core/cpi_builder.py",
-            "src/repro/core/cpi_storage.py",
             "src/repro/core/matcher.py",
         ),
         check=check,

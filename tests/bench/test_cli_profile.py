@@ -1,10 +1,12 @@
 """The ``cfl-match profile`` command and its JSON schema contract."""
 
 import json
+import multiprocessing
 
 import pytest
 
 from repro.cli import main
+from repro.core import CFLMatch
 from repro.core.profile import (
     PROFILE_SCHEMA,
     profile_query,
@@ -12,6 +14,7 @@ from repro.core.profile import (
     validate_schema,
 )
 from repro.graph import save_graph
+from repro.testing.workloads import WorkloadSpec, generate_case
 from repro.workloads.paper_graphs import figure1_example, figure3_example
 
 
@@ -78,6 +81,28 @@ class TestProfileQuery:
         assert validate_profile(aggregated) == []
         assert aggregated["embeddings"] == sequential["embeddings"] == 20
         assert aggregated["counters"] == sequential["counters"]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="fork start method unavailable",
+    )
+    def test_workers_prepare_the_query_once(self, monkeypatch):
+        """The profiled plan is the one the pool enumerates: one fresh
+        preparation in total, counted across the worker processes too."""
+        case = generate_case(11, 1, WorkloadSpec(scenarios=("dense",)))
+        counter = multiprocessing.get_context("fork").Value("i", 0)
+        original = CFLMatch._prepare_fresh
+
+        def counted(self, query, **kwargs):
+            with counter.get_lock():
+                counter.value += 1
+            return original(self, query, **kwargs)
+
+        monkeypatch.setattr(CFLMatch, "_prepare_fresh", counted)
+        profile = profile_query(case.data, case.query, workers=2)
+        assert validate_profile(profile) == []
+        assert profile["embeddings"] == CFLMatch(case.data).count(case.query)
+        assert counter.value == 2  # the profile's, then the check's
 
     def test_workers_reject_sequential_only_budgets(self):
         ex = figure3_example()

@@ -13,6 +13,7 @@ The contract under test (see ``repro/core/batch.py``):
 * a batch report keeps its own run's aux counters.
 """
 
+import glob
 import random
 import sys
 
@@ -26,6 +27,7 @@ from repro.core.batch import (
     degree_bucket,
     label_signature,
 )
+from repro.core.shm import SEGMENT_PREFIX
 from repro.graph import Graph
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import random_walk_query
@@ -33,13 +35,19 @@ from repro.testing.workloads import (
     CONNECTED_QUERY_SCENARIOS,
     WorkloadSpec,
     generate_case,
+    generate_delta_stream,
 )
+from repro.workloads import load_dataset, mixed_batch_workload
 
 #: Dense enough that core slots carry backward non-tree edges, so the
 #: eager intersection actually runs.
 DENSE_SPEC = WorkloadSpec(
     scenarios=("dense",), data_vertices=(60, 60), query_vertices=(7, 7)
 )
+
+
+def shm_segments():
+    return set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
 
 
 def batch_for(case, seed, extras=2):
@@ -344,7 +352,8 @@ class TestBatchPool:
         case = generate_case(0, 0, DENSE_SPEC)
         queries = batch_for(case, 0, extras=1)
         sequential = BatchMatcher(case.data).run(queries)
-        pooled = BatchMatcher(case.data, workers=2).run(queries)
+        with BatchMatcher(case.data, workers=2) as matcher:
+            pooled = matcher.run(queries)
         assert [r.embeddings for r in pooled.results] == [
             r.embeddings for r in sequential.results
         ]
@@ -356,3 +365,58 @@ class TestBatchPool:
             BatchMatcher(case.data, workers=2).run(
                 [case.query], time_limit_s=1.0
             )
+
+    def test_two_runs_share_one_pool_and_its_plans(self):
+        """20 templates run twice at workers=2 prepare 20 plans, not 40."""
+        data = load_dataset("hprd", scale="small", seed=1)
+        queries = mixed_batch_workload(
+            data, sizes=[4, 5], distinct=20, total=40, seed=3
+        )
+        assert len({query.signature() for query in queries}) == 20
+        sequential = BatchMatcher(data).run(queries)
+        with BatchMatcher(data, workers=2) as matcher:
+            first = matcher.run(queries)
+            pool = matcher._pool
+            second = matcher.run(queries)
+            assert matcher._pool is pool
+            assert matcher.matcher.prepare_count == 20
+            assert second.plan_cache_hits == len(queries)
+        for report in (first, second):
+            assert [r.embeddings for r in report.results] == [
+                r.embeddings for r in sequential.results
+            ]
+
+    def test_mutated_graph_gets_a_fresh_pool(self):
+        """A run after a DynamicGraph mutation answers from the current
+        graph, as workers=1 does, instead of raising."""
+        case = generate_case(11, 1, WorkloadSpec(scenarios=("dense",)))
+        dynamic = DynamicGraph.from_graph(case.data)
+        queries = batch_for(case, 1)
+        with BatchMatcher(dynamic, workers=2) as matcher:
+            before = matcher.run(queries)
+            pool = matcher._pool
+            for delta in generate_delta_stream(case.data, random.Random(4), length=40):
+                dynamic.apply(delta)
+            after = matcher.run(queries)
+            assert matcher._pool is not pool
+        fresh = [CFLMatch(dynamic).count(query) for query in queries]
+        assert [r.embeddings for r in after.results] == fresh
+        assert fresh != [r.embeddings for r in before.results]
+
+    def test_close_leaves_no_segments(self):
+        case = generate_case(11, 1, WorkloadSpec(scenarios=("dense",)))
+        before = shm_segments()
+        matcher = BatchMatcher(case.data, workers=2)
+        matcher.run([case.query])
+        assert shm_segments() - before  # the query's plan segment
+        matcher.close()
+        assert shm_segments() == before
+        matcher.close()  # idempotent
+
+    def test_one_worker_builds_no_pool(self):
+        case = generate_case(11, 1, WorkloadSpec(scenarios=("dense",)))
+        before = shm_segments()
+        matcher = BatchMatcher(case.data)
+        matcher.run(batch_for(case, 2))
+        assert matcher._pool is None
+        assert shm_segments() == before

@@ -29,7 +29,8 @@ from repro.core.kernel import (
     compile_kernel_plan,
 )
 from repro.core.matcher import ENGINES
-from repro.core.parallel import decode_plan, encode_plan, parallel_count
+from repro.core.parallel import parallel_count
+from repro.core.shm import PlanSegment, attach_plan_segment
 from repro.core.stats import SearchStats, monotonic_now
 from repro.testing.workloads import (
     CONNECTED_QUERY_SCENARIOS,
@@ -273,16 +274,26 @@ class TestCompiledPlanStructure:
         assert second.kernel is first.kernel
         assert matcher.prepare_count == 1
 
-    def test_decode_plan_lazily_compiles_for_kernel_matcher(self):
+    def test_attached_plan_compiles_for_kernel_matcher(self):
+        """A reference-engine plan segment carries no kernel stages; a
+        kernel matcher attaching it compiles them from the shipped CPI
+        (``prepare_from_cpi`` without ``kernel_plan``)."""
         case = generate_case(0, 0, DENSE_SPEC)
-        sender = CFLMatch(case.data, engine="kernel")
-        wire = encode_plan(sender.prepare(case.query))
-        receiver = CFLMatch(case.data, engine="kernel")
-        plan = decode_plan(receiver, case.query, wire)
-        assert plan.kernel is not None
-        assert receiver.count(case.query, prepared=plan) == sender.count(
-            case.query
-        )
+        sender = CFLMatch(case.data, engine="reference")
+        sent = sender.prepare(case.query)
+        assert sent.kernel is None
+        segment = PlanSegment.create(sent)
+        try:
+            receiver = CFLMatch(case.data, engine="kernel")
+            plan, attached = attach_plan_segment(receiver, segment.name)
+            assert plan.kernel is not None
+            assert receiver.count(case.query, prepared=plan) == sender.count(
+                case.query
+            )
+            attached.close()
+        finally:
+            segment.unlink()
+            segment.close()
 
     def test_compile_without_data_csr_matches(self):
         case = generate_case(0, 0, DENSE_SPEC)

@@ -8,15 +8,13 @@ import pytest
 from repro.core import CFLMatch, estimate_root_costs
 from repro.core.parallel import (
     MatcherPool,
-    _chunks,
     _cost_weighted_chunks,
     _dispatch,
-    decode_plan,
-    encode_plan,
     parallel_count,
     parallel_search,
     parallel_search_iter,
 )
+from repro.core.shm import PlanSegment, attach_plan_segment
 from repro.graph import Graph, random_connected_graph
 from repro.testing.workloads import CONNECTED_QUERY_SCENARIOS, WorkloadSpec, generate_case
 from repro.workloads.paper_graphs import figure1_example
@@ -26,14 +24,16 @@ needs_fork = pytest.mark.skipif(not FORK, reason="fork start method unavailable"
 
 
 class TestChunks:
+    """Without cost estimates every root weighs the same."""
+
     def test_round_robin(self):
-        assert _chunks([1, 2, 3, 4, 5], 2) == [[1, 3, 5], [2, 4]]
+        assert _cost_weighted_chunks([1, 2, 3, 4, 5], {}, 2) == [[1, 3, 5], [2, 4]]
 
     def test_more_pieces_than_items(self):
-        assert _chunks([1, 2], 5) == [[1], [2]]
+        assert _cost_weighted_chunks([1, 2], {}, 5) == [[1], [2]]
 
     def test_single_piece(self):
-        assert _chunks([1, 2, 3], 1) == [[1, 2, 3]]
+        assert _cost_weighted_chunks([1, 2, 3], {}, 1) == [[1, 2, 3]]
 
 
 class TestCostWeightedChunks:
@@ -161,7 +161,9 @@ class TestRootRestriction:
             full = set(matcher.search(query))
             pieces = [
                 set(matcher.search(query, root_candidates=chunk))
-                for chunk in _chunks(roots, 3)
+                for chunk in _cost_weighted_chunks(
+                    roots, estimate_root_costs(prepared.cpi), 3
+                )
             ]
             combined = set().union(*pieces) if pieces else set()
             assert combined == full
@@ -259,7 +261,8 @@ class TestParallel:
         assert len(rest) == 4
 
     def test_spawn_context_matches_fork(self):
-        """The CompiledCPI wire path must agree with the COW fork path."""
+        """Spawn workers attach a shared graph store instead of
+        inheriting ``data``; the answers must not change."""
         ex = figure1_example(12, 12)
         expected = CFLMatch(ex.data).count(ex.query)
         assert (
@@ -328,7 +331,17 @@ class TestPrepareOnce:
 
 
 class TestPlanWire:
-    """encode_plan/decode_plan: the spawn-context plan shipping path."""
+    """Plan segments: the one form in which a plan crosses a process
+    boundary."""
+
+    @staticmethod
+    def _attached(receiver, plan):
+        segment = PlanSegment.create(plan)
+        try:
+            return attach_plan_segment(receiver, segment.name)
+        finally:
+            segment.unlink()
+            segment.close()
 
     def test_round_trip_reproduces_results(self):
         spec = WorkloadSpec(scenarios=("dense", "nec-heavy", "twins"))
@@ -336,26 +349,27 @@ class TestPlanWire:
             case = generate_case(9000, index, spec)
             matcher = CFLMatch(case.data)
             plan = matcher.prepare(case.query)
-            rebuilt = decode_plan(matcher, case.query, encode_plan(plan))
+            rebuilt, attached = self._attached(matcher, plan)
             assert rebuilt.root == plan.root
             assert rebuilt.core_order == plan.core_order
             assert rebuilt.forest_order == plan.forest_order
             assert Counter(
                 matcher.search(case.query, prepared=rebuilt)
             ) == Counter(matcher.search(case.query, prepared=plan))
+            attached.close()
 
     def test_decode_skips_cpi_build(self, monkeypatch):
         ex = figure1_example(8, 8)
         matcher = CFLMatch(ex.data)
         plan = matcher.prepare(ex.query)
-        wire = encode_plan(plan)
 
         def boom(*args, **kwargs):  # pragma: no cover - guard only
             raise AssertionError("CPI build must not run on decode")
 
         monkeypatch.setattr(CFLMatch, "_build_cpi", boom)
-        rebuilt = decode_plan(matcher, ex.query, wire)
+        rebuilt, attached = self._attached(matcher, plan)
         assert matcher.count(ex.query, prepared=rebuilt) == 8
+        attached.close()
 
 
 class TestMatcherPool:

@@ -427,14 +427,17 @@ class TestSegmentLifecycle:
     def test_pool_shutdown_unlinks_everything(self):
         case = _dense_case()
         expected = CFLMatch(case.data).count(case.query)
-        before = _segments()
-        pool = MatcherPool(case.data, workers=2)
-        assert pool.count(case.query) == expected
-        if SHM_DIR.is_dir():
-            # the store and the query's plan segment live here right now
-            assert len(_segments() - before) == 2
-        pool.close()
-        assert _segments() == before
+        for method in ("fork", "spawn") if FORK else ("spawn",):
+            before = _segments()
+            pool = MatcherPool(case.data, workers=2, start_method=method)
+            assert pool.count(case.query) == expected
+            if SHM_DIR.is_dir():
+                # the query's plan segment lives here right now, and under
+                # spawn the graph store too (fork workers inherit ``data``)
+                live = 1 if method == "fork" else 2
+                assert len(_segments() - before) == live, method
+            pool.close()
+            assert _segments() == before, method
 
     def test_pool_does_not_unlink_foreign_store(self):
         case = _dense_case()
@@ -501,8 +504,10 @@ class TestSegmentLifecycle:
             assert pool.count(case.query) == expected
             assert pool.count(twisted) == expected  # isomorphic relabeling
             if SHM_DIR.is_dir():
-                # store + exactly one live plan segment (first one evicted)
-                assert len(_segments() - before) == 2
+                # exactly one live plan segment (first one evicted), plus
+                # the graph store when the workers were spawned
+                store = 0 if pool.start_method == "fork" else 1
+                assert len(_segments() - before) == 1 + store
         assert _segments() == before
 
     @pytest.mark.skipif(not SHM_DIR.is_dir(), reason="/dev/shm unavailable")

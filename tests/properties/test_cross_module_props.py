@@ -38,19 +38,31 @@ def test_estimates_are_monotone_across_builders(pair):
 
 @given(query_data_pairs())
 def test_compiled_cpi_round_trips_any_builder(pair):
-    """The A.2 offset representation preserves every adjacency list of
-    both the naive and the refined CPI."""
-    from repro.core.cpi_storage import CompiledCPI
+    """A plan segment's flat CPI sections preserve every adjacency list
+    of both the naive and the refined CPI."""
+    from repro.core.shm import (
+        KIND_PLAN,
+        pack_segment,
+        plan_sections,
+        read_plan_segment,
+        segment_nbytes,
+    )
 
     query, data = pair
+    # "match" mode orders the whole query like a core, so any root will do
+    matcher = CFLMatch(data, mode="match")
     for cpi in (build_naive_cpi(query, data, 0), build_cpi(query, data, 0)):
-        compiled = CompiledCPI.from_cpi(cpi)
+        sections = plan_sections(matcher.prepare_from_cpi(query, cpi))
+        buffer = bytearray(segment_nbytes(sections))
+        pack_segment(buffer, KIND_PLAN, sections)
+        decoded = read_plan_segment(matcher, memoryview(buffer)).cpi
         for u in query.vertices():
+            assert list(decoded.candidates[u]) == list(cpi.candidates[u])
             p = cpi.tree.parent[u]
             if p is None:
                 continue
-            for i, v_p in enumerate(cpi.candidates[p]):
-                assert sorted(compiled.child_vertices(u, i)) == sorted(
+            for v_p in cpi.candidates[p]:
+                assert sorted(decoded.child_candidates(u, v_p)) == sorted(
                     cpi.child_candidates(u, v_p)
                 )
 
