@@ -386,7 +386,6 @@ class BatchMatcher:
         #: the worker pool (``workers > 1``), built by the first run and
         #: rebuilt by the first run after ``data.version`` moves
         self._pool: Optional["MatcherPool"] = None
-        self._pool_version = data.version
 
     def __enter__(self) -> "BatchMatcher":
         return self
@@ -396,7 +395,9 @@ class BatchMatcher:
 
     def close(self) -> None:
         """Release the worker pool, if a run built one (idempotent; a
-        later run builds a fresh pool)."""
+        later run builds a fresh pool).  A batch dropped without it
+        releases the pool when it is garbage collected or the
+        interpreter exits."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -404,17 +405,17 @@ class BatchMatcher:
     def _worker_pool(self) -> "MatcherPool":
         """The pool serving ``workers > 1`` runs, over the graph's current
         version: a pool whose copy of the graph went stale is replaced."""
-        if self._pool is not None and self._pool_version != self.data.version:
+        if self._pool is not None and self._pool._version != self.data.version:
             self.close()
         if self._pool is None:
             from .parallel import MatcherPool
 
             pool = MatcherPool(
-                self.data, workers=self.workers, **self._matcher_kwargs
+                self.data, workers=self.workers, plan_cache_size=None,
+                aux_cache=self.aux, **self._matcher_kwargs
             )
             pool.matcher = self.matcher
             self._pool = pool
-            self._pool_version = self.data.version
         return self._pool
 
     def run(

@@ -51,6 +51,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as _queue_mod
+import weakref
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -180,6 +181,8 @@ def _resolve_pool_plan(key: int, name: str) -> Optional[PreparedQuery]:
         _, evicted = plans.popitem(last=False)
         evicted[1].close()
     return plan
+
+
 def _count_roots(
     matcher: CFLMatch, plan: PreparedQuery, roots: List[int], budget: Optional[int], cancel
 ) -> Tuple[int, Dict[str, int]]:
@@ -347,6 +350,48 @@ def _shared_store(
 # ----------------------------------------------------------------------
 # The pool
 # ----------------------------------------------------------------------
+class _PoolResources:
+    """What a :class:`MatcherPool` must release: its worker processes,
+    its plan segments and the graph store it made for spawn workers.
+
+    Kept apart from the pool so that a ``weakref.finalize`` on the pool
+    can release them when it is dropped (or the interpreter exits)
+    without :meth:`MatcherPool.close`.  The segments are never
+    registered with the ``resource_tracker`` (see
+    :class:`~repro.core.shm._Segment`), so nothing else unlinks their
+    names."""
+
+    def __init__(self, cancel) -> None:
+        self.cancel = cancel
+        #: the worker processes, started by the first query that splits
+        self.workers = None
+        #: the store created for spawn workers (``None`` under fork or
+        #: when ``data`` was already shared)
+        self.store: Optional[SharedGraphStore] = None
+        #: query signature -> (plan epoch key, shared plan segment)
+        self.segments: Dict[tuple, Tuple[int, PlanSegment]] = {}
+        self._owner_pid = os.getpid()
+
+    def release(self) -> None:
+        # A forked worker inherits a copy of this object; the names it
+        # holds belong to the process that created them.
+        if os.getpid() != self._owner_pid:
+            return
+        self.cancel.set()
+        if self.workers is not None:
+            self.workers.terminate()
+            self.workers.join()
+            self.workers = None
+        while self.segments:
+            _, (_, segment) = self.segments.popitem()
+            segment.unlink()
+            segment.close()
+        if self.store is not None:
+            self.store.unlink()
+            self.store.close()
+            self.store = None
+
+
 class MatcherPool:
     """A worker pool serving queries over one data graph.
 
@@ -368,8 +413,10 @@ class MatcherPool:
     :class:`~repro.core.shm.SharedGraphStore` under spawn, and start
     with the first query that splits across them (see the module docs).
     :meth:`close` terminates them and unlinks every segment the pool
-    created.  Not thread-safe: run one query at a time per pool.  The
-    workers hold ``data`` as it was at construction, so once a
+    created; a pool dropped without it does the same when it is garbage
+    collected or the interpreter exits.  Not thread-safe: run one query
+    at a time per pool.  The workers hold ``data`` as it was at
+    construction, so once a
     :class:`~repro.graph.dynamic.DynamicGraph` moves to a new version
     every query method raises instead of answering from a stale copy.
     """
@@ -401,14 +448,8 @@ class MatcherPool:
         self.start_method = start_method or _default_start_method()
         self._ctx = multiprocessing.get_context(self.start_method)
         self._cancel = self._ctx.Event()
-        #: the worker processes, started by the first query that splits
-        self._pool = None
-        #: the store created for spawn workers (``None`` under fork or
-        #: when ``data`` was already shared); unlinked by :meth:`close`
-        self._store: Optional[SharedGraphStore] = None
-        self._closed = False
-        # plan epoch bookkeeping: signature -> (key, shared plan segment)
-        self._plan_segments: Dict[tuple, Tuple[int, PlanSegment]] = {}
+        self._resources = _PoolResources(self._cancel)
+        self._release = weakref.finalize(self, self._resources.release)
         self._next_key = 0
         #: enumeration counters aggregated over every query this pool has
         #: served (worker chunks and inline runs alike)
@@ -424,25 +465,11 @@ class MatcherPool:
     def close(self) -> None:
         """Terminate the workers and unlink every shared segment this
         pool created; the pool cannot be used afterwards."""
-        if self._closed:
-            return
-        self._closed = True
-        self._cancel.set()
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-        while self._plan_segments:
-            _, (_, segment) = self._plan_segments.popitem()
-            segment.unlink()
-            segment.close()
-        if self._store is not None:
-            self._store.unlink()
-            self._store.close()
-            self._store = None
+        self._release()
 
     # -- internals -----------------------------------------------------
     def _require_open(self) -> None:
-        if self._closed:
+        if not self._release.alive:
             raise RuntimeError("MatcherPool is closed")
         if self.data.version != self._version:
             raise RuntimeError(
@@ -455,16 +482,17 @@ class MatcherPool:
         """The worker processes, started on first use.  Under fork they
         inherit ``data`` and whatever the parent has built on it so far;
         under spawn they attach a shared store of it."""
-        if self._pool is None:
+        resources = self._resources
+        if resources.workers is None:
             graph: Union[Graph, GraphHandle] = self.data
             if self.start_method != "fork":
-                graph, self._store = _shared_store(self.data)
-            self._pool = self._ctx.Pool(
+                graph, resources.store = _shared_store(self.data)
+            resources.workers = self._ctx.Pool(
                 self.workers,
                 initializer=_init_pool_worker,
                 initargs=(graph, self._matcher_kwargs, self._cancel),
             )
-        return self._pool
+        return resources.workers
 
     def _plan_segment(self, query: Graph, plan: PreparedQuery) -> Tuple[int, str]:
         """Encode the plan into a shared segment once per distinct query.
@@ -474,10 +502,10 @@ class MatcherPool:
         unlink those whose plans the cache has dropped since — attached
         workers keep their live mappings, POSIX semantics."""
         signature = query.signature()
-        entry = self._plan_segments.get(signature)
+        segments = self._resources.segments
+        entry = segments.get(signature)
         if entry is not None:
             return entry[0], entry[1].name
-        segments = self._plan_segments
         for old in [
             old for old in segments if not self.matcher.has_cached_plan(old)
         ]:
@@ -690,38 +718,6 @@ class MatcherPool:
             phase_times=phase_times,
             build_stats=plan.build_stats,
         )
-    def run_batch(
-        self,
-        queries: Sequence[Graph],
-        limit: Optional[int] = None,
-        count_only: bool = True,
-    ) -> List[Tuple[Any, SearchStats, float]]:
-        """Serve a whole workload through the pool, one query at a time.
-
-        Queries execute grouped by label signature (see
-        :func:`repro.core.batch.batch_execution_order`) so the plan cache
-        and any attached auxiliary adjacency cache see structurally
-        similar queries back to back; results come back in *input* order
-        as ``(value, stats, elapsed_s)`` triples — ``value`` is the
-        embedding count under ``count_only`` (the default), else the
-        embedding list (unordered when chunked across workers).
-        """
-        from .batch import batch_execution_order
-
-        self._require_open()
-        outcomes: List[Optional[Tuple[Any, SearchStats, float]]] = (
-            [None] * len(queries)
-        )
-        for index in batch_execution_order(queries):
-            query = queries[index]
-            stats = SearchStats()
-            started = monotonic_now()
-            if count_only:
-                value: Any = self.count(query, limit=limit, stats=stats)
-            else:
-                value = self.search(query, limit=limit, stats=stats)
-            outcomes[index] = (value, stats, monotonic_now() - started)
-        return [outcome for outcome in outcomes if outcome is not None]
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,11 @@ The contract under test (see ``repro/core/batch.py``):
 """
 
 import glob
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -412,6 +415,41 @@ class TestBatchPool:
         matcher.close()
         assert shm_segments() == before
         matcher.close()  # idempotent
+
+    def test_unclosed_batch_leaves_no_segments(self):
+        """A batch dropped without close(), or still alive when the
+        interpreter exits, unlinks its pool's segments all the same."""
+        code = (
+            "import gc, glob, os\n"
+            "from repro.core.batch import BatchMatcher\n"
+            "from repro.core.shm import SEGMENT_PREFIX\n"
+            "from repro.testing import WorkloadSpec, generate_case\n"
+            "def mine():\n"
+            "    return glob.glob(f'/dev/shm/{SEGMENT_PREFIX}{os.getpid():x}-*')\n"
+            "case = generate_case(11, 1, WorkloadSpec(scenarios=('dense',)))\n"
+            "dropped = BatchMatcher(case.data, workers=2)\n"
+            "dropped.run([case.query])\n"
+            "assert mine()\n"
+            "del dropped\n"
+            "gc.collect()\n"
+            "assert not mine(), mine()\n"
+            "kept = BatchMatcher(case.data, workers=2)\n"
+            "kept.run([case.query])\n"
+            "print(os.getpid(), len(mine()))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=str(Path(__file__).resolve().parents[2]),
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        pid, live = (int(field) for field in result.stdout.split())
+        assert live == 1  # the kept batch's plan segment, until exit
+        assert not glob.glob(f"/dev/shm/{SEGMENT_PREFIX}{pid:x}-*")
 
     def test_one_worker_builds_no_pool(self):
         case = generate_case(11, 1, WorkloadSpec(scenarios=("dense",)))

@@ -443,7 +443,7 @@ class TestMatcherPool:
             with pytest.raises(RuntimeError, match="version"):
                 list(pool.search_iter(query))
             with pytest.raises(RuntimeError, match="version"):
-                pool.run_batch([query])
+                pool.run(query)
 
     def test_workers_one_runs_inline(self):
         ex = figure1_example(7, 7)

@@ -233,12 +233,12 @@ class TestPoolSegments:
         monkeypatch.setattr(matcher_module, "PLAN_CACHE_BYTES", 1)
         with MatcherPool(case.data, workers=2, plan_cache_size=None) as pool:
             assert pool.count(queries[0]) == expected
-            (_, first), = pool._plan_segments.values()
+            (_, first), = pool._resources.segments.values()
             assert SHM_DIR / first.name in {Path(p) for p in shm_segments()}
             for query in queries[1:]:
                 assert pool.count(query) == expected
                 # only the newest plan fits, so only its segment lives
-                assert list(pool._plan_segments) == [query.signature()]
+                assert list(pool._resources.segments) == [query.signature()]
             # one plan segment, plus the graph store when the workers
             # were spawned
             store = 0 if pool.start_method == "fork" else 1

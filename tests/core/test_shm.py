@@ -550,6 +550,35 @@ class TestSegmentLifecycle:
             store.unlink()
             store.close()
 
+    @pytest.mark.skipif(not SHM_DIR.is_dir(), reason="/dev/shm unavailable")
+    def test_unclosed_spawn_pool_unlinks_at_exit(self):
+        """A spawn pool still open when the interpreter exits unlinks its
+        graph store and plan segment, with no stderr noise."""
+        code = (
+            "import glob, os\n"
+            "from repro.core.parallel import MatcherPool\n"
+            "from repro.core.shm import SEGMENT_PREFIX\n"
+            "from repro.testing import WorkloadSpec, generate_case\n"
+            "case = generate_case(11, 1, WorkloadSpec(scenarios=('dense',)))\n"
+            "pool = MatcherPool(case.data, workers=2, start_method='spawn')\n"
+            "pool.count(case.query)\n"
+            "mine = glob.glob(f'/dev/shm/{SEGMENT_PREFIX}{os.getpid():x}-*')\n"
+            "print(os.getpid(), len(mine))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=str(REPO_ROOT),
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        pid, live = (int(field) for field in result.stdout.split())
+        assert live == 2  # the graph store and the plan segment
+        assert not glob.glob(str(SHM_DIR / f"{SEGMENT_PREFIX}{pid:x}-*"))
+
     def test_no_resource_tracker_warnings_in_subprocess(self):
         """A full create/attach/search/close cycle in a fresh interpreter
         must produce *zero* stderr output — no resource_tracker 'leaked
