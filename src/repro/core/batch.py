@@ -45,6 +45,7 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph
@@ -226,20 +227,23 @@ def label_signature(query: Graph) -> LabelSignature:
     return labels, tuple(sorted(pairs))
 
 
-def batch_execution_order(queries: Sequence[Graph]) -> List[int]:
-    """Query indices grouped by label signature.
+def _signature_groups(queries: Sequence[Graph]) -> List[List[int]]:
+    """Query indices per label signature, each signature computed once.
 
     Groups keep first-appearance order and input order within a group,
     so the schedule is deterministic and results can be reported back in
     input order regardless.
     """
-    groups: "OrderedDict[LabelSignature, List[int]]" = OrderedDict()
+    groups: Dict[LabelSignature, List[int]] = {}
     for index, query in enumerate(queries):
         groups.setdefault(label_signature(query), []).append(index)
-    order: List[int] = []
-    for members in groups.values():
-        order.extend(members)
-    return order
+    return list(groups.values())
+
+
+def batch_execution_order(queries: Sequence[Graph]) -> List[int]:
+    """Query indices grouped by label signature (see
+    :func:`_signature_groups`)."""
+    return list(chain.from_iterable(_signature_groups(queries)))
 
 
 # ----------------------------------------------------------------------
@@ -451,8 +455,8 @@ class BatchMatcher:
         aux_before = self._aux_counters()
         hits_before = matcher.plan_cache_hits
         outcomes: List[Optional[BatchQueryResult]] = [None] * len(queries)
-        order = batch_execution_order(queries)
-        for index in order:
+        groups = _signature_groups(queries)
+        for index in chain.from_iterable(groups):
             query = queries[index]
             deadline = (
                 monotonic_now() + time_limit_s
@@ -494,7 +498,7 @@ class BatchMatcher:
         wall = monotonic_now() - started
         return self._finish(
             outcomes, wall, aux_before,
-            groups=_group_count(queries),
+            groups=len(groups),
             plan_cache_hits=matcher.plan_cache_hits - hits_before,
             plan_bytes=matcher.plan_cache_bytes,
         )
@@ -546,7 +550,3 @@ class BatchMatcher:
             workers=self.workers,
             plan_bytes_in_use=plan_bytes,
         )
-
-
-def _group_count(queries: Sequence[Graph]) -> int:
-    return len({label_signature(query) for query in queries})

@@ -836,8 +836,15 @@ class CFLMatch:
         be larger.  ``root_candidates`` restricts the root as in
         :meth:`search`; ``stats``/``stage_stats``/``deadline``/``budget``
         mirror :meth:`search` (leaf expansions here count NEC
-        *combinations*, each worth its ``m`` member assignments).
+        *combinations*, each worth its ``m`` member assignments).  A
+        ``limit`` of 0 or less counts 0 without preparing, as
+        :meth:`search` yields nothing.  The kernel engine takes each
+        mapping's leaf count in closed form (``closed_form`` of
+        :func:`~repro.core.leaf_match.count_leaf_matches`); the
+        reference engine explores the combinations.
         """
+        if limit is not None and limit <= 0:
+            return 0
         plan = prepared if prepared is not None else self.prepare(query)
         if plan.cpi.is_empty():
             return 0
@@ -857,6 +864,7 @@ class CFLMatch:
         mapping = [-1] * query.num_vertices
         used = bytearray(self.data.num_vertices)
         total = 0
+        closed_form = self.engine == "kernel"
         core_bt, forest_bt = self._backtrackers(
             plan, core_stats, forest_stats, deadline, budget
         )
@@ -866,6 +874,7 @@ class CFLMatch:
                 total += count_leaf_matches(
                     plan.cpi, plan.leaf_plan, mapping, used,
                     cap=cap, stats=leaf_stats, budget=budget,
+                    closed_form=closed_form,
                 )
                 if limit is not None and total >= limit:
                     stats.embeddings += limit

@@ -218,8 +218,9 @@ class SearchStats:
     # ------------------------------------------------------------------
     def merge(self, other: "SearchStats") -> "SearchStats":
         """Add ``other``'s counters into ``self`` (worker aggregation)."""
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        mine, theirs = vars(self), vars(other)
+        for name in _COUNTER_NAMES:
+            mine[name] += theirs[name]
         return self
 
     def merged_with(self, other: "SearchStats") -> "SearchStats":
@@ -228,25 +229,30 @@ class SearchStats:
 
     def to_dict(self) -> Dict[str, int]:
         """Every counter by name (stable key order, JSON-ready)."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {name: getattr(self, name) for name in _COUNTER_NAMES}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, int]) -> "SearchStats":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
+        unknown = set(payload).difference(_COUNTER_NAMES)
         if unknown:
             raise ValueError(f"unknown SearchStats counters: {sorted(unknown)}")
         return cls(**dict(payload))
 
     @classmethod
     def counter_names(cls) -> List[str]:
-        return [f.name for f in dataclasses.fields(cls)]
+        return list(_COUNTER_NAMES)
 
     @property
     def expansions(self) -> int:
         """Alias for ``nodes``: total partial-match expansions."""
         return self.nodes
+
+
+#: Every counter's name in declaration order, read once: ``merge`` runs
+#: for each stage of every run, and ``dataclasses.fields`` rebuilds its
+#: answer on each call.
+_COUNTER_NAMES = tuple(f.name for f in dataclasses.fields(SearchStats))
 
 
 def aggregate_stage_stats(

@@ -41,7 +41,11 @@ One relation pins the two enumeration engines to each other:
                                 ``embeddings``/``leaf_shortcircuits``
                                 and per-stage nodes, for a full search,
                                 a random ``limit`` and a generator closed
-                                after a random number of embeddings; the
+                                after a random number of embeddings, and
+                                the same ``count()`` with those counters,
+                                the NEC counters, per-stage nodes and
+                                budget left, in full and under a random
+                                ``limit`` and ``max_expansions``; the
                                 full search's core+forest ``nodes`` and
                                 ``backjumps`` also equal the failing-set
                                 model's (:mod:`repro.testing.failing_sets`)
@@ -74,7 +78,12 @@ from ..bench.harness import make_matcher
 from ..core.core_match import SearchTimeout
 from ..core.dynamic import IncrementalMatcher
 from ..core.matcher import CFLMatch
-from ..core.stats import SearchStats, aggregate_stage_stats
+from ..core.stats import (
+    BudgetExhausted,
+    SearchStats,
+    WorkBudget,
+    aggregate_stage_stats,
+)
 from ..core.verify import diff_counts, map_embeddings
 from ..graph.dynamic import DynamicGraph
 from ..graph.graph import Graph, GraphError
@@ -391,6 +400,33 @@ def _engine_run(data, query, engine, limit=None, close_after=None):
     )
 
 
+#: Counters the two engines' ``count`` must also agree on: the kernel
+#: takes them from closed forms, the reference explores combinations.
+_COUNT_COUNTERS = _ENGINE_COUNTERS + ("nec_groups", "nec_permutations_skipped")
+
+
+def _engine_count(data, query, engine, limit=None, max_expansions=None):
+    """One count, its counters, per-stage nodes and the budget left
+    (the count is ``"exhausted"`` when the budget ran out)."""
+    stats = SearchStats()
+    stage_stats: dict = {}
+    budget = WorkBudget(max_expansions) if max_expansions is not None else None
+    try:
+        found = CFLMatch(data, engine=engine).count(
+            query, limit=limit, stats=stats, stage_stats=stage_stats,
+            budget=budget,
+        )
+    except BudgetExhausted:
+        found = "exhausted"
+    aggregate_stage_stats(stage_stats, into=stats)
+    return (
+        found,
+        {name: getattr(stats, name) for name in _COUNT_COUNTERS},
+        {stage: part.nodes for stage, part in sorted(stage_stats.items())},
+        budget.remaining if budget is not None else None,
+    )
+
+
 def relation_engine_identity(data, query, matcher_name, rng) -> Optional[str]:
     """The kernel engine is the reference engine, observably.
 
@@ -399,9 +435,12 @@ def relation_engine_identity(data, query, matcher_name, rng) -> Optional[str]:
     search, under a random ``limit``, and when the consumer closes the
     generator after a random number of embeddings (the kernel emits
     Leaf-Match in blocks and settles its counters when a block ends or
-    the generator closes).  The full search's core+forest ``nodes`` and
-    ``backjumps`` must also equal the failing-set model's, an oracle
-    that shares no code with either engine.  Matcher-independent.
+    the generator closes).  ``count`` must agree the same way, in full
+    and under a random ``limit`` and ``max_expansions`` (the kernel
+    counts leaves in closed form).  The full search's core+forest
+    ``nodes`` and ``backjumps`` must also equal the failing-set model's,
+    an oracle that shares no code with either engine.
+    Matcher-independent.
     """
     if not query.is_connected():
         return None
@@ -439,6 +478,23 @@ def relation_engine_identity(data, query, matcher_name, rng) -> Optional[str]:
                 f"{label}: kernel counters {kernel[1]} / stages {kernel[2]} "
                 f"differ from the reference {reference[1]} / {reference[2]}"
             )
+    full_count = _engine_count(data, query, "reference")
+    nodes = sum(full_count[2].values())
+    counts = (
+        ("full count", {}),
+        ("count", {"limit": rng.randint(1, total + 1)}),
+        ("count", {"max_expansions": rng.randint(0, nodes + 1)}),
+        ("count", {"limit": rng.randint(1, total + 1),
+                   "max_expansions": rng.randint(0, nodes + 1)}),
+    )
+    for tag, kwargs in counts:
+        reference = full_count if not kwargs else _engine_count(
+            data, query, "reference", **kwargs
+        )
+        kernel = _engine_count(data, query, "kernel", **kwargs)
+        if kernel != reference:
+            label = tag + "".join(f" {key}={value}" for key, value in kwargs.items())
+            return f"{label}: kernel {kernel} differs from the reference {reference}"
     return None
 
 

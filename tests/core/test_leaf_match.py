@@ -410,18 +410,18 @@ class TestLeafBlock:
                 ) == expected
 
 
+def _star_case(members, neighbours):
+    """A center (label 0) with a ``members``-leaf label-1 NEC over a hub
+    with ``neighbours`` label-1 neighbours."""
+    query = Graph([0] + [1] * members, [(0, u) for u in range(1, members + 1)])
+    data = Graph([0] + [1] * neighbours, [(0, v) for v in range(1, neighbours + 1)])
+    return query, data
+
+
 class TestBlockAllowance:
     """A block is built only when its bound fits the allowance, so
     ``limit``, ``max_expansions`` and :data:`BLOCK_NODE_CAP` bound what
     Leaf-Match holds in memory and expands up front."""
-
-    @staticmethod
-    def _star(neighbours):
-        """Center (label 0) with a four-leaf label-1 NEC; the data hub
-        has ``neighbours`` label-1 neighbours."""
-        query = Graph([0, 1, 1, 1, 1], [(0, u) for u in range(1, 5)])
-        data = Graph([0] + [1] * neighbours, [(0, v) for v in range(1, neighbours + 1)])
-        return query, data
 
     def test_bound_decides_before_building(self):
         _, data = _prepare_figure4_style()
@@ -435,7 +435,7 @@ class TestBlockAllowance:
         assert build_leaf_block(cpi, plan, mapping, used, 4) is None
         assert build_leaf_block(cpi, plan, mapping, used, 5).size == 6
         # one NEC of 4 leaves over 5 candidates: 4 * P(5, 4) = 480
-        states = _leaf_states(*self._star(5))
+        states = _leaf_states(*_star_case(4, 5))
         cpi, plan, mapping, used = next(states)
         assert build_leaf_block(cpi, plan, mapping, used, 479) is None
         assert build_leaf_block(cpi, plan, mapping, used, 480).size == 120
@@ -456,10 +456,10 @@ class TestBlockAllowance:
             (8, {"max_expansions": 10}),
             (60, {"close_after": 3}),
         ):
-            query, data = self._star(neighbours)
+            query, data = _star_case(4, neighbours)
             expected = _observe("reference", query, data, **kwargs)
             assert _observe("kernel", query, data, **kwargs) == expected
-        query, data = self._star(8)
+        query, data = _star_case(4, 8)
         reports = [
             CFLMatch(data, engine=engine).run(query, collect=True, max_expansions=10)
             for engine in ("reference", "kernel")
@@ -467,3 +467,143 @@ class TestBlockAllowance:
         assert reports[0].results == reports[1].results
         assert reports[0].counters() == reports[1].counters()
         assert reports[1].budget_exhausted
+
+
+# ----------------------------------------------------------------------
+# Closed-form counting (the kernel engine's count) against the loop
+# ----------------------------------------------------------------------
+def _two_parent_case(overlap):
+    """Root 0 and its child 1 (label 0); the label-1 class holds the NEC
+    {2, 3} under 0 and the NEC {4} under 1.  The data hubs a0=0 and
+    a1=1 have label-1 rows {2, 3, 4} and {5, 6}, or with ``overlap``
+    {2, 3, 4} and {3, 4, 5}."""
+    query = Graph([0, 0, 1, 1, 1], [(0, 1), (0, 2), (0, 3), (1, 4)])
+    rows = ((2, 3, 4), (3, 4, 5) if overlap else (5, 6))
+    data = Graph(
+        [0, 0] + [1] * 5,
+        [(0, 1)] + [(hub, v) for hub, row in enumerate(rows) for v in row],
+    )
+    return query, data
+
+
+#: shape -> (query, data) of the closed-form cases
+CLOSED_CASES = {
+    "flat": (Graph([0, 1, 2], [(0, 1), (0, 2)]), _prepare_figure4_style()[1]),
+    "nec-m2": _star_case(2, 4),
+    "nec-m3": _star_case(3, 5),
+    "disjoint": _two_parent_case(overlap=False),
+    "overlap": _two_parent_case(overlap=True),
+    "shortcircuit": _block_case("shortcircuit"),
+}
+
+
+def _count_observed(state, closed_form, cap=None, max_expansions=None):
+    """Count, counters, budget left and whether the budget ran out."""
+    cpi, plan, mapping, used = state
+    before = (list(mapping), bytes(used))
+    stats = SearchStats()
+    budget = WorkBudget(max_expansions) if max_expansions is not None else None
+    try:
+        count = count_leaf_matches(
+            cpi, plan, mapping, used, cap=cap, stats=stats, budget=budget,
+            closed_form=closed_form,
+        )
+    except BudgetExhausted:
+        # the loop leaves ``used`` as it stopped (so does the search)
+        count = "exhausted"
+        used[:] = before[1]
+    assert (list(mapping), bytes(used)) == before
+    remaining = budget.remaining if budget is not None else None
+    return count, stats.to_dict(), remaining
+
+
+class TestClosedFormCount:
+    def test_cases_have_their_shape(self):
+        shapes = {}
+        for name, (query, data) in CLOSED_CASES.items():
+            plan = CFLMatch(data).prepare(query).leaf_plan
+            shapes[name] = [[nec.members for nec in cls] for cls in plan.classes]
+        assert shapes == {
+            "flat": [[(1,)], [(2,)]],
+            "nec-m2": [[(1, 2)]],
+            "nec-m3": [[(1, 2, 3)]],
+            "disjoint": [[(2, 3), (4,)]],
+            "overlap": [[(2, 3), (4,)]],
+            "shortcircuit": [[(3,)], [(4, 5)]],
+        }
+        query, data = CLOSED_CASES["flat"]
+        assert CFLMatch(data).prepare(query).leaf_plan.flat
+
+    @pytest.mark.parametrize(
+        "name", list(CLOSED_CASES) + [n for n in BLOCK_CASES if n not in CLOSED_CASES]
+    )
+    def test_replays_the_loop(self, name):
+        """Every ``cap`` up to past the count and every budget up to past
+        the loop's nodes give the loop's count, counters, budget left
+        and exhaustion."""
+        query, data = CLOSED_CASES.get(name) or _block_case(name)
+        for state in _leaf_states(query, data):
+            count, counters, _ = _count_observed(state, False)
+            nodes = counters["nodes"]
+            for cap in [None] + list(range(1, count + 2)):
+                for budget in [None] + list(range(nodes + 2)):
+                    assert _count_observed(
+                        state, True, cap, budget
+                    ) == _count_observed(state, False, cap, budget), (cap, budget)
+
+    def test_counters_follow_lemma_4_3(self):
+        """One NEC of m over n: n!/(n-m)! from C(n, m) combinations;
+        disjoint NECs multiply, the later NEC explored per combination
+        of the earlier one."""
+        counts = {}
+        for name in ("nec-m3", "disjoint"):
+            state = next(_leaf_states(*CLOSED_CASES[name]))
+            counts[name] = _count_observed(state, True)
+        count, counters, _ = counts["nec-m3"]
+        assert count == 5 * 4 * 3
+        assert (counters["nodes"], counters["nec_groups"]) == (3 * 10, 10)
+        assert counters["nec_permutations_skipped"] == 5 * 10
+        # root -> a0: NEC {4} has row {5, 6} (C = 2) and sorts first;
+        # NEC {2, 3} has row {2, 3, 4} (C = 3), explored twice
+        count, counters, _ = counts["disjoint"]
+        assert count == 2 * (3 * 2)
+        assert (counters["nodes"], counters["nec_groups"]) == (2 + 2 * 6, 2 + 6)
+        assert counters["nec_permutations_skipped"] == 6
+
+    @pytest.mark.parametrize("name", ["flat", "nec-m2", "nec-m3", "disjoint"])
+    def test_closed_shapes_explore_nothing(self, name, monkeypatch):
+        """Without a budget, or with enough of it, no combination is
+        explored; ``cap`` stops a one-NEC class without the loop."""
+        loop = leaf_match._count_class
+
+        def refuse(*args):
+            raise AssertionError("the loop ran")
+
+        for state in _leaf_states(*CLOSED_CASES[name]):
+            monkeypatch.setattr(leaf_match, "_count_class", loop)
+            count, counters, _ = _count_observed(state, False)
+            capped = _count_observed(state, False, cap=1)
+            monkeypatch.setattr(leaf_match, "_count_class", refuse)
+            assert _count_observed(state, True) == (count, counters, None)
+            nodes = counters["nodes"]
+            assert _count_observed(state, True, max_expansions=nodes)[2] == 0
+            if name != "disjoint":
+                assert _count_observed(state, True, cap=1) == capped
+
+    def test_overlap_and_short_budget_take_the_loop(self, monkeypatch):
+        calls = []
+        real = leaf_match._count_class
+
+        def spy(rows, idx, *args):
+            if idx == 0:
+                calls.append(len(rows))
+            return real(rows, idx, *args)
+
+        monkeypatch.setattr(leaf_match, "_count_class", spy)
+        for state in _leaf_states(*CLOSED_CASES["overlap"]):
+            _count_observed(state, True)
+        assert calls == [2, 2]
+        calls.clear()
+        for state in _leaf_states(*CLOSED_CASES["flat"]):
+            assert _count_observed(state, True, max_expansions=2)[0] == "exhausted"
+        assert calls == [1]

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.core import CFLMatch, count_embeddings, find_embeddings, validate_embedding
+from repro.core.stats import SearchStats
 from repro.graph import Graph, GraphError
 from repro.workloads.paper_graphs import figure1_example, figure3_example
 from tests.conftest import nx_monomorphisms, random_instance
@@ -65,6 +66,25 @@ class TestLimits:
     def test_limit_zero(self):
         ex = figure3_example()
         assert list(CFLMatch(ex.data).search(ex.query, limit=0)) == []
+
+    @pytest.mark.parametrize("engine", ["kernel", "reference"])
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_count_non_positive_limit_counts_nothing(self, engine, limit):
+        """``count`` returns 0 and leaves every counter untouched, as
+        ``search`` yields nothing without preparing."""
+        star = Graph([0, 1, 1, 1, 1], [(0, v) for v in range(1, 5)])
+        query = Graph([0, 1, 1], [(0, 1), (0, 2)])
+        matcher = CFLMatch(star, engine=engine)
+        stats, stage_stats = SearchStats(), {}
+        assert matcher.count(
+            query, limit=limit, stats=stats, stage_stats=stage_stats
+        ) == 0
+        assert stats == SearchStats() and stage_stats == {}
+        assert matcher.prepare_count == 0
+        report = matcher.run(query, limit=limit, count_only=True)
+        assert report.embeddings == 0 and report.status == "ok"
+        assert report.stats == SearchStats() and report.stage_nodes == {}
+        assert list(matcher.search(query, limit=limit)) == []
 
     def test_count_with_limit_saturates(self):
         ex = figure1_example(50, 50)

@@ -14,6 +14,7 @@ from repro.testing.metamorphic import (
     permute_vertices,
     relation_disjoint_union,
     relation_edge_monotonicity,
+    relation_engine_identity,
     relation_filter_ablation,
     relation_label_renaming,
     relation_stats_filter_ablation,
@@ -21,7 +22,7 @@ from repro.testing.metamorphic import (
     relation_vertex_permutation,
     rename_labels,
 )
-from repro.testing.workloads import generate_case
+from repro.testing.workloads import WorkloadSpec, generate_case
 
 
 def connected_cases(count):
@@ -105,6 +106,19 @@ class TestRelationsHoldOnCorrectMatchers:
                 case.data, case.query, "CFL-Match", rng
             ) is None
 
+    def test_engine_identity(self):
+        """Searches and counts, on the default stream and on NEC-heavy
+        cases whose leaves the kernel counts in closed form."""
+        rng = random.Random(8)
+        nec_heavy = WorkloadSpec(scenarios=("nec-heavy", "twins"))
+        cases = connected_cases(8) + [
+            generate_case(8, index, nec_heavy) for index in range(16)
+        ]
+        for case in cases:
+            assert relation_engine_identity(
+                case.data, case.query, "CFL-Match", rng
+            ) is None
+
 
 class TestDetection:
     def test_monotonicity_catches_embedding_loss(self):
@@ -175,6 +189,27 @@ class TestDetection:
             for seed in range(8)
         )
         assert detected
+
+
+    def test_engine_identity_catches_count_counter_drift(self, monkeypatch):
+        """A kernel count that charges one leaf node too many per closed
+        form is caught, though every count is right."""
+        import repro.core.leaf_match as leaf_match
+
+        closed_tally = leaf_match._closed_tally
+
+        def drifting(prepared, cap):
+            tally = closed_tally(prepared, cap)
+            if tally is None:
+                return None
+            count, nodes, groups, skipped = tally
+            return count, nodes + 1, groups, skipped
+
+        monkeypatch.setattr(leaf_match, "_closed_tally", drifting)
+        query = Graph([0, 1, 1], [(0, 1), (0, 2)])
+        data = Graph([0, 1, 1, 1], [(0, 1), (0, 2), (0, 3)])
+        detail = relation_engine_identity(data, query, "CFL-Match", random.Random(0))
+        assert detail is not None and detail.startswith("full count")
 
 
 class TestMetamorphicCheck:
