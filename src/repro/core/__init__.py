@@ -42,7 +42,6 @@ from .kernel import (
     CompiledStage,
     KernelBacktracker,
     KernelPlan,
-    build_data_csr,
     compile_kernel_plan,
     compile_stage,
 )
@@ -144,7 +143,6 @@ __all__ = [
     "CompiledStage",
     "KernelBacktracker",
     "KernelPlan",
-    "build_data_csr",
     "compile_kernel_plan",
     "compile_stage",
     "ENGINES",

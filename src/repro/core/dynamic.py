@@ -497,10 +497,11 @@ class IncrementalMatcher:
         if not (dirty & reg.query_labels):
             # Label-disjoint fast path: every data-graph read the
             # builder, CandVerify, and root selection make is gated on
-            # query labels, and the kernel plan's data-CSR snapshot
-            # differs from the current graph only in rows of touched-label
-            # vertices, none of which is a candidate — the whole plan is
-            # provably still exact.
+            # query labels, so the CPI is still exact.  The kernel plan
+            # reads the graph's live rows, and an edge delta changes
+            # only its two endpoints' rows; both endpoints carry touched
+            # labels, so no candidate's row changed either.  (Vertex
+            # renumbering never reaches here: it forced a rebuild above.)
             reg.version = data.version
             reg.build_stats.cpi_repairs += 1
             reg.phase_dict["cpi_repair"] += monotonic_now() - sync_started

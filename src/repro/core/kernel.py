@@ -29,11 +29,12 @@ cursors:
   the previous depth's candidate varies between them, and it plays no
   part in the row.  Short cross-anchored rows fall back to per-candidate
   hash probes of the mapped images' neighbor sets;
-* **data-graph adjacency** becomes one CSR pair (``adj_indptr`` /
-  ``adj_flat``) whose rows are sorted, membership-checked by
+* **data-graph adjacency** is the graph's own rows (``adj_rows`` is
+  ``data.adj``, sorted on every graph type), membership-checked by
   :func:`bisect.bisect_left` with a moving lower bound (the C-level
   realization of galloping: each probe is a binary search restricted to
-  the not-yet-passed suffix).
+  the not-yet-passed suffix).  No copy of the adjacency is taken, so a
+  plan reads the graph's current rows.
 
 Counter semantics match the reference exactly for complete runs:
 ``nodes``, ``backtracks``, ``backjumps`` and ``embeddings`` are
@@ -79,7 +80,7 @@ from typing import (
     Tuple,
 )
 
-from ..graph.graph import AdjacencyCSR, Graph, IntVector
+from ..graph.graph import IntVector
 from .core_match import OrderedVertex, SearchTimeout, failing_set_masks
 from .cpi import CPI
 from .stats import SearchStats, WorkBudget, monotonic_now
@@ -89,7 +90,6 @@ __all__ = [
     "IntVector",
     "KernelBacktracker",
     "KernelPlan",
-    "build_data_csr",
     "compile_kernel_plan",
     "compile_stage",
 ]
@@ -133,21 +133,6 @@ _EMPTY_SETS: Dict[int, FrozenSet[int]] = {}
 _EMPTY_RANKS: Dict[int, int] = {}
 #: Shared "no deferred backward checks" sentinel (never mutated).
 _NO_CHECKS: List[int] = []
-
-
-def build_data_csr(data: Graph) -> AdjacencyCSR:
-    """Data-graph adjacency as one CSR pair of int32 vectors.
-
-    Rows keep :class:`~repro.graph.graph.Graph`'s sorted-neighbor order,
-    so ``adj_flat[adj_indptr[v]:adj_indptr[v+1]]`` is a sorted array and
-    membership is a ``bisect``.  The pair is the graph's own
-    (:meth:`~repro.graph.graph.Graph.adjacency_csr`): lowered once per
-    static graph, handed out as views by a shared-memory or mmap'd
-    graph, and patched per edge delta by a
-    :class:`~repro.graph.dynamic.DynamicGraph` — so every compiled plan
-    of every matcher over one graph version shares it.
-    """
-    return data.adjacency_csr()
 
 
 class CompiledStage:
@@ -363,7 +348,7 @@ def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
 
 
 class KernelPlan:
-    """Core + forest :class:`CompiledStage` pair plus the data-graph CSR.
+    """Core + forest :class:`CompiledStage` pair plus the data graph's rows.
 
     Attached to a :class:`~repro.core.matcher.PreparedQuery` (its
     ``kernel`` field) by the matcher when ``engine="kernel"``.  Pool
@@ -374,25 +359,25 @@ class KernelPlan:
     repro-lint R003 enforces for the CPI itself.
     """
 
-    __slots__ = ("core", "forest", "root", "adj_indptr", "adj_flat", "adj_sets")
+    __slots__ = ("core", "forest", "root", "adj_rows", "adj_sets")
 
     def __init__(
         self,
         core: CompiledStage,
         forest: CompiledStage,
         root: int,
-        adj_indptr: IntVector,
-        adj_flat: IntVector,
+        adj_rows: Sequence[Sequence[int]],
         adj_sets: Sequence[AbstractSet[int]],
     ) -> None:
         self.core = core
         self.forest = forest
         self.root = root
-        self.adj_indptr = adj_indptr
-        self.adj_flat = adj_flat
+        #: the data graph's sorted adjacency rows (``data.adj``), which
+        #: the galloping intersection bisects
+        self.adj_rows = adj_rows
         #: the data graph's per-vertex neighbor sets, borrowed for the
         #: deferred (short-row) backward checks — point membership is a
-        #: hash probe there, while the CSR serves the galloping
+        #: hash probe there, while the sorted rows serve the galloping
         #: intersection where bisect actually amortizes
         self.adj_sets = adj_sets
 
@@ -427,8 +412,7 @@ class KernelPlan:
                         core=swapped if is_core else self.core,
                         forest=self.forest if is_core else swapped,
                         root=self.root,
-                        adj_indptr=self.adj_indptr,
-                        adj_flat=self.adj_flat,
+                        adj_rows=self.adj_rows,
                         adj_sets=self.adj_sets,
                     )
         return self
@@ -438,28 +422,20 @@ def compile_kernel_plan(
     cpi: CPI,
     core_slots: Sequence[OrderedVertex],
     forest_slots: Sequence[OrderedVertex],
-    data_csr: Optional[AdjacencyCSR] = None,
 ) -> KernelPlan:
     """Compile a prepared plan's stages into a :class:`KernelPlan`.
 
-    ``data_csr`` (from :func:`build_data_csr`) defaults to the CPI's
-    data graph's current pair.
+    The plan borrows the CPI's data graph's rows and neighbor sets; it
+    copies no adjacency.
     """
-    if data_csr is None:
-        data_csr = build_data_csr(cpi.data)
-    adj_indptr, adj_flat = data_csr
+    data = cpi.data
     return KernelPlan(
         core=compile_stage(cpi, core_slots),
         forest=compile_stage(cpi, forest_slots),
         root=cpi.root,
-        adj_indptr=adj_indptr,
-        adj_flat=adj_flat,
-        adj_sets=cpi.data._adj_sets,  # noqa: SLF001 - hot path, documented internal
+        adj_rows=data.adj,
+        adj_sets=data._adj_sets,  # noqa: SLF001 - hot path, documented internal
     )
-
-
-def _bound_span(bound: Tuple[int, int]) -> int:
-    return bound[1] - bound[0]
 
 
 def _intersect(
@@ -467,35 +443,34 @@ def _intersect(
     base_r: Sequence[int],
     begin: int,
     stop: int,
-    adj: IntVector,
-    bounds: List[Tuple[int, int]],
+    rows: List[Sequence[int]],
     want_ranks: bool,
 ) -> Tuple[Sequence[int], Sequence[int]]:
     """Intersect the sorted base slice with every backward adjacency row.
 
-    ``bounds`` holds ``[lo, hi)`` windows into ``adj`` (one per mapped
-    backward neighbor), smallest first so the most selective row shrinks
-    the stream before the wider ones see it.  Each step walks the
-    shorter side and gallops through the longer with
-    :func:`bisect.bisect_left` restricted to a moving lower bound.  The
-    first row intersects the ``[begin, stop)`` window in place (no copy
-    of the base slice), and ranks ride along only when ``want_ranks`` —
-    a slot that anchors no later tree slot never reads them.
+    ``rows`` holds the data graph's sorted rows of the mapped backward
+    neighbors, shortest first so the most selective row shrinks the
+    stream before the wider ones see it.  Each step walks the shorter
+    side and gallops through the longer with :func:`bisect.bisect_left`
+    restricted to a moving lower bound.  The first row intersects the
+    ``[begin, stop)`` window in place (no copy of the base slice), and
+    ranks ride along only when ``want_ranks`` — a slot that anchors no
+    later tree slot never reads them.
     """
     cur_v: Sequence[int] = base_v
     cur_r: Sequence[int] = base_r
     cur_lo = begin
     cur_hi = stop
-    for row_lo, row_hi in bounds:
+    for row in rows:
         if cur_lo == cur_hi:
             break
         next_v: List[int] = []
         next_r: List[int] = []
-        if (row_hi - row_lo) * 4 < cur_hi - cur_lo:
+        row_hi = len(row)
+        if row_hi * 4 < cur_hi - cur_lo:
             # The adjacency row is much shorter: walk it, gallop the stream.
             lo = cur_lo
-            for index in range(row_lo, row_hi):
-                v = adj[index]
+            for v in row:
                 at = bisect_left(cur_v, v, lo, cur_hi)
                 if at == cur_hi:
                     break
@@ -508,13 +483,13 @@ def _intersect(
                     lo = at
         else:
             # Comparable or longer row: walk the stream, gallop the row.
-            lo = row_lo
+            lo = 0
             for at in range(cur_lo, cur_hi):
                 v = cur_v[at]
-                found = bisect_left(adj, v, lo, row_hi)
+                found = bisect_left(row, v, lo, row_hi)
                 if found == row_hi:
                     break
-                if adj[found] == v:
+                if row[found] == v:
                     next_v.append(v)
                     if want_ranks:
                         next_r.append(cur_r[at])
@@ -551,8 +526,7 @@ class KernelBacktracker:
         self.stats = stats if stats is not None else SearchStats()
         self.deadline = deadline
         self.budget = budget
-        self._adj_indptr = kernel_plan.adj_indptr
-        self._adj_flat = kernel_plan.adj_flat
+        self._adj_rows = kernel_plan.adj_rows
         self._adj_sets = kernel_plan.adj_sets
         # Static per-depth dispatch, derived once per backtracker (the
         # stage is tiny).  ``_kinds`` splits descends into the two
@@ -661,16 +635,12 @@ class KernelBacktracker:
         checks = stage.backward[depth]
         if checks and stop > begin:
             if stop - begin >= _INTERSECT_MIN:
-                adj_indptr = self._adj_indptr
-                bounds: List[Tuple[int, int]] = []
-                for w in checks:
-                    image = mapping[w]
-                    bounds.append((adj_indptr[image], adj_indptr[image + 1]))
-                if len(bounds) > 1:
-                    bounds.sort(key=_bound_span)
+                adj_rows = self._adj_rows
+                rows = [adj_rows[mapping[w]] for w in checks]
+                if len(rows) > 1:
+                    rows.sort(key=len)
                 survivors_v, survivors_r = _intersect(
-                    vs, rs, begin, stop, self._adj_flat, bounds,
-                    self._needs_rank[depth],
+                    vs, rs, begin, stop, rows, self._needs_rank[depth],
                 )
                 stream_v[depth] = survivors_v
                 stream_r[depth] = survivors_r

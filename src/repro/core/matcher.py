@@ -43,7 +43,7 @@ from .cpi import CPI
 from .cpi_builder import _record_build_totals, build_cpi, build_naive_cpi
 from .decomposition import CFLDecomposition, cfl_decompose
 from .filters import VerifiedCandidates
-from .kernel import KernelBacktracker, KernelPlan, build_data_csr, compile_kernel_plan
+from .kernel import KernelBacktracker, KernelPlan, compile_kernel_plan
 from .leaf_match import (
     BLOCK_NODE_CAP,
     LeafPlan,
@@ -54,6 +54,7 @@ from .leaf_match import (
 )
 from .ordering import estimate_tree_embeddings, order_structure
 from .root_selection import select_root
+from .shm import adjacency_csr
 from .stats import (
     BudgetExhausted,
     WorkBudget,
@@ -535,9 +536,7 @@ class CFLMatch:
             # flat arrays is part of the preparation cost being measured.
             # (A kernel decoded from a shared plan segment arrives via
             # ``kernel_plan`` and skips this entirely.)
-            kernel = compile_kernel_plan(
-                cpi, core_slots, forest_slots, data_csr=build_data_csr(self.data)
-            )
+            kernel = compile_kernel_plan(cpi, core_slots, forest_slots)
         now = time.perf_counter()
         phase_times["ordering"] = now - ordering_started
         ordering_time = now - started
@@ -568,8 +567,7 @@ class CFLMatch:
         kernel = plan.kernel
         if kernel is None:
             kernel = compile_kernel_plan(
-                plan.cpi, plan.core_slots, plan.forest_slots,
-                data_csr=build_data_csr(self.data),
+                plan.cpi, plan.core_slots, plan.forest_slots
             )
             plan.kernel = kernel
         return kernel
@@ -979,6 +977,16 @@ class CFLMatch:
             phase_times=phase_times,
             build_stats=prepared.build_stats,
         )
+
+
+def build_data_csr(data: Graph) -> Tuple["array[int]", "array[int]"]:
+    """``data``'s adjacency as an int32 CSR pair (:func:`~repro.core.shm.adjacency_csr`).
+
+    No engine calls this: the kernel bisects ``data.adj`` itself.  The
+    name stays because ``perfbench/tracing.py`` wraps it (its
+    ``core.kernel.data_csr`` span, which now reads 0).
+    """
+    return adjacency_csr(data)
 
 
 def find_embeddings(

@@ -5,9 +5,9 @@ either into every worker would re-materialize it once per process — the
 process-level analogue of the Cartesian products the paper postpones.
 This module publishes each once per host instead:
 
-* :class:`SharedGraphStore` lays the data graph — the kernel's int32
-  adjacency CSR (:func:`~repro.core.kernel.build_data_csr` layout) plus
-  the label index, NLF tables and MND array — into **one**
+* :class:`SharedGraphStore` lays the data graph — its adjacency rows
+  as one int32 CSR (:func:`adjacency_csr`) plus the label index, NLF
+  tables and MND array — into **one**
   ``multiprocessing.shared_memory`` segment with a versioned header.
   Spawn workers attach by name and get a
   :class:`SharedGraph`: a :class:`~repro.graph.graph.Graph` whose rows
@@ -49,7 +49,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable as IterableBase
 from collections.abc import Set as SetBase
-from itertools import count, repeat
+from itertools import accumulate, chain, count, repeat
 from multiprocessing import resource_tracker, shared_memory
 from operator import sub
 
@@ -78,7 +78,6 @@ from .kernel import (
     CompiledStage,
     IntVector,
     KernelPlan,
-    build_data_csr,
 )
 from .stats import monotonic_now
 
@@ -95,6 +94,7 @@ __all__ = [
     "SEGMENT_PREFIX",
     "SharedGraph",
     "SharedGraphStore",
+    "adjacency_csr",
     "attach_graph_store",
     "attach_plan_segment",
     "graph_sections",
@@ -348,17 +348,27 @@ def section_sizes(buffer: object) -> Dict[str, int]:
 # ----------------------------------------------------------------------
 # Graph -> sections
 # ----------------------------------------------------------------------
+def adjacency_csr(graph: Graph) -> Tuple["array[int]", "array[int]"]:
+    """``graph``'s adjacency as one int32 CSR pair ``(indptr, flat)``:
+    row ``v`` is ``flat[indptr[v]:indptr[v + 1]]``, sorted ascending."""
+    rows = graph.adj
+    return (
+        array("i", accumulate(map(len, rows), initial=0)),
+        array("i", list(chain.from_iterable(rows))),
+    )
+
+
 def graph_sections(graph: Graph) -> List[Section]:
     """Lower a data graph to its int32 sections.
 
-    The adjacency CSR *is* :func:`~repro.core.kernel.build_data_csr`'s
-    pair (rows sorted ascending); the label index, per-vertex NLF
-    tables (``(label, count)`` pairs sorted by label) and MND array ride
-    along so no derived structure is rebuilt worker-side.
+    The adjacency is one CSR pair (:func:`adjacency_csr`, rows sorted
+    ascending); the label index, per-vertex NLF tables (``(label,
+    count)`` pairs sorted by label) and MND array ride along so no
+    derived structure is rebuilt worker-side.
     """
     n = graph.num_vertices
     labels = array("i", graph.labels)
-    adj_indptr, adj_flat = build_data_csr(graph)
+    adj_indptr, adj_flat = adjacency_csr(graph)
     index = graph.label_index()
     keys = sorted(index)
     label_keys = array("i", keys)
@@ -499,14 +509,13 @@ class SharedGraph(Graph):
 
     Construction never copies the CSR payload: ``labels``, adjacency
     rows, the label index, NLF tables and MND are read through
-    memoryview slices, and :meth:`~repro.graph.graph.Graph.adjacency_csr`
-    starts out holding the segment's adjacency views, so the kernel's
-    data CSR is a pointer handoff.  The instance keeps the backing
-    segment (or mmap) alive via ``_resources``; it is immutable like
-    every Graph.
+    memoryview slices, and the kernel bisects the adjacency rows in
+    place.  The instance keeps the backing segment (or mmap) alive via
+    ``_resources``; it is immutable like every Graph.
     """
 
     __slots__ = (
+        "_adj_indptr",
         "_origin",
         "_resources",
         "_label_sections",
@@ -533,7 +542,7 @@ class SharedGraph(Graph):
         graph._degree_index = None
         graph._nlf = None
         graph._mnd = views[_G_MND]
-        graph._adjacency_csr = (views[_G_ADJ_INDPTR], views[_G_ADJ_FLAT])
+        graph._adj_indptr = views[_G_ADJ_INDPTR]
         graph._signature = None
         graph._label_sections = (
             views[_G_LABEL_KEYS], views[_G_LABEL_INDPTR], views[_G_LABEL_FLAT]
@@ -560,7 +569,7 @@ class SharedGraph(Graph):
     def _degrees_of(self, vertices: Sequence[int]) -> List[int]:
         # From the CSR offsets: indexing the adjacency would build one
         # row view per vertex through a Python-level __getitem__.
-        indptr = self.adjacency_csr()[0]
+        indptr = self._adj_indptr
         ends = indptr[1:]
         return list(map(sub, map(ends.__getitem__, vertices),
                         map(indptr.__getitem__, vertices)))
@@ -968,15 +977,13 @@ def read_plan_segment(
     cpi = CPI(tree, matcher.data, candidates, adjacency)
     kernel: Optional[KernelPlan] = None
     if has_kernel:
-        adj_indptr, adj_flat = build_data_csr(matcher.data)
         kernel = KernelPlan(
             core=_decode_stage(views, _PLAN_FIXED, candidates, adjacency),
             forest=_decode_stage(
                 views, _PLAN_FIXED + _STAGE_SECTIONS, candidates, adjacency
             ),
             root=root,
-            adj_indptr=adj_indptr,
-            adj_flat=adj_flat,
+            adj_rows=matcher.data.adj,
             adj_sets=matcher.data._adj_sets,
         )
     segment_attach = (

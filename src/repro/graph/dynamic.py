@@ -10,19 +10,13 @@ matchers read — the sorted adjacency rows and neighbor sets, the label
 index and the NLF / MND filter tables (Section A.6) — instead of
 invalidating and rebuilding them.
 
-The kernel's int32 adjacency CSR (:meth:`~DynamicGraph.adjacency_csr`)
-is patched rather than rebuilt: edge deltas record the vertices whose
-rows changed, and the next request splices only those rows into a
-*new* snapshot, shifting ``indptr`` past them.  Snapshots are
-copy-on-write — a compiled plan keeps the pair it was compiled against,
-and no later delta writes into it.  Vertex deltas change the row count
-(and ``remove_vertex`` may renumber ids), so after one the next request
-lowers the whole adjacency again.  The per-label degree index
-(:meth:`~repro.graph.graph.Graph.degree_index`) is kept per label: an
-edge delta drops the entries of its two endpoint labels (the only
-vertices whose degree changed), which the next request re-derives,
-while a vertex delta drops the whole index.  Only the structural
-signature is dropped on every mutation.
+The kernel keeps no copy of the adjacency: a compiled plan bisects the
+graph's own sorted rows (``adj``), so it reads the current version.  The
+per-label degree index (:meth:`~repro.graph.graph.Graph.degree_index`)
+is kept per label: an edge delta drops the entries of its two endpoint
+labels (the only vertices whose degree changed), which the next request
+re-derives, while a vertex delta drops the whole index.  Only the
+structural signature is dropped on every mutation.
 
 Every mutation bumps a monotonically increasing ``version`` and appends
 a :class:`TouchSet` to a bounded mutation log: the set of data labels
@@ -44,12 +38,10 @@ consumers holding vertex-id-based caches to rebuild.
 
 from __future__ import annotations
 
-from array import array
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Any,
     Deque,
     Dict,
     FrozenSet,
@@ -62,7 +54,7 @@ from typing import (
     cast,
 )
 
-from .graph import AdjacencyCSR, Graph, GraphError, IntVector
+from .graph import Graph, GraphError
 
 #: The four mutation kinds, in the order the compact codes list them.
 DELTA_OPS = ("add_edge", "remove_edge", "add_vertex", "remove_vertex")
@@ -176,12 +168,12 @@ class DynamicGraph(Graph):
 
     All read accessors behave exactly like the frozen base class at
     every version; the differential suite asserts that each derived
-    structure (label index, degree index, NLF, MND, neighbor sets,
-    adjacency CSR) stays equal to a from-scratch rebuild after arbitrary
-    mutation streams.
+    structure (label index, degree index, NLF, MND, neighbor sets)
+    stays equal to a from-scratch rebuild after arbitrary mutation
+    streams.
     """
 
-    __slots__ = ("_version", "_log", "_csr_dirty")
+    __slots__ = ("_version", "_log")
 
     # Equality is structural and changes with every delta, so a mutable
     # graph has no stable hash: it cannot be a dict key or set member.
@@ -196,9 +188,6 @@ class DynamicGraph(Graph):
         super().__init__(labels, edges)
         self._version = 0
         self._log: Deque[TouchSet] = deque(maxlen=log_limit)
-        #: vertices whose adjacency rows changed since the current
-        #: ``adjacency_csr`` snapshot (empty while there is none)
-        self._csr_dirty: Set[int] = set()
 
     @classmethod
     def from_graph(cls, graph: Graph, log_limit: int = 4096) -> "DynamicGraph":
@@ -229,23 +218,6 @@ class DynamicGraph(Graph):
         if not log or log[0].version > version + 1:
             return None
         return [touch for touch in log if touch.version > version]
-
-    def adjacency_csr(self) -> AdjacencyCSR:
-        """The kernel's adjacency CSR for the current version.
-
-        Edge deltas since the last snapshot are spliced into a new pair
-        (:func:`patch_adjacency`); with no snapshot — none taken yet, or
-        a vertex delta dropped it — the whole adjacency is lowered.  A
-        pair handed out earlier is never modified.
-        """
-        snapshot = self._adjacency_csr
-        if snapshot is None:
-            snapshot = super().adjacency_csr()
-        elif self._csr_dirty:
-            snapshot = patch_adjacency(snapshot, self.adj, sorted(self._csr_dirty))
-            self._adjacency_csr = snapshot
-        self._csr_dirty.clear()
-        return snapshot
 
     # ------------------------------------------------------------------
     # Mutations
@@ -291,7 +263,6 @@ class DynamicGraph(Graph):
             self._nlf.append({})
         if self._mnd is not None:
             cast(List[int], self._mnd).append(0)
-        self._drop_adjacency_csr()
         self._degree_index = None
         self._commit(frozenset((label,)))
         return v
@@ -309,7 +280,6 @@ class DynamicGraph(Graph):
         adj = cast(List[List[int]], self.adj)
         insort(adj[u], v)
         insort(adj[v], u)
-        self._mark_rows(u, v)
         self._drop_degree_entries(u, v)
         adj_sets = cast(List[Set[int]], self._adj_sets)
         adj_sets[u].add(v)
@@ -394,7 +364,6 @@ class DynamicGraph(Graph):
             self._nlf.pop()
         if self._mnd is not None:
             cast(List[int], self._mnd).pop()
-        self._drop_adjacency_csr()
         self._degree_index = None
         self._commit(frozenset(touched), renumbered=renumbered)
 
@@ -426,7 +395,6 @@ class DynamicGraph(Graph):
         adj_sets = cast(List[Set[int]], self._adj_sets)
         adj[u].remove(v)
         adj[v].remove(u)
-        self._mark_rows(u, v)
         self._drop_degree_entries(u, v)
         adj_sets[u].discard(v)
         adj_sets[v].discard(u)
@@ -450,12 +418,6 @@ class DynamicGraph(Graph):
             for x in sorted(affected):
                 mnd[x] = max((len(adj[w]) for w in adj[x]), default=0)
 
-    def _mark_rows(self, u: int, v: int) -> None:
-        """Record rows ``u`` and ``v`` for the next CSR patch."""
-        if self._adjacency_csr is not None:
-            self._csr_dirty.add(u)
-            self._csr_dirty.add(v)
-
     def _drop_degree_entries(self, u: int, v: int) -> None:
         """Forget the degree-index entries of the labels of ``u`` and
         ``v``, the two vertices whose degree an edge delta changed."""
@@ -463,11 +425,6 @@ class DynamicGraph(Graph):
         if index is not None:
             index.pop(self.labels[u], None)
             index.pop(self.labels[v], None)
-
-    def _drop_adjacency_csr(self) -> None:
-        """Forget the CSR snapshot: the row count or the ids changed."""
-        self._adjacency_csr = None
-        self._csr_dirty.clear()
 
     def _label_index_remove(self, label: int, v: int) -> None:
         index = cast(Dict[int, List[int]], self._label_index)
@@ -482,72 +439,3 @@ class DynamicGraph(Graph):
         self._version += 1
         self._log.append(TouchSet(self._version, labels, renumbered))
 
-
-def patch_adjacency(
-    snapshot: AdjacencyCSR,
-    rows: Sequence[Sequence[int]],
-    dirty: Sequence[int],
-) -> Tuple["array[int]", "array[int]"]:
-    """A new CSR pair equal to lowering ``rows``, built from ``snapshot``.
-
-    ``snapshot`` is the lowering of an earlier state whose rows differ
-    from ``rows`` only at the sorted vertex ids ``dirty`` (same vertex
-    count).  The unchanged stretches of ``flat`` are block copies; the
-    ``dirty`` rows are taken from ``rows``; every ``indptr`` entry past a
-    dirty row shifts by that row's change in length.  ``snapshot`` is
-    not modified.
-    """
-    old_indptr, old_flat = snapshot
-    blocks = memoryview(old_flat).cast("B")
-    width = old_flat.itemsize
-    flat = array("i")
-    growth: List[int] = []
-    start = 0  # first vertex whose row is not yet in ``flat``
-    for v in dirty:
-        flat.frombytes(blocks[width * old_indptr[start]:width * old_indptr[v]])
-        row = rows[v]
-        flat.extend(row)
-        growth.append(len(row) - (old_indptr[v + 1] - old_indptr[v]))
-        start = v + 1
-    flat.frombytes(blocks[width * old_indptr[start]:])
-    return _shift_indptr(old_indptr, dirty, growth), flat
-
-
-#: numpy once :func:`_load_numpy` has run, ``None`` before that and when
-#: numpy is absent: importing this module never imports numpy
-_np: Any = None
-_np_loaded = False
-
-
-def _load_numpy() -> Any:
-    """numpy, imported on first use; the outcome, absence included, is
-    cached, so only the first call pays for the import attempt."""
-    global _np, _np_loaded
-    if not _np_loaded:
-        _np_loaded = True
-        try:
-            import numpy as _np
-        except ImportError:  # pragma: no cover - numpy is optional
-            _np = None
-    return _np
-
-
-def _shift_indptr(
-    indptr: IntVector, dirty: Sequence[int], growth: Sequence[int]
-) -> "array[int]":
-    """``indptr`` with every entry after ``dirty[i]`` raised by the
-    running sum of ``growth[:i + 1]``; numpy does it in one pass when
-    present, and the pure ``array`` path produces the same bytes."""
-    if _load_numpy() is not None:
-        shift = _np.zeros(len(indptr), dtype=_np.intc)
-        shift[_np.asarray(dirty, dtype=_np.intp) + 1] = growth
-        _np.cumsum(shift, dtype=_np.intc, out=shift)
-        shift += _np.frombuffer(indptr, dtype=_np.intc)
-        return array("i", shift.tobytes())
-    bounds = [*dirty[1:], len(indptr) - 1]
-    shifted = array("i", indptr[:dirty[0] + 1])
-    total = 0
-    for v, end, grown in zip(dirty, bounds, growth):
-        total += grown
-        shifted.extend(map(total.__add__, indptr[v + 1:end + 1]))
-    return shifted

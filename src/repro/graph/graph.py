@@ -11,7 +11,6 @@ and Maximum Neighbor Degree (MND) used by the CandVerify filter
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain
 from typing import (
     AbstractSet,
     Dict,
@@ -31,9 +30,6 @@ from typing import (
 #: over a shared segment (:mod:`repro.core.shm`).  Both support the only
 #: operations the hot loops use — ``len``, indexing, slicing, iteration.
 IntVector = Union["array[int]", memoryview]
-#: The kernel's data adjacency ``(indptr, flat)``: row ``v`` is
-#: ``flat[indptr[v]:indptr[v + 1]]``, sorted ascending.
-AdjacencyCSR = Tuple[IntVector, IntVector]
 #: One label's vertices ordered by ``(degree, id)`` and their degrees,
 #: ascending: the vertices of degree at least ``d`` are the suffix from
 #: ``bisect_left(degrees, d)``.
@@ -68,7 +64,6 @@ class Graph:
         "_degree_index",
         "_nlf",
         "_mnd",
-        "_adjacency_csr",
         "_signature",
     )
 
@@ -105,7 +100,6 @@ class Graph:
         self._degree_index: Optional[Dict[int, DegreeIndex]] = None
         self._nlf: Optional[List[Dict[int, int]]] = None
         self._mnd: Optional[Sequence[int]] = None
-        self._adjacency_csr: Optional[AdjacencyCSR] = None
         self._signature: Optional[Signature] = None
 
     # ------------------------------------------------------------------
@@ -255,25 +249,6 @@ class Graph:
             adj = self.adj
             self._mnd = [max((len(adj[w]) for w in nbrs), default=0) for nbrs in adj]
         return self._mnd[v]
-
-    def adjacency_csr(self) -> AdjacencyCSR:
-        """The kernel's int32 adjacency CSR ``(indptr, flat)``, lowered once.
-
-        One pair per graph, shared by every compiled plan of every
-        matcher over it.  A graph whose storage already *is* this CSR (a
-        shared segment or an mmap'd ingest file) starts with its views
-        in the slot, so the lowering never runs for it; a
-        :class:`~repro.graph.dynamic.DynamicGraph` keeps the pair
-        current for its version.  The arrays are never written after
-        they are handed out.
-        """
-        if self._adjacency_csr is None:
-            rows = self.adj
-            self._adjacency_csr = (
-                array("i", accumulate(map(len, rows), initial=0)),
-                array("i", list(chain.from_iterable(rows))),
-            )
-        return self._adjacency_csr
 
     # ------------------------------------------------------------------
     # Structure helpers

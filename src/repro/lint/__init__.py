@@ -1,13 +1,12 @@
 """repro-lint: dependency-free static analysis for the CFL-Match repo.
 
-Nine rules encode invariants the test suite cannot see.  Six are
+Eight rules encode invariants the test suite cannot see.  Six are
 intraprocedural AST checks — counter/schema lockstep (R001), spawn-safe
 pool submissions (R002), frozen shared plans (R003), deterministic
 candidate iteration (R004), a single clock seam (R005) and no swallowed
-boundary errors (R006).  Three run on the interprocedural dataflow
+boundary errors (R006).  Two run on the interprocedural dataflow
 engine (:mod:`repro.lint.dataflow`): shared-memory segment lifecycle
-(R007), numpy dtype escape (R008) and DynamicGraph mutation-version
-discipline (R009).  Run via ``cfl-match lint`` or programmatically
+(R007) and DynamicGraph mutation-version discipline (R009).  Run via ``cfl-match lint`` or programmatically
 through :func:`lint_paths`.
 """
 

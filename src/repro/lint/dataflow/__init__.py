@@ -11,15 +11,15 @@ stdlib-only dataflow framework:
   including the ``except Exception`` vs ``except BaseException``
   distinction (a ``KeyboardInterrupt`` sails past the former);
 * :mod:`~repro.lint.dataflow.lattice` — the flat value lattices the
-  abstract interpreter joins over (resource states, dtype tags, the
-  mutation dirty bit);
+  abstract interpreter joins over (resource states and the mutation
+  dirty bit);
 * :mod:`~repro.lint.dataflow.callgraph` — the project index: modules,
   functions by qualname, and best-effort call resolution;
 * :mod:`~repro.lint.dataflow.summaries` — path-condition-free but
   exit-path-complete function summaries that compose across calls, plus
   the content-hash cache behind ``--changed`` re-runs;
 * :mod:`~repro.lint.dataflow.interp` — the worklist abstract
-  interpreter and the three concrete domains rules R007–R009 run.
+  interpreter and the two concrete domains rules R007 and R009 run.
 """
 
 from .callgraph import DataflowProject, FunctionInfo, ModuleInfo

@@ -55,7 +55,7 @@ class ModuleInfo:
         self.module_name = module_name_of(relpath)
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: List[str] = []
-        #: local name -> dotted import target ("numpy", "repro.core.shm.pack_segment")
+        #: local name -> dotted import target ("bisect", "repro.core.shm.pack_segment")
         self.import_aliases: Dict[str, str] = {}
         self._index()
 

@@ -1,4 +1,4 @@
-"""The worklist abstract interpreter and the three concrete domains.
+"""The worklist abstract interpreter and the two concrete domains.
 
 :class:`Interpreter` runs any :class:`Domain` over a
 :class:`~repro.lint.dataflow.cfg.ControlFlowGraph` to a fixpoint:
@@ -8,14 +8,11 @@ not have happened when the statement raised).  The lattices are finite
 and the transfers monotone, so the loop terminates; a generous iteration
 cap guards against construction bugs.
 
-Three domains implement the rule families:
+Two domains implement the rule families:
 
 * :class:`ResourceDomain` — one tracked allocation (a ``SharedMemory``
   / ``_Segment`` / ``*.create`` result) stepped through
   ``created → closed/unlinked/escaped``; R007 reads the exit states.
-* :class:`TaintDomain` — numpy-origin value tracking with
-  ``.tolist()``/``int()`` sanitization; R008 reads sink statements,
-  summaries read return taints.
 * :class:`VersionDomain` — the mutation dirty bit over ``DynamicGraph``
   index structures, cleared by a composing commit; R009 reads public
   functions' normal-exit states.
@@ -31,15 +28,12 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from . import cfg as cfgmod
 from .callgraph import DataflowProject, FunctionInfo, ModuleInfo
 from .cfg import ControlFlowGraph, Node
 from .lattice import (
-    BOTTOM,
-    DTYPE_NP,
-    DTYPE_PY,
     RES_ATTACHED,
     RES_CLOSED,
     RES_CREATED,
@@ -88,12 +82,6 @@ class Analysis:
     @property
     def exit_raise_state(self) -> Any:
         return self.in_states[self.cfg.exit_raise.index]
-
-    def reachable_stmt_states(self) -> Iterator[Tuple[Node, Any]]:
-        for node in self.cfg.nodes:
-            state = self.in_states[node.index]
-            if state is not None and node.kind == cfgmod.STMT:
-                yield node, state
 
 
 def analyze(cfg: ControlFlowGraph, domain: Domain) -> Analysis:
@@ -496,186 +484,6 @@ def resource_findings(
                 )
             )
     return findings
-
-
-# ---------------------------------------------------------------------------
-# dtype escape (R008)
-
-#: marker state for locals holding the numpy module object (``np = _np``)
-NUMPY_MODULE = "numpy_module"
-
-#: builtins whose result is a plain Python value regardless of input
-_SANITIZER_BUILTINS = frozenset({"int", "float", "bool", "len", "str"})
-#: array methods that materialize plain Python values
-_SANITIZER_METHODS = frozenset({"tolist", "item"})
-
-
-def numpy_aliases(module: ModuleInfo) -> FrozenSet[str]:
-    """Module-level names bound to the numpy module (``np``, ``_np``)."""
-    found = set()
-    for alias, target in module.import_aliases.items():
-        if target == "numpy" or target.startswith("numpy."):
-            found.add(alias)
-    return frozenset(found)
-
-
-class TaintDomain(Domain):
-    """Track which locals hold numpy-originated values.
-
-    State maps variable names to ``py_int`` (sanitized), ``np_scalar``
-    (definitely numpy-originated), :data:`NUMPY_MODULE` (an alias of the
-    module object) or ``TOP``.  Only *definite* taints are ever reported
-    — a join of clean and tainted is ``TOP``, not a finding.
-    """
-
-    def __init__(
-        self,
-        project: DataflowProject,
-        module: ModuleInfo,
-        caller: FunctionInfo,
-    ) -> None:
-        self.project = project
-        self.module = module
-        self.caller = caller
-        self.module_aliases = numpy_aliases(module)
-
-    def initial(self) -> Any:
-        return {}
-
-    def join(self, a: Any, b: Any) -> Any:
-        merged: Dict[str, Any] = {}
-        for key in set(a) | set(b):
-            va = a.get(key, TOP)
-            vb = b.get(key, TOP)
-            if va is BOTTOM:
-                merged[key] = vb
-            elif vb is BOTTOM or va == vb:
-                merged[key] = va
-            else:
-                merged[key] = TOP
-        return merged
-
-    # -- expression evaluation ----------------------------------------------
-
-    def _is_numpy_root(self, state: Dict[str, Any], name: str) -> bool:
-        return name in self.module_aliases or state.get(name) == NUMPY_MODULE
-
-    def eval(self, state: Dict[str, Any], expr: Optional[ast.AST]) -> Any:
-        if expr is None:
-            return TOP
-        if isinstance(expr, ast.Name):
-            if self._is_numpy_root(state, expr.id):
-                return NUMPY_MODULE
-            return state.get(expr.id, TOP)
-        if isinstance(expr, ast.Constant):
-            return DTYPE_PY
-        if isinstance(expr, (ast.List, ast.Tuple, ast.Set)):
-            return self._join_any_np([self.eval(state, e) for e in expr.elts])
-        if isinstance(expr, ast.Call):
-            return self._eval_call(state, expr)
-        if isinstance(expr, ast.Attribute):
-            base = self.eval(state, expr.value)
-            if base == NUMPY_MODULE:
-                return NUMPY_MODULE  # np.int32 etc.; calls are caught above
-            return DTYPE_NP if base == DTYPE_NP else TOP
-        if isinstance(expr, ast.Subscript):
-            base = self.eval(state, expr.value)
-            return DTYPE_NP if base == DTYPE_NP else TOP
-        if isinstance(expr, (ast.BinOp, ast.BoolOp, ast.Compare, ast.UnaryOp)):
-            operands: List[ast.AST] = []
-            if isinstance(expr, ast.BinOp):
-                operands = [expr.left, expr.right]
-            elif isinstance(expr, ast.UnaryOp):
-                operands = [expr.operand]
-            elif isinstance(expr, ast.BoolOp):
-                operands = list(expr.values)
-            else:
-                operands = [expr.left] + list(expr.comparators)
-            return self._join_any_np([self.eval(state, op) for op in operands])
-        if isinstance(expr, ast.IfExp):
-            return self._join_any_np(
-                [self.eval(state, expr.body), self.eval(state, expr.orelse)]
-            )
-        return TOP
-
-    def _join_any_np(self, values: List[Any]) -> Any:
-        if any(v == DTYPE_NP for v in values):
-            return DTYPE_NP
-        if values and all(v == DTYPE_PY for v in values):
-            return DTYPE_PY
-        return TOP
-
-    def _eval_call(self, state: Dict[str, Any], call: ast.Call) -> Any:
-        func = call.func
-        dotted = dotted_name(func)
-        if dotted is not None:
-            root = dotted.split(".")[0]
-            if "." in dotted and self._is_numpy_root(state, root):
-                return DTYPE_NP
-            if dotted in _SANITIZER_BUILTINS:
-                return DTYPE_PY
-        if isinstance(func, ast.Attribute):
-            if func.attr in _SANITIZER_METHODS:
-                return DTYPE_PY
-            receiver = self.eval(state, func.value)
-            if receiver == DTYPE_NP:
-                return DTYPE_NP  # .astype()/.sum()/… stay numpy
-        summary = self.project.resolve_summary(self.module, self.caller, func)
-        if summary is not None and getattr(summary, "returns_tainted", False):
-            return DTYPE_NP
-        return TOP
-
-    # -- transfer ------------------------------------------------------------
-
-    def transfer(self, state: Any, node: Node) -> Any:
-        stmt = node.stmt
-        if node.kind != cfgmod.STMT or stmt is None:
-            return state
-        new = dict(state)
-        if isinstance(stmt, ast.Assign):
-            value_tag = self.eval(state, stmt.value)
-            for target in stmt.targets:
-                self._assign(new, state, target, stmt.value, value_tag)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._assign(
-                new, state, stmt.target, stmt.value, self.eval(state, stmt.value)
-            )
-        elif isinstance(stmt, ast.AugAssign):
-            if isinstance(stmt.target, ast.Name):
-                old = state.get(stmt.target.id, TOP)
-                new[stmt.target.id] = self._join_any_np(
-                    [old, self.eval(state, stmt.value)]
-                )
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_tag = self.eval(state, stmt.iter)
-            element = DTYPE_NP if iter_tag == DTYPE_NP else TOP
-            for name in _names_in(stmt.target):
-                new[name] = element
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                if isinstance(item.optional_vars, ast.Name):
-                    new[item.optional_vars.id] = self.eval(state, item.context_expr)
-        return new
-
-    def _assign(
-        self,
-        new: Dict[str, Any],
-        state: Dict[str, Any],
-        target: ast.AST,
-        value: ast.AST,
-        value_tag: Any,
-    ) -> None:
-        if isinstance(target, ast.Name):
-            new[target.id] = value_tag
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            if isinstance(value, (ast.Tuple, ast.List)) and len(value.elts) == len(
-                target.elts
-            ):
-                for t, v in zip(target.elts, value.elts):
-                    self._assign(new, state, t, v, self.eval(state, v))
-            else:
-                for name in _names_in(target):
-                    new[name] = DTYPE_NP if value_tag == DTYPE_NP else TOP
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,10 @@
 Every analysis the engine runs joins over a *flat* lattice: ``BOTTOM``
 (unreached) below a finite set of incomparable named states below
 ``TOP`` (conflicting origins; the analysis gives up soundly rather than
-guess).  Three concrete vocabularies are declared here:
+guess).  Two concrete vocabularies are declared here:
 
 * resource states — ``created``/``attached``/``closed``/``unlinked``/
   ``escaped`` for the R007 segment-lifecycle analysis;
-* dtype tags — ``py_int``/``np_scalar`` for the R008 dtype-escape
-  analysis (``TOP`` plays the ``unknown`` role);
 * version tags — ``bumped``/``stale`` for the R009 mutation-version
   dirty bit.
 
@@ -61,12 +59,6 @@ class FlatLattice:
             return a
         return TOP
 
-    def join_all(self, values: Iterable[Value]) -> Value:
-        result: Value = BOTTOM
-        for value in values:
-            result = self.join(result, value)
-        return result
-
 
 # -- resource lifecycle (R007) ----------------------------------------------
 
@@ -79,13 +71,6 @@ RES_ESCAPED = "escaped"
 RESOURCE_LATTICE = FlatLattice(
     (RES_CREATED, RES_ATTACHED, RES_CLOSED, RES_UNLINKED, RES_ESCAPED)
 )
-
-# -- dtype tags (R008) ------------------------------------------------------
-
-DTYPE_PY = "py_int"
-DTYPE_NP = "np_scalar"
-
-DTYPE_LATTICE = FlatLattice((DTYPE_PY, DTYPE_NP))
 
 # -- mutation/version discipline (R009) -------------------------------------
 

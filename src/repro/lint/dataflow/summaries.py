@@ -2,9 +2,9 @@
 
 A :class:`FunctionSummary` records what a call does to the analyses'
 lattices without any path conditions: does it return an owned or
-attached resource, which parameters may it unlink/close, may its return
-value carry a numpy taint, may it leave the graph's tracked structures
-dirty, does it commit on every normal exit.  The summaries are computed
+attached resource, which parameters may it unlink/close, may it leave
+the graph's tracked structures dirty, does it commit on every normal
+exit.  The summaries are computed
 to a global fixpoint (effects flow through call chains like
 ``attach_graph_store -> SharedGraphStore.attach -> _Segment``) and are
 JSON round-trippable so :class:`SummaryCache` can persist them to
@@ -12,8 +12,9 @@ JSON round-trippable so :class:`SummaryCache` can persist them to
 
 The cache is all-or-nothing by design: summaries compose across files,
 so one changed file invalidates the whole set.  That is still the right
-trade — the dataflow project is the handful of modules the R007–R009
-scopes name, and a warm ``--changed`` run skips every recomputation.
+trade — the dataflow project is the handful of modules the R007 and
+R009 scopes name, and a warm ``--changed`` run skips every
+recomputation.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ from ..diagnostics import LINT_ENGINE_VERSION
 from . import interp
 from .callgraph import DataflowProject, FunctionInfo, ModuleInfo
 from .cfg import ControlFlowGraph, build_cfg
-from .lattice import DTYPE_NP
 from .scopes import dotted_name
+
+#: Layout of ``.lint-cache.json``; a cache written under another layout
+#: is recomputed, never read.
+_CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,6 @@ class FunctionSummary:
     #: parameter positions (0-based, ``self`` included) that may be unlinked
     may_unlink_params: Tuple[int, ...] = ()
     may_close_params: Tuple[int, ...] = ()
-    #: a return value may be numpy-originated and unsanitized
-    returns_tainted: bool = False
     #: may leave tracked DynamicGraph structures dirty at a normal exit
     mutates: bool = False
     #: every normal exit passes a version-bump-and-log commit
@@ -67,7 +69,6 @@ class FunctionSummary:
             resource_returns=data.get("resource_returns") or None,  # type: ignore[arg-type]
             may_unlink_params=tuple(data.get("may_unlink_params", ())),  # type: ignore[arg-type]
             may_close_params=tuple(data.get("may_close_params", ())),  # type: ignore[arg-type]
-            returns_tainted=bool(data.get("returns_tainted", False)),
             mutates=bool(data.get("mutates", False)),
             always_commits=bool(data.get("always_commits", False)),
             is_commit=bool(data.get("is_commit", False)),
@@ -167,17 +168,6 @@ def _is_commit_primitive(func: FunctionInfo) -> bool:
     return bumps and logs
 
 
-def _module_taint_relevant(project: DataflowProject, module: ModuleInfo) -> bool:
-    if interp.numpy_aliases(module):
-        return True
-    for target in module.import_aliases.values():
-        head = target.rsplit(".", 1)[0]
-        for other in project.modules.values():
-            if other.module_name in (target, head) and interp.numpy_aliases(other):
-                return True
-    return False
-
-
 def _module_version_relevant(module: ModuleInfo) -> bool:
     return any(attr in module.source for attr in interp.TRACKED_GRAPH_ATTRS)
 
@@ -187,20 +177,9 @@ def _summarize(
     module: ModuleInfo,
     func: FunctionInfo,
     cfg: ControlFlowGraph,
-    taint_relevant: bool,
     version_relevant: bool,
 ) -> FunctionSummary:
     returns, unlinks, closes = _resource_effects(project, module, func)
-    returns_tainted = False
-    if taint_relevant:
-        analysis = interp.analyze(cfg, interp.TaintDomain(project, module, func))
-        domain = interp.TaintDomain(project, module, func)
-        for node, state in analysis.reachable_stmt_states():
-            stmt = node.stmt
-            if isinstance(stmt, ast.Return) and stmt.value is not None:
-                if domain.eval(state, stmt.value) == DTYPE_NP:
-                    returns_tainted = True
-                    break
     is_commit = _is_commit_primitive(func)
     mutates = False
     always_commits = is_commit
@@ -216,7 +195,6 @@ def _summarize(
         resource_returns=returns,
         may_unlink_params=unlinks,
         may_close_params=closes,
-        returns_tainted=returns_tainted,
         mutates=mutates,
         always_commits=always_commits,
         is_commit=is_commit,
@@ -226,22 +204,19 @@ def _summarize(
 def compute_summaries(project: DataflowProject, max_rounds: int = 5) -> None:
     """Fill ``project.summaries`` to a global fixpoint."""
     cfgs: Dict[Tuple[str, str], ControlFlowGraph] = {}
-    relevance: Dict[str, Tuple[bool, bool]] = {}
+    relevance: Dict[str, bool] = {}
     for module in project.modules.values():
-        relevance[module.relpath] = (
-            _module_taint_relevant(project, module),
-            _module_version_relevant(module),
-        )
+        relevance[module.relpath] = _module_version_relevant(module)
         for func in module.functions.values():
             cfgs[(module.relpath, func.qualname)] = build_cfg(func.node)
     for _ in range(max_rounds):
         changed = False
         for module in project.modules.values():
-            taint_relevant, version_relevant = relevance[module.relpath]
+            version_relevant = relevance[module.relpath]
             for func in module.functions.values():
                 key = (module.relpath, func.qualname)
                 summary = _summarize(
-                    project, module, func, cfgs[key], taint_relevant, version_relevant
+                    project, module, func, cfgs[key], version_relevant
                 )
                 if project.summaries.get(key) != summary:
                     project.summaries[key] = summary
@@ -272,7 +247,11 @@ class SummaryCache:
             data = json.loads(self.path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
-        if not isinstance(data, dict) or data.get("engine") != LINT_ENGINE_VERSION:
+        if (
+            not isinstance(data, dict)
+            or data.get("cache_version") != _CACHE_VERSION
+            or data.get("engine") != LINT_ENGINE_VERSION
+        ):
             return None
         files = data.get("files")
         if not isinstance(files, dict) or set(files) != set(hashes):
@@ -300,7 +279,7 @@ class SummaryCache:
             if relpath in files:
                 files[relpath]["summaries"][qualname] = summary.to_dict()  # type: ignore[index]
         payload = {
-            "cache_version": 1,
+            "cache_version": _CACHE_VERSION,
             "engine": LINT_ENGINE_VERSION,
             "files": files,
         }

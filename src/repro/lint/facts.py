@@ -181,11 +181,6 @@ class ProjectFacts:
     #: --flags the lint documentation mentions (None: doc file absent)
     documented_lint_flags: Optional[FrozenSet[str]] = None
 
-    @property
-    def declared_counters(self) -> FrozenSet[str]:
-        """Counters valid to bump: declared field AND schema-required."""
-        return self.stats_fields & self.schema_counters
-
     @classmethod
     def from_paths(cls, stats_path: Path, schema_path: Path) -> "ProjectFacts":
         stats_source = stats_path.read_text()

@@ -1,35 +1,21 @@
-"""Report rendering for ``cfl-match lint``: text, JSON and SARIF.
+"""Report rendering for ``cfl-match lint``: the SARIF log and the rule list.
 
-The JSON shape is versioned and stable so CI can archive
-``lint-report.json`` as an artifact and diff runs across commits
-(version 2 adds ``engine_version``, per-rule timings and summary-cache
-counters on top of every version-1 key).  The SARIF output targets the
-2.1.0 schema so code-scanning UIs can annotate diffs with findings.
+The text and JSON reports come straight from
+:class:`~repro.lint.analyzer.LintReport` (``render``/``to_dict``).  The
+SARIF output targets the 2.1.0 schema so code-scanning UIs can annotate
+diffs with findings.
 """
 
 from __future__ import annotations
 
-import json
-from typing import IO, Any, Dict, List
+from typing import Any, Dict, List
 
 from .analyzer import LintReport
 from .registry import Rule
 
-#: SARIF schema targeted by :func:`write_sarif`
+#: SARIF schema targeted by :func:`sarif_dict`
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-
-
-def write_text(report: LintReport, stream: IO[str]) -> None:
-    """Human-readable report: one diagnostic per line plus a summary."""
-    stream.write(report.render())
-    stream.write("\n")
-
-
-def write_json(report: LintReport, stream: IO[str]) -> None:
-    """Versioned JSON report (the ``--json`` output)."""
-    json.dump(report.to_dict(), stream, indent=2, sort_keys=False)
-    stream.write("\n")
 
 
 def sarif_dict(report: LintReport) -> Dict[str, Any]:
@@ -79,12 +65,6 @@ def sarif_dict(report: LintReport) -> Dict[str, Any]:
             }
         ],
     }
-
-
-def write_sarif(report: LintReport, stream: IO[str]) -> None:
-    """SARIF 2.1.0 report (the ``--sarif`` output)."""
-    json.dump(sarif_dict(report), stream, indent=2, sort_keys=False)
-    stream.write("\n")
 
 
 def format_rule_list(rules: List[Rule]) -> str:

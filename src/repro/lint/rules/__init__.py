@@ -6,7 +6,6 @@ modules can reference analyzer types without an import cycle.
 
 from . import (  # noqa: F401  (registration side effects)
     counters,
-    dtype_escape,
     exceptions,
     frozen_plan,
     iteration,
@@ -24,6 +23,5 @@ __all__ = [
     "wallclock",
     "exceptions",
     "segment_lifecycle",
-    "dtype_escape",
     "version_discipline",
 ]

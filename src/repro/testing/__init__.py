@@ -16,7 +16,9 @@ from .dynamic import (
     DeltaCase,
     DynamicFuzzReport,
     generate_delta_case,
+    generate_label_disjoint_case,
     incremental_differential_check,
+    label_disjoint_check,
     run_incremental_fuzz,
 )
 from .engine import FuzzReport, MismatchRecord, run_fuzz
@@ -77,10 +79,12 @@ __all__ = [
     "generate_cases",
     "generate_delta_case",
     "generate_delta_stream",
-    "incremental_differential_check",
+    "generate_label_disjoint_case",
     "graph_from_dict",
     "graph_to_dict",
+    "incremental_differential_check",
     "is_brute_force_tractable",
+    "label_disjoint_check",
     "load_corpus",
     "metamorphic_check",
     "permute_vertices",

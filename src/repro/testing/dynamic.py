@@ -15,7 +15,12 @@ packages that oracle as
 * :func:`generate_delta_case` — the seeded workload: a base fuzz case
   from :mod:`repro.testing.workloads` plus a seeded delta stream;
 * :func:`run_incremental_fuzz` — the budgeted loop CI runs, with
-  delta-stream shrinking and corpus capture on failure.
+  delta-stream shrinking and corpus capture on failure;
+* :func:`generate_label_disjoint_case` / :func:`label_disjoint_check` —
+  edge flips that touch no query label, between cached queries: the
+  plan object must survive every flip (the label-disjoint fast path)
+  and still answer exactly like a fresh matcher, although its kernel
+  reads the graph's live rows.
 
 Build counters are deliberately *not* compared: repair counts only the
 recomputed units (that asymmetry **is** the speedup being claimed), so
@@ -162,8 +167,8 @@ def incremental_differential_check(
     :class:`IncrementalMatcher` (tag ``incremental/{engine}``), which
     repairs its plans, and one plain :class:`CFLMatch` with its plan
     cache on (tag ``live/{engine}``), which must notice every mutation
-    through the data version and compile against the graph's patched
-    CSR.  At every step (initial state plus one per delta) each is
+    through the data version and recompile over the graph's current
+    rows.  At every step (initial state plus one per delta) each is
     compared with a freshly constructed :class:`CFLMatch` over a
     from-scratch copy: embeddings, enumeration order, full enumeration
     ``SearchStats`` and (with ``check_cpi``) CPI candidates + adjacency
@@ -196,6 +201,111 @@ def incremental_differential_check(
                     # Diverged, or both reject (the same class of
                     # unsupported input): nothing further to compare.
                     del matchers[tag]
+    return mismatches
+
+
+#: Vertices of the fresh-label gadget :func:`generate_label_disjoint_case`
+#: appends, so label-disjoint flips exist whatever the base case is.
+_GADGET_VERTICES = 8
+
+
+def generate_label_disjoint_case(
+    seed: int,
+    index: int,
+    spec: Optional[WorkloadSpec] = None,
+    stream_length: Tuple[int, int] = (4, 12),
+) -> DeltaCase:
+    """A dynamic case whose every delta is label-disjoint from the query.
+
+    The base fuzz case gains an isolated gadget of vertices carrying a
+    label outside both graphs.  The stream flips edges between
+    *eligible* vertices: those whose own label and whose neighbors'
+    labels all lie outside the query, so a flip's touch set never meets
+    the query's labels.  Flips only join eligible vertices, so the
+    eligible set stays the same along the stream.
+    """
+    if spec is None:
+        spec = WorkloadSpec(scenarios=DYNAMIC_BASE_SCENARIOS)
+    case = generate_case(seed, index, spec)
+    base, query = case.data, case.query
+    fresh = max([*base.labels, *query.labels, 0]) + 1
+    n = base.num_vertices
+    data = Graph(
+        [*base.labels, *[fresh] * _GADGET_VERTICES],
+        [*base.edges(), *((n + i, n + i + 1) for i in range(0, _GADGET_VERTICES, 2))],
+    )
+    query_labels = set(query.labels)
+    eligible = [
+        v for v in data.vertices()
+        if data.labels[v] not in query_labels
+        and not any(data.labels[w] in query_labels for w in data.adj[v])
+    ]
+    rng = random.Random(f"{case.seed}:label-disjoint")
+    scratch = DynamicGraph.from_graph(data)
+    deltas: List[Delta] = []
+    for _ in range(rng.randint(stream_length[0], stream_length[1])):
+        u, v = rng.sample(eligible, 2)
+        delta = (
+            Delta.remove_edge(u, v) if scratch.has_edge(u, v)
+            else Delta.add_edge(u, v)
+        )
+        scratch.apply(delta)
+        deltas.append(delta)
+    return DeltaCase(
+        index=case.index,
+        scenario=case.scenario,
+        seed=f"{case.seed}:label-disjoint",
+        data=data,
+        query=query,
+        deltas=tuple(deltas),
+    )
+
+
+def label_disjoint_check(
+    data: Graph,
+    query: Graph,
+    deltas: Sequence[Delta],
+    engines: Sequence[str] = DYNAMIC_ENGINES,
+) -> List[Mismatch]:
+    """Replay label-disjoint ``deltas`` between cached queries.
+
+    Per engine, one :class:`IncrementalMatcher` prepares ``query`` once;
+    after every delta its plan must be the *same object* (tag
+    ``incremental/{engine}``, kind ``label-disjoint-rebuilt``), and its
+    answers must equal a fresh matcher's over a from-scratch copy —
+    embeddings, order, enumeration counters and CPI (kind
+    ``dynamic-differential``).  Raises :class:`ValueError` when a delta
+    touches a query label: the stream is not label-disjoint.
+    """
+    mismatches: List[Mismatch] = []
+    query_labels = frozenset(query.labels)
+    for engine in engines:
+        tag = f"incremental/{engine}"
+        dynamic = DynamicGraph.from_graph(data)
+        matcher = IncrementalMatcher(dynamic, engine=engine)
+        try:
+            plan = matcher.prepare(query)
+        except (GraphError, ValueError):
+            continue  # rejected queries have no plan to keep
+        for step, delta in enumerate(deltas):
+            version = dynamic.version
+            dynamic.apply(delta)
+            at = f"after delta {step} ({delta.format()})"
+            for touch in dynamic.touches_since(version) or ():
+                if touch.labels & query_labels:
+                    raise ValueError(f"{at} touches query labels")
+            if matcher.prepare(query) is not plan:
+                mismatches.append(
+                    Mismatch(tag, "label-disjoint-rebuilt", f"{at}: plan replaced")
+                )
+                break
+            cold = CFLMatch(dynamic.to_static(), engine=engine)
+            detail = _divergence(matcher, query, cold, _run(cold, query), True)
+            if detail is not None:
+                mismatches.append(
+                    Mismatch(tag, "dynamic-differential", f"{at}: {detail}")
+                )
+                break
     return mismatches
 
 

@@ -31,7 +31,9 @@ from repro.graph.graph import Graph, GraphError
 from repro.testing.dynamic import (
     DYNAMIC_ENGINES,
     generate_delta_case,
+    generate_label_disjoint_case,
     incremental_differential_check,
+    label_disjoint_check,
 )
 from repro.testing.workloads import (
     DYNAMIC_BASE_SCENARIOS,
@@ -206,6 +208,30 @@ class TestRepairDispatch:
         assert before.build_stats.cpi_rebuilds == 0
         assert before.build_stats.dirty_region_size == 0
         assert embeddings_of(inc, query) == [(0, 2), (1, 3)]
+
+    def test_label_disjoint_flips_keep_the_plan_and_its_answers(self):
+        """Flips outside the query's labels keep the plan object, whose
+        kernel reads the graph's live rows, and after every flip it
+        answers exactly like a fresh matcher."""
+        for index in range(10):
+            case = generate_label_disjoint_case(19, index)
+            assert case.deltas
+            assert label_disjoint_check(case.data, case.query, case.deltas) == []
+
+    def test_label_disjoint_check_rejects_a_touching_stream(self):
+        data, query = small_instance()
+        with pytest.raises(ValueError, match="touches query labels"):
+            label_disjoint_check(data.to_static(), query, [Delta.add_edge(0, 3)])
+
+    def test_label_disjoint_check_reports_a_replaced_plan(self, monkeypatch):
+        """The check fails when the fast path stops keeping the plan."""
+        case = generate_label_disjoint_case(19, 0)
+        monkeypatch.setattr(
+            IncrementalMatcher, "_repair_sync",
+            lambda self, reg: self._rebuild_registration(reg, 0.0),
+        )
+        found = label_disjoint_check(case.data, case.query, case.deltas)
+        assert {m.kind for m in found} == {"label-disjoint-rebuilt"}
 
     def test_dirty_delta_repairs_below_threshold(self):
         data, query = small_instance()

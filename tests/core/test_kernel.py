@@ -253,17 +253,17 @@ class TestCompiledPlanStructure:
                 MODE_ROOT, MODE_TREE, MODE_CROSS,
             )
 
-    def test_data_csr_cached_per_graph(self):
-        """The data CSR belongs to the graph: two matchers over one
-        static graph compile against the same arrays."""
+    def test_kernel_plan_borrows_the_graph_rows(self):
+        """The kernel bisects the data graph's own rows: a compiled plan,
+        from the matcher or standalone, holds ``data.adj`` itself."""
         case = generate_case(0, 0, DENSE_SPEC)
-        first = CFLMatch(case.data, engine="kernel").prepare(case.query).kernel
-        second = CFLMatch(case.data, engine="kernel").prepare(case.query).kernel
-        assert first is not second
-        assert first.adj_indptr is second.adj_indptr
-        assert first.adj_flat is second.adj_flat
-        indptr, flat = case.data.adjacency_csr()
-        assert indptr is first.adj_indptr and flat is first.adj_flat
+        plan = CFLMatch(case.data, engine="kernel").prepare(case.query)
+        standalone = compile_kernel_plan(
+            plan.cpi, plan.core_slots, plan.forest_slots
+        )
+        for kernel in (plan.kernel, standalone):
+            assert kernel.adj_rows is case.data.adj
+            assert kernel.adj_sets is case.data._adj_sets
 
     def test_plan_cache_reuses_compiled_kernel(self):
         case = generate_case(0, 0, DENSE_SPEC)
@@ -294,16 +294,6 @@ class TestCompiledPlanStructure:
         finally:
             segment.unlink()
             segment.close()
-
-    def test_compile_without_data_csr_matches(self):
-        case = generate_case(0, 0, DENSE_SPEC)
-        matcher = CFLMatch(case.data, engine="kernel")
-        plan = matcher.prepare(case.query)
-        standalone = compile_kernel_plan(
-            plan.cpi, plan.core_slots, plan.forest_slots
-        )
-        assert list(standalone.adj_indptr) == list(plan.kernel.adj_indptr)
-        assert list(standalone.core.base_v[0]) == list(plan.kernel.core.base_v[0])
 
 
 class TestParallelEngineParity:

@@ -29,7 +29,6 @@ import pytest
 
 import repro.core.parallel
 from repro.core import CFLMatch
-from repro.core.kernel import build_data_csr
 from repro.core.parallel import (
     MatcherPool,
     parallel_count,
@@ -44,6 +43,7 @@ from repro.core.shm import (
     SEGMENT_PREFIX,
     SharedGraph,
     SharedGraphStore,
+    adjacency_csr,
     attach_graph_store,
     attach_plan_segment,
     graph_sections,
@@ -249,21 +249,25 @@ class TestSharedGraphStore:
                     assert shared.mnd(v) == data.mnd(v)
 
     def test_adjacency_sections_equal_in_process_csr(self, rng):
-        """The segment's adjacency sections are the in-process kernel CSR
-        byte for byte, also for a patched DynamicGraph snapshot."""
+        """The segment's adjacency sections are the in-process lowering
+        of the graph's rows byte for byte, also after an edge delta."""
         for _ in range(5):
             data, _ = random_instance(rng)
             dynamic = DynamicGraph.from_graph(data)
-            dynamic.adjacency_csr()
             u, v = rng.sample(range(dynamic.num_vertices), 2)
             if dynamic.has_edge(u, v):
                 dynamic.remove_edge(u, v)
             else:
                 dynamic.add_edge(u, v)
             for graph in (data, dynamic):
-                indptr, flat = build_data_csr(graph)
+                indptr, flat = adjacency_csr(graph)
+                sections = graph_sections(graph)
+                assert bytes(sections[GRAPH_SECTION_NAMES.index("adj_indptr")]) \
+                    == bytes(indptr)
+                assert bytes(sections[GRAPH_SECTION_NAMES.index("adj_flat")]) \
+                    == bytes(flat)
                 with SharedGraphStore.create(graph) as store:
-                    shared_indptr, shared_flat = build_data_csr(store.graph)
+                    shared_indptr, shared_flat = adjacency_csr(store.graph)
                     assert bytes(shared_indptr) == bytes(indptr)
                     assert bytes(shared_flat) == bytes(flat)
                     assert [list(r) for r in store.graph.adj] == \
@@ -272,11 +276,35 @@ class TestSharedGraphStore:
     def test_rows_are_read_only_zero_copy_views(self):
         ex = figure1_example(6, 6)
         with SharedGraphStore.create(ex.data) as store:
-            indptr, flat = store.graph.adjacency_csr()
-            assert isinstance(indptr, memoryview) and isinstance(flat, memoryview)
-            assert indptr.readonly and flat.readonly
+            row = store.graph.adj[0]
+            assert isinstance(row, memoryview) and row.readonly
+            assert store.graph.adj[0] is row  # cached, not re-sliced
             with pytest.raises(TypeError):
-                flat[0] = 99
+                row[0] = 99
+
+    def test_kernel_plans_borrow_the_shared_rows(self, tmp_path):
+        """A kernel plan over a segment- or file-backed graph bisects
+        that graph's own rows, also when decoded from a plan segment."""
+        case = generate_case(SWEEP_SEED, 0, WorkloadSpec(scenarios=("dense",)))
+        path = tmp_path / "data.csr"
+        write_graph_csr(case.data, path)
+        mapped = load_graph_csr(path)
+        assert isinstance(mapped, SharedGraph)
+        kernel = CFLMatch(mapped).prepare(case.query).kernel
+        assert kernel.adj_rows is mapped.adj
+        assert kernel.adj_sets is mapped._adj_sets
+        with SharedGraphStore.create(case.data) as store:
+            plan = CFLMatch(store.graph).prepare(case.query)
+            assert plan.kernel.adj_rows is store.graph.adj
+            segment = PlanSegment.create(plan)
+            try:
+                attacher = CFLMatch(store.graph)
+                decoded, attached = attach_plan_segment(attacher, segment.name)
+                assert decoded.kernel.adj_rows is store.graph.adj
+                attached.close()
+            finally:
+                segment.unlink()
+                segment.close()
 
     def test_attach_by_name_and_unlink_semantics(self):
         ex = figure1_example(5, 5)

@@ -6,9 +6,9 @@ lazily-cached label index, degree index, NLF and MND — equals a from-scratch
 :class:`Graph` built from the current labels and edges, whether the
 caches were materialized before the stream (incremental maintenance) or
 after it (cold build).  The touch log records exactly what a plan-level
-consumer must re-examine.  The kernel's adjacency CSR, patched per edge
-delta, equals a full lowering at every version, and a snapshot handed
-out earlier never changes.
+consumer must re-examine.  A compiled kernel plan borrows the graph's
+own rows, so after every delta it answers like a plan compiled from
+scratch and like the reference engine.
 """
 
 import random
@@ -17,16 +17,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
+import repro.core.kernel as kernel_module
 import repro.graph.dynamic as dynamic_module
+from repro.core import CFLMatch, IncrementalMatcher
+from repro.core.stats import SearchStats
 from repro.graph.dynamic import (
     DELTA_OPS,
     Delta,
     DynamicGraph,
     parse_delta_stream,
-    patch_adjacency,
 )
 from repro.graph.graph import Graph, GraphError
 from repro.testing.workloads import (
@@ -211,108 +211,101 @@ class TestTouchLog:
                 assert dynamic.version == before
 
 
-def csr_bytes(csr):
-    indptr, flat = csr
-    return bytes(indptr), bytes(flat)
+def long_row_instance(seed: int):
+    """A labeled data graph whose label-1 vertices have ~40 label-2
+    neighbors, and a K4 query over labels 0, 1, 2, 2: its backward
+    checks run the kernel's galloping intersection over two rows."""
+    rng = random.Random(seed)
+    labels = [0] * 6 + [1] * 40 + [2] * 60
+    p = {(0, 1): 0.9, (1, 2): 0.7, (0, 2): 0.3, (1, 1): 0.05, (2, 2): 0.05}
+    edges = [
+        (u, v)
+        for u in range(len(labels))
+        for v in range(u + 1, len(labels))
+        if rng.random() < p.get((labels[u], labels[v]), 0.0)
+    ]
+    query = Graph([0, 1, 2, 2], [(0, 1), (1, 2), (2, 0), (1, 3), (3, 0), (3, 2)])
+    return DynamicGraph(labels, edges), query
 
 
-def delta_for(dynamic: DynamicGraph, op: str, x: int, y: int):
-    """Map a drawn ``(op, x, y)`` onto a valid delta, or ``None``."""
-    n = dynamic.num_vertices
-    if op == "add_vertex":
-        return Delta.add_vertex(y % 3)
-    if n == 0:
-        return None
-    if op == "remove_vertex":
-        return Delta.remove_vertex(x % n)
-    if op == "remove_edge":
-        edges = list(dynamic.edges())
-        return Delta.remove_edge(*edges[x % len(edges)]) if edges else None
-    u, v = x % n, y % n
-    return Delta.add_edge(u, v) if u != v and not dynamic.has_edge(u, v) else None
+def full_run(matcher: CFLMatch, query: Graph):
+    stats = SearchStats()
+    return list(matcher.search(query, stats=stats)), stats
 
 
-def flip_edges(dynamic: DynamicGraph, rng: random.Random, count: int) -> None:
-    """Toggle ``count`` random vertex pairs: edge deltas only."""
-    for _ in range(count):
-        u, v = rng.sample(range(dynamic.num_vertices), 2)
-        if dynamic.has_edge(u, v):
-            dynamic.remove_edge(u, v)
-        else:
-            dynamic.add_edge(u, v)
-
-
-class TestAdjacencyCSR:
-    @given(
-        labels=st.lists(st.integers(0, 2), min_size=1, max_size=8),
-        pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12),
-        steps=st.lists(
-            st.tuples(st.sampled_from(DELTA_OPS), st.integers(0, 63), st.integers(0, 63)),
-            max_size=25,
-        ),
-    )
-    def test_patched_csr_equals_full_lowering(self, labels, pairs, steps):
-        """Interleaved edge and vertex deltas: after every delta the CSR
-        equals a full lowering of ``to_static()``, and the snapshot
-        taken before the delta is unchanged (copy-on-write)."""
-        n = len(labels)
-        edges = {(min(u % n, v % n), max(u % n, v % n)) for u, v in pairs}
-        dynamic = DynamicGraph(labels, sorted((u, v) for u, v in edges if u != v))
-        for op, x, y in steps:
-            delta = delta_for(dynamic, op, x, y)
-            if delta is None:
-                continue
-            before = dynamic.adjacency_csr()
-            frozen = csr_bytes(before)
+class TestKernelReadsLiveRows:
+    def test_kernel_plan_borrows_the_dynamic_rows(self):
+        dynamic, query = long_row_instance(0)
+        kernel = CFLMatch(dynamic).prepare(query).kernel
+        assert kernel.adj_rows is dynamic.adj
+        assert kernel.adj_sets is dynamic._adj_sets
+        for delta in generate_delta_stream(dynamic, random.Random("rows"), 12):
             dynamic.apply(delta)
-            assert csr_bytes(dynamic.adjacency_csr()) == \
-                csr_bytes(dynamic.to_static().adjacency_csr())
-            assert csr_bytes(before) == frozen
+        assert dynamic.adj is kernel.adj_rows  # mutated in place
+        assert IncrementalMatcher(dynamic).prepare(query).kernel.adj_rows \
+            is dynamic.adj
 
-    def test_several_edge_deltas_patch_into_one_snapshot(self):
-        case = generate_case(4, 2, WorkloadSpec())
-        dynamic = DynamicGraph.from_graph(case.data)
-        first = dynamic.adjacency_csr()
-        flip_edges(dynamic, random.Random("batched"), 30)
-        latest = dynamic.adjacency_csr()
-        assert latest is not first
-        assert dynamic.adjacency_csr() is latest    # no delta since: cached
-        assert csr_bytes(latest) == csr_bytes(dynamic.to_static().adjacency_csr())
+    def test_kernel_equals_reference_after_every_delta(self, monkeypatch):
+        """A mixed add/remove edge/vertex stream: after each delta the
+        live kernel matcher yields the reference engine's embeddings in
+        order with its exact node, backtrack, backjump and rejection
+        counts, and a cold kernel matcher's full counters."""
+        intersections = []
+        original = kernel_module._intersect
 
-    def test_pure_shift_is_byte_identical_to_numpy(self, monkeypatch):
-        pytest.importorskip("numpy")
-        case = generate_case(6, 0, WorkloadSpec())
-        dynamic = DynamicGraph.from_graph(case.data)
-        snapshot = dynamic.adjacency_csr()
-        flip_edges(dynamic, random.Random("shift"), 12)
-        dirty = sorted(dynamic._csr_dirty)
-        assert dirty
-        assert dynamic_module._load_numpy() is not None
-        with_numpy = patch_adjacency(snapshot, dynamic.adj, dirty)
-        # numpy absent: the cached outcome of the import is None
-        monkeypatch.setattr(dynamic_module, "_np", None)
-        pure = patch_adjacency(snapshot, dynamic.adj, dirty)
-        assert csr_bytes(pure) == csr_bytes(with_numpy)
-        assert csr_bytes(pure) == csr_bytes(dynamic.to_static().adjacency_csr())
+        def counting(*args):
+            intersections.append(len(args[4]))
+            return original(*args)
 
-    def test_numpy_absence_is_cached(self, monkeypatch):
-        monkeypatch.setattr(dynamic_module, "_np", None)
-        monkeypatch.setattr(dynamic_module, "_np_loaded", False)
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy raises
-        assert dynamic_module._load_numpy() is None
-        assert dynamic_module._np_loaded
-        case = generate_case(6, 0, WorkloadSpec())
-        dynamic = DynamicGraph.from_graph(case.data)
-        dynamic.adjacency_csr()
-        flip_edges(dynamic, random.Random("shift"), 12)
-        assert csr_bytes(dynamic.adjacency_csr()) == csr_bytes(
-            dynamic.to_static().adjacency_csr()
-        )
+        monkeypatch.setattr(kernel_module, "_intersect", counting)
+        dynamic, query = long_row_instance(1)
+        deltas = generate_delta_stream(dynamic, random.Random("stream"), 24)
+        assert {d.op for d in deltas} == set(DELTA_OPS)
+        kernel = CFLMatch(dynamic, engine="kernel")
+        reference = CFLMatch(dynamic, engine="reference")
+        for delta in deltas:
+            dynamic.apply(delta)
+            got, got_stats = full_run(kernel, query)
+            want, want_stats = full_run(reference, query)
+            assert got == want, delta
+            for name in ("nodes", "backtracks", "backjumps", "embeddings"):
+                assert getattr(got_stats, name) == getattr(want_stats, name)
+            assert (
+                got_stats.injectivity_conflicts + got_stats.edge_check_failures
+                == want_stats.injectivity_conflicts + want_stats.edge_check_failures
+            )
+            cold, cold_stats = full_run(
+                CFLMatch(dynamic.to_static(), engine="kernel"), query
+            )
+            assert got == cold
+            assert got_stats.to_dict() == cold_stats.to_dict()
+        assert 2 in intersections  # rows sorted by length, then galloped
 
-    def test_importing_the_package_and_cli_loads_no_numpy(self):
+
+class TestNoNumpy:
+    def test_importing_the_package_and_cli_loads_no_numpy(self, tmp_path):
+        """Importing, a kernel search over an mmap'd ``.csr`` graph and an
+        incremental matcher over a 20-delta stream leave numpy unloaded."""
         src = str(Path(dynamic_module.__file__).resolve().parents[2])
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); import repro, repro.cli; "
-            "assert 'numpy' not in sys.modules, 'numpy was imported'"
-        )
+        code = f"""
+import random, sys
+sys.path.insert(0, {src!r})
+import repro, repro.cli
+from repro.core import CFLMatch, IncrementalMatcher
+from repro.graph import load_graph
+from repro.graph.dynamic import DynamicGraph
+from repro.graph.ingest import write_graph_csr
+from repro.testing.workloads import WorkloadSpec, generate_case, generate_delta_stream
+case = generate_case(3, 0, WorkloadSpec(scenarios=("dense",)))
+path = {str(tmp_path / "data.csr")!r}
+write_graph_csr(case.data, path)
+assert CFLMatch(load_graph(path), engine="kernel").count(case.query) == \\
+    CFLMatch(case.data, engine="reference").count(case.query)
+dynamic = DynamicGraph.from_graph(case.data)
+matcher = IncrementalMatcher(dynamic, engine="kernel")
+for delta in generate_delta_stream(case.data, random.Random("numpy"), 20):
+    dynamic.apply(delta)
+    matcher.count(case.query)
+assert 'numpy' not in sys.modules, 'numpy was imported'
+"""
         subprocess.run([sys.executable, "-c", code], check=True)

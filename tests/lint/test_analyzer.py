@@ -89,7 +89,7 @@ class TestLintPaths:
         assert payload["files_checked"] == 1
         assert {r["id"] for r in payload["rules"]} == {
             "R001", "R002", "R003", "R004", "R005", "R006",
-            "R007", "R008", "R009",
+            "R007", "R009",
         }
         diag = payload["diagnostics"][0]
         assert set(diag) == {"rule", "path", "line", "column", "message"}

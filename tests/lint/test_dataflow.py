@@ -271,25 +271,6 @@ class TestSummaries:
         project = summarized(SHM_SRC)
         assert project.summaries[(SHM_REL, "discard")].may_unlink_params == (0,)
 
-    def test_returns_tainted_and_its_sanitized_near_miss(self):
-        rel = "src/repro/core/kernel.py"
-        project = summarized(
-            """
-            import numpy as np
-
-
-            def total(arr):
-                return np.sum(arr)
-
-
-            def clean_total(arr):
-                return int(np.sum(arr))
-            """,
-            relpath=rel,
-        )
-        assert project.summaries[(rel, "total")].returns_tainted
-        assert not project.summaries[(rel, "clean_total")].returns_tainted
-
     def test_commit_and_mutation_summaries(self):
         rel = "src/repro/graph/dynamic.py"
         project = summarized(
@@ -348,6 +329,18 @@ class TestSummaryCache:
         load_or_compute(fresh_project(), cache_path)
         data = json.loads(cache_path.read_text())
         data["engine"] = "0.0"
+        cache_path.write_text(json.dumps(data))
+        cache = SummaryCache(cache_path)
+        assert cache.load_matching({SHM_REL: file_hash(SHM_SRC)}) is None
+
+    def test_cache_layout_drift_invalidates(self, tmp_path):
+        """A cache written under the layout with taint summaries
+        (``cache_version`` 1) is recomputed, not read."""
+        cache_path = tmp_path / ".lint-cache.json"
+        load_or_compute(fresh_project(), cache_path)
+        data = json.loads(cache_path.read_text())
+        assert data["cache_version"] == 2
+        data["cache_version"] = 1
         cache_path.write_text(json.dumps(data))
         cache = SummaryCache(cache_path)
         assert cache.load_matching({SHM_REL: file_hash(SHM_SRC)}) is None

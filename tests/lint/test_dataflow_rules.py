@@ -1,4 +1,4 @@
-"""Fixture tests for the dataflow rules R007-R009: a firing snippet and
+"""Fixture tests for the dataflow rules R007 and R009: a firing snippet and
 a near-miss per behavior, including the seeded KeyboardInterrupt leak
 (`except Exception: seg.unlink(); raise`) that a purely intraprocedural
 engine cannot distinguish from the safe `except BaseException` form."""
@@ -10,7 +10,6 @@ import textwrap
 from repro.lint import lint_source
 
 SHM = "src/repro/core/shm.py"
-KERNEL = "src/repro/core/kernel.py"
 DYNAMIC = "src/repro/graph/dynamic.py"
 
 
@@ -249,159 +248,6 @@ class TestR007:
             ["R007"],
         )
         assert diags == []
-
-
-# ----------------------------------------------------------------------
-# R008 dtype-escape
-# ----------------------------------------------------------------------
-class TestR008:
-    def test_fires_on_numpy_value_into_stats(self):
-        diags = run(
-            """
-            import numpy as np
-
-
-            def fill(stats, arr):
-                stats.nodes = np.sum(arr)
-            """,
-            KERNEL,
-            ["R008"],
-        )
-        assert [d.rule for d in diags] == ["R008"]
-        assert "'nodes'" in diags[0].message
-
-    def test_int_sanitizer_is_clean(self):
-        diags = run(
-            """
-            import numpy as np
-
-
-            def fill(stats, arr):
-                stats.nodes = int(np.sum(arr))
-            """,
-            KERNEL,
-            ["R008"],
-        )
-        assert diags == []
-
-    def test_fires_on_numpy_value_into_plan(self):
-        diags = run(
-            """
-            import numpy as np
-
-
-            def pack(plan, arr):
-                plan.order = np.argsort(arr)
-            """,
-            KERNEL,
-            ["R008"],
-        )
-        assert [d.rule for d in diags] == ["R008"]
-        assert "plan structure" in diags[0].message
-
-    def test_tolist_sanitizer_is_clean(self):
-        diags = run(
-            """
-            import numpy as np
-
-
-            def pack(plan, arr):
-                plan.order = np.argsort(arr).tolist()
-            """,
-            KERNEL,
-            ["R008"],
-        )
-        assert diags == []
-
-    def test_fires_on_tainted_yield(self):
-        diags = run(
-            """
-            import numpy as np
-
-
-            def stream(arr):
-                for value in np.nditer(arr):
-                    yield value
-            """,
-            KERNEL,
-            ["R008"],
-        )
-        assert [d.rule for d in diags] == ["R008"]
-        assert "yielded" in diags[0].message
-
-    def test_sanitized_yield_is_clean(self):
-        diags = run(
-            """
-            import numpy as np
-
-
-            def stream(arr):
-                for value in np.nditer(arr):
-                    yield int(value)
-            """,
-            KERNEL,
-            ["R008"],
-        )
-        assert diags == []
-
-    def test_may_taint_joins_to_unknown_and_stays_silent(self):
-        # only *definite* taints fire: py-or-numpy joins to TOP
-        diags = run(
-            """
-            import numpy as np
-
-
-            def fill(stats, arr, flag):
-                total = 0
-                if flag:
-                    total = np.sum(arr)
-                stats.nodes = total
-            """,
-            KERNEL,
-            ["R008"],
-        )
-        assert diags == []
-
-    def test_taint_composes_through_helper_summary(self):
-        diags = run(
-            """
-            import numpy as np
-
-
-            def _score(arr):
-                return np.sum(arr)
-
-
-            def fill(stats, arr):
-                stats.nodes = _score(arr)
-            """,
-            KERNEL,
-            ["R008"],
-        )
-        assert [d.rule for d in diags] == ["R008"]
-
-    def test_fires_on_lazily_imported_numpy_in_the_dynamic_graph(self):
-        """The indptr shift's pattern: numpy bound to a module global by
-        an import inside a function."""
-        diags = run(
-            """
-            _np = None
-
-
-            def _load_numpy():
-                global _np
-                import numpy as _np
-                return _np
-
-
-            def fill(stats, arr):
-                _load_numpy()
-                stats.nodes = _np.sum(arr)
-            """,
-            DYNAMIC,
-            ["R008"],
-        )
-        assert [d.rule for d in diags] == ["R008"]
 
 
 # ----------------------------------------------------------------------
