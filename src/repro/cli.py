@@ -388,40 +388,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _changed_paths(root: Path, since: str) -> Optional[List[Path]]:
-    """Python files changed vs ``since`` plus untracked ones, or ``None``
-    when git is unavailable / not a work tree."""
-    import subprocess
-
-    commands = [
-        ["git", "diff", "--name-only", since, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ]
-    names: List[str] = []
-    for command in commands:
-        try:
-            proc = subprocess.run(
-                command,
-                cwd=root,
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        names.extend(line.strip() for line in proc.stdout.splitlines())
-    changed: List[Path] = []
-    seen = set()
-    for name in names:
-        if not name.endswith(".py") or name in seen:
-            continue
-        seen.add(name)
-        path = root / name
-        if path.is_file():
-            changed.append(path)
-    return changed
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
@@ -432,27 +398,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(format_rule_list(all_rules()))
         return 0
     root = Path(args.root) if args.root else find_root(Path.cwd())
-    if args.changed:
-        changed = _changed_paths(root, args.since)
-        if changed is None:
-            print(
-                "error: --changed needs git and a work tree at the root",
-                file=sys.stderr,
-            )
-            return 2
-        if args.paths:
-            explicit = {Path(p).resolve() for p in args.paths}
-            changed = [p for p in changed if p.resolve() in explicit]
-        if not changed:
-            print("no changed Python files; nothing to lint")
-            return 0
-        paths = changed
-    else:
-        paths = [Path(p) for p in args.paths] or [root / "src"]
+    paths = [Path(p) for p in args.paths] or [root / "src"]
     try:
-        report = lint_paths(
-            paths, root=root, select=args.select, no_cache=args.no_cache
-        )
+        report = lint_paths(paths, root=root, select=args.select)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -753,19 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--list-rules", action="store_true", help="describe every rule and exit"
-    )
-    p_lint.add_argument(
-        "--changed", action="store_true",
-        help="lint only Python files changed vs --since plus untracked ones",
-    )
-    p_lint.add_argument(
-        "--since", default="HEAD", metavar="REF",
-        help="git ref --changed diffs against (default: HEAD)",
-    )
-    p_lint.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the dataflow summary cache "
-             "(.lint-cache.json)",
     )
     p_lint.add_argument(
         "--sarif", default=None, metavar="PATH",

@@ -38,7 +38,9 @@ are never interrupted.  *Attachers* only ever ``close``.  ``close`` is
 best-effort: exported memoryviews legitimately outlive it
 (``BufferError`` is swallowed), and the mapping is freed with the
 process.  Attach helpers are module-level functions so spawn
-initializers can reference them by import path (repro-lint R002).
+initializers can reference them by import path.
+``tests/core/test_segment_faults.py`` injects a ``KeyboardInterrupt``
+right after each creator's allocation and checks that no name is left.
 """
 
 from __future__ import annotations
@@ -728,7 +730,7 @@ def _create_segment(nbytes: int, name: Optional[str]) -> shared_memory.SharedMem
 
 def attach_graph_store(handle: GraphHandle) -> SharedGraphStore:
     """Module-level attach entry point (spawn initializers import this
-    by path; see repro-lint R002)."""
+    by path)."""
     return SharedGraphStore.attach(handle)
 
 
@@ -1064,7 +1066,8 @@ def attach_plan_segment(
     name: str,
     attach_started: Optional[float] = None,
 ) -> Tuple["PreparedQuery", PlanSegment]:
-    """Attach + decode a plan segment (module-level for R002).
+    """Attach + decode a plan segment (module-level, so spawn workers
+    can import it by path).
 
     Returns the decoded plan and the segment, which the caller must
     keep referenced for the plan's lifetime and ``close`` when done.

@@ -1,18 +1,15 @@
 """repro-lint: dependency-free static analysis for the CFL-Match repo.
 
-Eight rules encode invariants the test suite cannot see.  Six are
-intraprocedural AST checks — counter/schema lockstep (R001), spawn-safe
-pool submissions (R002), frozen shared plans (R003), deterministic
-candidate iteration (R004), a single clock seam (R005) and no swallowed
-boundary errors (R006).  Two run on the interprocedural dataflow
-engine (:mod:`repro.lint.dataflow`): shared-memory segment lifecycle
-(R007) and DynamicGraph mutation-version discipline (R009).  Run via ``cfl-match lint`` or programmatically
-through :func:`lint_paths`.
+Four AST rules encode invariants the test suite does not observe:
+frozen shared plans (R003), deterministic candidate iteration (R004),
+a single clock seam (R005) and no swallowed boundary errors (R006).
+Each rule stays only while tier-1 misses a bug of the class it guards;
+docs/static-analysis.md records the seeded bugs that decided it.  Run
+via ``cfl-match lint`` or programmatically through :func:`lint_paths`.
 """
 
 from .analyzer import LintReport, ModuleContext, find_root, lint_paths, lint_source
 from .diagnostics import LINT_ENGINE_VERSION, PARSE_ERROR_RULE, Diagnostic
-from .facts import ProjectFacts
 from .registry import Rule, all_rules, get_rule, select_rules
 
 __all__ = [
@@ -21,7 +18,6 @@ __all__ = [
     "LintReport",
     "ModuleContext",
     "PARSE_ERROR_RULE",
-    "ProjectFacts",
     "Rule",
     "all_rules",
     "find_root",

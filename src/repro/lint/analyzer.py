@@ -14,15 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from .dataflow import DataflowProject
-from .dataflow.summaries import compute_summaries, load_or_compute
 from .diagnostics import LINT_ENGINE_VERSION, PARSE_ERROR_RULE, Diagnostic
-from .facts import FactError, ProjectFacts
-from .registry import Rule, all_rules, select_rules
+from .registry import Rule, select_rules
 from .suppressions import SuppressionIndex
-
-#: git-ignored summary-cache file at the repo root
-CACHE_FILENAME = ".lint-cache.json"
 
 #: directories never descended into when expanding path arguments
 SKIP_DIRS = frozenset({"__pycache__", ".git", ".hypothesis", "build", "dist"})
@@ -36,8 +30,6 @@ class ModuleContext:
     source: str
     tree: ast.Module
     suppressions: SuppressionIndex
-    #: interprocedural context; present iff any selected rule needs it
-    dataflow: Optional[DataflowProject] = None
 
     def diagnostic(self, rule_id: str, node: ast.AST, message: str) -> Diagnostic:
         """A diagnostic anchored at ``node``'s position in this module."""
@@ -61,9 +53,6 @@ class LintReport:
     root: str = ""
     #: wall-clock seconds spent inside each rule's checks, keyed by rule id
     rule_times_s: Dict[str, float] = field(default_factory=dict)
-    #: summary-cache accounting for the dataflow project (0/0 = no dataflow)
-    cache_hits: int = 0
-    cache_misses: int = 0
     engine_version: str = LINT_ENGINE_VERSION
 
     @property
@@ -71,10 +60,10 @@ class LintReport:
         return not self.diagnostics
 
     def to_dict(self) -> Dict[str, Any]:
-        # version 2 adds engine/timing/cache fields; every version-1 key
-        # keeps its name and shape so old report readers stay working
+        # version 3 drops version 2's summary_cache block; every other
+        # key keeps its name and shape
         return {
-            "version": 2,
+            "version": 3,
             "engine_version": self.engine_version,
             "root": self.root,
             "files_checked": self.files_checked,
@@ -85,7 +74,6 @@ class LintReport:
                 rule_id: round(seconds, 6)
                 for rule_id, seconds in sorted(self.rule_times_s.items())
             },
-            "summary_cache": {"hits": self.cache_hits, "misses": self.cache_misses},
             "ok": self.ok,
         }
 
@@ -138,49 +126,15 @@ def _relpath(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def _build_dataflow_project(
-    rules: Sequence[Rule], root: Path, cache_path: Optional[Path]
-) -> Optional[DataflowProject]:
-    """The interprocedural context the dataflow rules share, or ``None``.
-
-    The project spans the union of the dataflow rules' scope files — a
-    handful of concrete module paths, NOT the set of files being linted —
-    so a ``--changed`` run over one file sees the same callee summaries
-    as a full run and reports identically.
-    """
-    patterns = sorted(
-        {pattern for rule in rules if rule.dataflow for pattern in rule.paths}
-    )
-    if not patterns:
-        return None
-    project = DataflowProject()
-    for relpath in patterns:
-        path = root / relpath
-        if not path.is_file():
-            continue
-        try:
-            source = path.read_text(encoding="utf-8")
-        except OSError:
-            continue
-        project.add_module(relpath, source)
-    load_or_compute(project, cache_path)
-    return project
-
-
 def lint_paths(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     select: Optional[List[str]] = None,
-    facts: Optional[ProjectFacts] = None,
-    no_cache: bool = False,
 ) -> LintReport:
     """Lint ``paths`` (files or directories) against the registered rules.
 
-    ``root`` anchors repo-relative rule scoping and the R001 fact sources;
-    it is discovered from the first path when omitted.  ``select`` narrows
-    to specific rule ids; ``facts`` overrides the parsed project facts
-    (used by tests to feed synthetic counter registries).  ``no_cache``
-    skips the persisted dataflow summary cache (``.lint-cache.json``).
+    ``root`` anchors repo-relative rule scoping; it is discovered from
+    the first path when omitted.  ``select`` narrows to specific rule ids.
     """
     paths = [Path(p) for p in paths]
     if root is None:
@@ -188,34 +142,6 @@ def lint_paths(
     rules = select_rules(select)
     report = LintReport(rules=rules, root=str(root))
     report.rule_times_s = {rule.id: 0.0 for rule in rules}
-
-    cache_path = None if no_cache else root / CACHE_FILENAME
-    dataflow = _build_dataflow_project(rules, root, cache_path)
-    if dataflow is not None:
-        report.cache_hits = dataflow.cache_hits
-        report.cache_misses = dataflow.cache_misses
-
-    if facts is None:
-        try:
-            facts = ProjectFacts.load(root)
-        except FactError as exc:
-            report.diagnostics.append(
-                Diagnostic(
-                    rule=PARSE_ERROR_RULE,
-                    path=str(root),
-                    line=1,
-                    column=0,
-                    message=f"cannot load project facts: {exc}",
-                )
-            )
-            facts = None
-
-    if facts is not None:
-        for rule in rules:
-            if rule.project_check is not None:
-                started = time.perf_counter()
-                report.diagnostics.extend(rule.project_check(facts))
-                report.rule_times_s[rule.id] += time.perf_counter() - started
 
     for path in _collect_files(paths):
         relpath = _relpath(path, root)
@@ -242,11 +168,10 @@ def lint_paths(
             source=source,
             tree=tree,
             suppressions=SuppressionIndex(source),
-            dataflow=dataflow,
         )
         for rule in applicable:
             started = time.perf_counter()
-            diags = rule.check(module, facts)
+            diags = rule.check(module)
             report.rule_times_s[rule.id] += time.perf_counter() - started
             for diag in diags:
                 if module.suppressions.is_suppressed(diag.rule, diag.line):
@@ -262,32 +187,24 @@ def lint_paths(
 def lint_source(
     source: str,
     relpath: str,
-    facts: Optional[ProjectFacts] = None,
     select: Optional[List[str]] = None,
 ) -> List[Diagnostic]:
     """Lint a source snippet as if it lived at ``relpath`` (test helper).
 
-    Runs only per-module checks (no project check) and applies
-    suppression comments, returning unsuppressed diagnostics sorted.
+    Applies suppression comments and returns the unsuppressed
+    diagnostics, sorted.
     """
     rules = [rule for rule in select_rules(select) if rule.applies_to(relpath)]
     tree = ast.parse(source, filename=relpath)
-    dataflow: Optional[DataflowProject] = None
-    if any(rule.dataflow for rule in rules):
-        # single-module project: the snippet is the whole analysis world
-        dataflow = DataflowProject()
-        dataflow.add_module(relpath, source, tree)
-        compute_summaries(dataflow)
     module = ModuleContext(
         relpath=relpath,
         source=source,
         tree=tree,
         suppressions=SuppressionIndex(source),
-        dataflow=dataflow,
     )
     diagnostics: List[Diagnostic] = []
     for rule in rules:
-        for diag in rule.check(module, facts):
+        for diag in rule.check(module):
             if not module.suppressions.is_suppressed(diag.rule, diag.line):
                 diagnostics.append(diag)
     diagnostics.sort(key=lambda d: d.sort_key)

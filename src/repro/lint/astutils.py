@@ -2,31 +2,19 @@
 
 The rules lean on three recurring operations: resolving dotted call
 targets (``time.perf_counter`` -> ``"time.perf_counter"``), extracting
-the identifier vocabulary of a type annotation (so ``Optional["SearchStats"]``
-still reveals ``SearchStats``), and walking function scopes while
-*inheriting* the enclosing scope's inferred variables — nested closures
-like Leaf-Match's ``assign_class`` see the outer ``stats`` object, so a
-purely local analysis would miss them.
-
-The scope-walking primitives (``dotted_name``, ``walk_scopes``,
-``statements_excluding_nested``) moved to
-:mod:`repro.lint.dataflow.scopes` when the interprocedural engine landed,
-so the legacy intraprocedural rules and the dataflow analyses share one
-substrate; they are re-exported here unchanged.
+the identifier vocabulary of a type annotation (so ``Optional["CPI"]``
+still reveals ``CPI``), and walking function scopes while *inheriting*
+the enclosing scope's inferred variables — nested closures see the
+outer function's locals, so a purely local analysis would miss them.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from .dataflow.scopes import (  # noqa: F401  (re-exports, see docstring)
-    FunctionNode,
-    dotted_name,
-    statements_excluding_nested,
-    walk_scopes,
-)
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -62,40 +50,6 @@ def iter_parameters(func: FunctionNode) -> Iterator[ast.arg]:
         yield args.kwarg
 
 
-def module_level_callables(tree: ast.Module) -> Set[str]:
-    """Names bound at module top level to defs or imports.
-
-    These are the callables that survive pickling by reference, i.e. the
-    only ones safe to ship across a ``spawn`` process boundary.
-    """
-    names: Set[str] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add((alias.asname or alias.name).split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                names.add(alias.asname or alias.name)
-    return names
-
-
-def nested_function_names(tree: ast.Module) -> Set[str]:
-    """Names of defs that are *not* module top level (closures)."""
-    top = {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    every = {
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    return every - top
-
-
 def assignment_target_root(target: ast.AST) -> Tuple[Optional[str], bool]:
     """Root name of an assignment target and whether it dereferences.
 
@@ -112,3 +66,72 @@ def assignment_target_root(target: ast.AST) -> Tuple[Optional[str], bool]:
     if isinstance(current, ast.Name):
         return current.id, derefs
     return None, derefs
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """Dotted form of a Name/Attribute chain, ``None`` for anything else.
+
+    ``time.perf_counter`` -> ``"time.perf_counter"``;
+    ``a.b().c`` -> ``None`` (a call breaks the chain).
+    """
+    parts: List[str] = []
+    current = node
+    while isinstance(current, ast.Attribute):
+        parts.append(current.attr)
+        current = current.value
+    if not isinstance(current, ast.Name):
+        return None
+    parts.append(current.id)
+    return ".".join(reversed(parts))
+
+
+def statements_excluding_nested(
+    body: List[ast.stmt],
+) -> Iterator[ast.AST]:
+    """Walk ``body`` without descending into nested function/class defs.
+
+    Used to collect a scope's *own* assignments; nested scopes are walked
+    separately with the inherited environment.
+    """
+    stack: List[ast.AST] = list(body)
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+            ):
+                continue
+            stack.append(child)
+
+
+def walk_scopes(
+    tree: ast.Module,
+    infer: Callable[[List[ast.stmt], Optional[FunctionNode], Dict[str, str]], Dict[str, str]],
+) -> Iterator[Tuple[List[ast.stmt], Dict[str, str]]]:
+    """Yield ``(scope body, environment)`` pairs, outermost first.
+
+    ``infer`` receives the scope's statements, the function node that owns
+    them (``None`` for the module body) and the inherited environment, and
+    returns the environment visible inside that scope.  Nested functions
+    inherit their enclosing function's environment — closures read outer
+    locals — while class bodies reset to the module environment.
+    """
+
+    def visit(
+        body: List[ast.stmt],
+        func: Optional[FunctionNode],
+        inherited: Dict[str, str],
+    ) -> Iterator[Tuple[List[ast.stmt], Dict[str, str]]]:
+        env = infer(body, func, inherited)
+        yield body, env
+        for node in statements_excluding_nested(body):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from visit(child.body, child, env)
+                elif isinstance(child, ast.ClassDef):
+                    for stmt in child.body:
+                        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                            yield from visit(stmt.body, stmt, dict(inherited))
+
+    yield from visit(list(tree.body), None, {})

@@ -13,10 +13,10 @@ from typing import Any, Dict, Tuple
 #: rule id used for files the analyzer could not parse at all
 PARSE_ERROR_RULE = "E001"
 
-#: analysis-engine version: bumped whenever rule semantics or the dataflow
-#: layer change in a way that invalidates cached summaries or makes CI
-#: artifacts incomparable ("2.0" = the interprocedural dataflow engine)
-LINT_ENGINE_VERSION = "2.0"
+#: analysis-engine version: bumped whenever the rule set or a rule's
+#: semantics change so that CI artifacts are no longer comparable
+#: ("3.0" = the four AST rules, without the dataflow engine)
+LINT_ENGINE_VERSION = "3.0"
 
 
 @dataclass(frozen=True)

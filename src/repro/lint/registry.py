@@ -10,18 +10,16 @@ rules need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .diagnostics import Diagnostic
-from .facts import ProjectFacts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .analyzer import ModuleContext
 
-CheckFn = Callable[["ModuleContext", Optional[ProjectFacts]], List[Diagnostic]]
-ProjectCheckFn = Callable[[ProjectFacts], List[Diagnostic]]
+CheckFn = Callable[["ModuleContext"], List[Diagnostic]]
 
 
 @dataclass(frozen=True)
@@ -35,11 +33,6 @@ class Rule:
     paths: Tuple[str, ...]
     check: CheckFn
     excludes: Tuple[str, ...] = ()
-    #: optional once-per-run check over cross-file project facts
-    project_check: Optional[ProjectCheckFn] = field(default=None)
-    #: the rule consumes the interprocedural dataflow project (CFGs,
-    #: summaries); the analyzer builds one iff any selected rule sets this
-    dataflow: bool = False
 
     def applies_to(self, relpath: str) -> bool:
         """True iff the rule covers the (posix, repo-relative) path."""
@@ -54,7 +47,6 @@ class Rule:
             "summary": self.summary,
             "paths": list(self.paths),
             "excludes": list(self.excludes),
-            "dataflow": self.dataflow,
         }
 
 

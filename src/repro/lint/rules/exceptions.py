@@ -23,11 +23,10 @@ the exception is the evidence the author considered it.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from ..astutils import annotation_words
 from ..diagnostics import Diagnostic
-from ..facts import ProjectFacts
 from ..registry import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -46,7 +45,7 @@ def _body_does_nothing(body: List[ast.stmt]) -> bool:
     return True
 
 
-def check(module: "ModuleContext", facts: Optional[ProjectFacts]) -> List[Diagnostic]:
+def check(module: "ModuleContext") -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.ExceptHandler):

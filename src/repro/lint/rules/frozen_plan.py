@@ -54,7 +54,6 @@ from ..astutils import (
     walk_scopes,
 )
 from ..diagnostics import Diagnostic
-from ..facts import ProjectFacts
 from ..registry import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -215,7 +214,7 @@ def _repair_spans(tree: ast.AST) -> List[tuple]:
     return spans
 
 
-def check(module: "ModuleContext", facts: Optional[ProjectFacts]) -> List[Diagnostic]:
+def check(module: "ModuleContext") -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     if module.relpath in SEGMENT_MODULES:
         diagnostics.extend(_segment_writes(module, module.tree, False))

@@ -39,7 +39,6 @@ from ..astutils import (
     walk_scopes,
 )
 from ..diagnostics import Diagnostic
-from ..facts import ProjectFacts
 from ..registry import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -111,7 +110,7 @@ def _infer_env(
     return env
 
 
-def check(module: "ModuleContext", facts: Optional[ProjectFacts]) -> List[Diagnostic]:
+def check(module: "ModuleContext") -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
 
     def flag(node: ast.AST) -> None:

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, List, Optional
 
 from ..astutils import dotted_name
 from ..diagnostics import Diagnostic
-from ..facts import ProjectFacts
 from ..registry import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -56,7 +55,7 @@ def _call_problem(called: str) -> Optional[str]:
     return None
 
 
-def check(module: "ModuleContext", facts: Optional[ProjectFacts]) -> List[Diagnostic]:
+def check(module: "ModuleContext") -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     for node in ast.walk(module.tree):
         if isinstance(node, ast.ImportFrom) and node.module == "time":

@@ -1,14 +1,14 @@
-"""Per-rule suppression comments: ``# repro-lint: disable=R001``.
+"""Per-rule suppression comments: ``# repro-lint: disable=R003``.
 
 Two forms are recognized, mirroring ``noqa``-style linters:
 
-* **line suppression** — ``# repro-lint: disable=R001`` (or
-  ``disable=R001,R004`` or ``disable=all``) suppresses matching
+* **line suppression** — ``# repro-lint: disable=R003`` (or
+  ``disable=R003,R004`` or ``disable=all``) suppresses matching
   diagnostics anchored on the comment's physical line.  A comment that
   stands alone on its line suppresses the *next* line instead, so
   multi-line statements can be annotated above rather than squeezed onto
   their first line.
-* **file suppression** — ``# repro-lint: disable-file=R001`` anywhere in
+* **file suppression** — ``# repro-lint: disable-file=R003`` anywhere in
   the file suppresses the rule for the whole file.
 
 Suppressions are parsed with :mod:`tokenize` (never by substring search

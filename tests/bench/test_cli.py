@@ -1,5 +1,9 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -28,6 +32,23 @@ class TestParser:
         )
         assert args.limit == 5
         assert args.algorithm == "CFL-Match"
+
+    def test_lint_flags_match_their_documentation(self):
+        """Every ``cfl-match lint`` flag is documented in
+        docs/static-analysis.md, and every flag spelled there exists."""
+        subcommands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        flags = {
+            option
+            for action in subcommands.choices["lint"]._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        doc = Path(__file__).resolve().parents[2] / "docs" / "static-analysis.md"
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", doc.read_text()))
+        assert flags == documented
 
 
 class TestCommands:

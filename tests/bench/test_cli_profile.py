@@ -13,6 +13,7 @@ from repro.core.profile import (
     validate_profile,
     validate_schema,
 )
+from repro.core.stats import PHASE_NAMES, SearchStats
 from repro.graph import save_graph
 from repro.testing.workloads import WorkloadSpec, generate_case
 from repro.workloads.paper_graphs import figure1_example, figure3_example
@@ -124,6 +125,16 @@ class TestSchema:
             .read_text()
         )
         assert checked_in == PROFILE_SCHEMA
+
+    def test_schema_names_every_counter_and_phase(self):
+        """The schema requires exactly the SearchStats counters and the
+        timed phases: a counter or phase on one side only is an error,
+        in both directions."""
+        properties = PROFILE_SCHEMA["properties"]
+        assert set(properties["counters"]["required"]) == set(
+            SearchStats.counter_names()
+        )
+        assert set(properties["phase_times_s"]["required"]) == set(PHASE_NAMES)
 
     def test_validator_catches_missing_and_extra_keys(self):
         ex = figure3_example()

@@ -7,12 +7,14 @@ including mid-leaf-enumeration where one NEC assignment charges several
 expansions at once.
 """
 
+import random
 import time
 
 import pytest
 
 from repro.core import CFLMatch
-from repro.core.stats import BudgetExhausted, SearchStats, WorkBudget
+from repro.core.stats import BudgetExhausted, SearchStats, WorkBudget, monotonic_now
+from repro.graph import Graph, random_connected_graph
 from repro.workloads.paper_graphs import figure1_example, figure3_example
 
 
@@ -124,3 +126,21 @@ class TestDeadlineTruncation:
         )
         assert report.status == "ok"
         assert report.embeddings == 3
+
+    @pytest.mark.parametrize("engine", ["kernel", "reference"])
+    def test_distant_deadline_on_the_clock_seam_returns_everything(self, engine):
+        """A deadline taken from ``monotonic_now`` an hour ahead must
+        never fire.  The core search expands over a thousand nodes, so
+        the engine polls its clock several times: a poll that reads a
+        different clock than the seam (``time.time()``, say) compares
+        against the wrong epoch and truncates the answer."""
+        square = Graph([0, 0, 0, 0], [(0, 1), (1, 2), (2, 3), (3, 0)])
+        data = random_connected_graph(60, 120, 1, random.Random(7))
+        matcher = CFLMatch(data, engine=engine)
+        expected = list(matcher.search(square))
+        stats = SearchStats()
+        got = list(
+            matcher.search(square, stats=stats, deadline=monotonic_now() + 3600.0)
+        )
+        assert stats.nodes > 3 * 1024  # the deadline was polled
+        assert got == expected

@@ -451,6 +451,32 @@ class TestMatcherPool:
             assert pool.count(ex.query) == 7
 
 
+class InjectedWorkerFailure(RuntimeError):
+    """Raised by a patched matcher inside a pool worker."""
+
+
+def _fail_in_worker(*_args, **_kwargs):
+    raise InjectedWorkerFailure("raised while a worker enumerated its chunk")
+
+
+@needs_fork
+class TestWorkerErrorsPropagate:
+    """An exception a worker raises while it enumerates its chunk must
+    reach the caller.  A worker that swallowed it would report nothing
+    for its roots, and the pool would answer with an undercount."""
+
+    @pytest.mark.parametrize("method", ["count", "search"])
+    def test_matcher_error_in_a_worker_reaches_the_caller(self, monkeypatch, method):
+        case = generate_case(11, 1, WorkloadSpec(scenarios=("dense",)))
+        with MatcherPool(case.data, workers=2, start_method="fork") as pool:
+            plan = pool.matcher.prepare(case.query)
+            assert pool._chunks(plan) is not None  # the query splits
+            # fork workers start on the first split query and inherit the patch
+            monkeypatch.setattr(CFLMatch, method, _fail_in_worker)
+            with pytest.raises(InjectedWorkerFailure):
+                getattr(pool, method)(case.query)
+
+
 class TestPlanCache:
     """The CFLMatch LRU plan cache the pools and serving paths lean on."""
 

@@ -1,11 +1,9 @@
 """CLI-level tests for ``cfl-match lint``: exit codes, rule listing,
-JSON output, report files, diff-scoped runs and the summary cache."""
+JSON output and report files."""
 
 from __future__ import annotations
 
 import json
-import subprocess
-import time
 from pathlib import Path
 
 from repro.cli import main
@@ -43,7 +41,7 @@ def test_list_rules(capsys):
     code = main(["lint", "--list-rules"])
     out = capsys.readouterr().out
     assert code == 0
-    for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006"):
+    for rule_id in ("R003", "R004", "R005", "R006"):
         assert rule_id in out
 
 
@@ -72,7 +70,7 @@ def test_json_to_file(tmp_path, capsys):
     assert code == 1
     payload = json.loads(out_path.read_text())
     assert payload["ok"] is False
-    assert payload["version"] == 2
+    assert payload["version"] == 3
 
 
 def test_select_specific_rule(tmp_path, capsys):
@@ -103,7 +101,7 @@ def test_unknown_rule_exits_two(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# --sarif / --no-cache
+# --sarif
 # ----------------------------------------------------------------------
 def test_sarif_report(tmp_path, capsys):
     make_tree(tmp_path, VIOLATION)
@@ -126,111 +124,3 @@ def test_sarif_report(tmp_path, capsys):
     assert location["artifactLocation"]["uri"] == "src/repro/core/foo.py"
     assert location["region"]["startLine"] >= 1
     assert location["region"]["startColumn"] >= 1  # SARIF columns are 1-based
-
-
-def test_no_cache_skips_the_summary_cache_file(tmp_path, capsys):
-    make_tree(tmp_path, VIOLATION)
-    main(["lint", str(tmp_path / "src"), "--root", str(tmp_path), "--no-cache"])
-    capsys.readouterr()
-    assert not (tmp_path / ".lint-cache.json").exists()
-    main(["lint", str(tmp_path / "src"), "--root", str(tmp_path)])
-    capsys.readouterr()
-    assert (tmp_path / ".lint-cache.json").exists()
-
-
-# ----------------------------------------------------------------------
-# --changed
-# ----------------------------------------------------------------------
-def git(cwd: Path, *argv: str) -> None:
-    subprocess.run(["git", *argv], cwd=cwd, check=True, capture_output=True)
-
-
-def init_repo(tmp_path: Path) -> None:
-    git(tmp_path, "init", "-q")
-    git(tmp_path, "config", "user.email", "lint@example.invalid")
-    git(tmp_path, "config", "user.name", "lint")
-    git(tmp_path, "add", "-A")
-    git(tmp_path, "commit", "-q", "-m", "seed")
-
-
-def test_changed_lints_only_the_diffed_file(tmp_path, capsys):
-    make_tree(tmp_path, "def f():\n    return 1\n")
-    # a violation already committed elsewhere must NOT be picked up
-    other = tmp_path / "src" / "repro" / "core" / "bar.py"
-    other.write_text(VIOLATION)
-    init_repo(tmp_path)
-    (tmp_path / "src" / "repro" / "core" / "foo.py").write_text(VIOLATION)
-    code = main(["lint", "--changed", "--root", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "src/repro/core/foo.py" in out
-    assert "bar.py" not in out
-
-
-def test_changed_includes_untracked_files(tmp_path, capsys):
-    make_tree(tmp_path, "def f():\n    return 1\n")
-    init_repo(tmp_path)
-    new = tmp_path / "src" / "repro" / "core" / "new.py"
-    new.write_text(VIOLATION)
-    code = main(["lint", "--changed", "--root", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "src/repro/core/new.py" in out
-
-
-def test_changed_with_no_changes_exits_zero(tmp_path, capsys):
-    make_tree(tmp_path, VIOLATION)
-    init_repo(tmp_path)
-    code = main(["lint", "--changed", "--root", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "no changed Python files" in out
-
-
-def test_changed_without_git_exits_two(tmp_path, capsys):
-    make_tree(tmp_path, VIOLATION)
-    code = main(["lint", "--changed", "--root", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--changed needs git" in err
-
-
-def test_changed_reports_identically_to_a_full_run(tmp_path, capsys):
-    """A one-file --changed run must agree with a full run restricted to
-    that file — the dataflow project spans the rule-scope modules either
-    way — and the second (warm-cache) run must be fast."""
-    (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n")
-    shm = tmp_path / "src" / "repro" / "core" / "shm.py"
-    shm.parent.mkdir(parents=True)
-    leak = (
-        "from multiprocessing.shared_memory import SharedMemory\n\n\n"
-        "def publish():\n"
-        '    seg = SharedMemory("q", True, 64)\n'
-        "    seg.close()\n"
-    )
-    shm.write_text(leak)
-    init_repo(tmp_path)
-    shm.write_text(leak + "\n\nTOUCHED = True\n")
-    full = main(
-        [
-            "lint", str(shm),
-            "--root", str(tmp_path),
-            "--json", str(tmp_path / "full.json"),
-        ]
-    )
-    started = time.perf_counter()
-    changed = main(
-        [
-            "lint", "--changed",
-            "--root", str(tmp_path),
-            "--json", str(tmp_path / "changed.json"),
-        ]
-    )
-    elapsed = time.perf_counter() - started
-    capsys.readouterr()
-    assert full == changed == 1
-    full_payload = json.loads((tmp_path / "full.json").read_text())
-    changed_payload = json.loads((tmp_path / "changed.json").read_text())
-    assert changed_payload["diagnostics"] == full_payload["diagnostics"]
-    assert changed_payload["summary_cache"]["hits"] >= 1  # warm cache
-    assert elapsed < 2.0

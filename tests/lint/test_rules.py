@@ -8,221 +8,11 @@ import textwrap
 
 import pytest
 
-from repro.lint import ProjectFacts, lint_source
-
-FACTS = ProjectFacts(
-    stats_fields=frozenset({"nodes", "embeddings", "backtracks"}),
-    schema_counters=frozenset({"nodes", "embeddings", "backtracks"}),
-    stats_path="src/repro/core/stats.py",
-    schema_path="docs/profile.schema.json",
-)
+from repro.lint import lint_source
 
 
-def run(source: str, relpath: str, select=None, facts=FACTS):
-    return lint_source(textwrap.dedent(source), relpath, facts=facts, select=select)
-
-
-# ----------------------------------------------------------------------
-# R001 counter-discipline
-# ----------------------------------------------------------------------
-class TestR001:
-    def test_fires_on_undeclared_counter(self):
-        diags = run(
-            """
-            def f(stats: "SearchStats") -> None:
-                stats.nodez += 1
-            """,
-            "src/repro/core/foo.py",
-            select=["R001"],
-        )
-        assert [d.rule for d in diags] == ["R001"]
-        assert "nodez" in diags[0].message
-
-    def test_fires_on_literal_setattr(self):
-        diags = run(
-            """
-            from .stats import SearchStats
-
-            def f():
-                stats = SearchStats()
-                setattr(stats, "bogus", 1)
-            """,
-            "src/repro/core/foo.py",
-            select=["R001"],
-        )
-        assert len(diags) == 1
-
-    def test_fires_inside_closure_via_inherited_env(self):
-        diags = run(
-            """
-            def outer(stats: "SearchStats") -> None:
-                def inner() -> None:
-                    stats.typo_counter += 1
-                inner()
-            """,
-            "src/repro/core/foo.py",
-            select=["R001"],
-        )
-        assert len(diags) == 1
-
-    def test_near_miss_declared_counter_passes(self):
-        diags = run(
-            """
-            def f(stats: "SearchStats") -> None:
-                stats.nodes += 1
-                stats.backtracks += 1
-            """,
-            "src/repro/core/foo.py",
-            select=["R001"],
-        )
-        assert diags == []
-
-    def test_near_miss_dynamic_setattr_passes(self):
-        # merge() iterates dataclasses.fields — dynamic names are exempt
-        diags = run(
-            """
-            import dataclasses
-
-            def merge(stats: "SearchStats", other: "SearchStats") -> None:
-                for f in dataclasses.fields(stats):
-                    setattr(stats, f.name, getattr(other, f.name))
-            """,
-            "src/repro/core/foo.py",
-            select=["R001"],
-        )
-        assert diags == []
-
-    def test_near_miss_non_stats_object_passes(self):
-        diags = run(
-            """
-            def f(config) -> None:
-                config.nodez += 1
-            """,
-            "src/repro/core/foo.py",
-            select=["R001"],
-        )
-        assert diags == []
-
-    def test_no_facts_means_no_findings(self):
-        diags = run(
-            """
-            def f(stats: "SearchStats") -> None:
-                stats.nodez += 1
-            """,
-            "src/repro/core/foo.py",
-            select=["R001"],
-            facts=None,
-        )
-        assert diags == []
-
-
-# ----------------------------------------------------------------------
-# R002 spawn-safety
-# ----------------------------------------------------------------------
-class TestR002:
-    PATH = "src/repro/core/parallel.py"
-
-    def test_fires_on_lambda_task(self):
-        diags = run(
-            "def go(pool, items):\n"
-            "    pool.apply_async(lambda x: x + 1, (items,))\n",
-            self.PATH,
-            select=["R002"],
-        )
-        assert [d.rule for d in diags] == ["R002"]
-        assert "lambda" in diags[0].message
-
-    def test_fires_on_nested_function(self):
-        diags = run(
-            """
-            def go(pool, items):
-                def worker(x):
-                    return x
-                return pool.map(worker, items)
-            """,
-            self.PATH,
-            select=["R002"],
-        )
-        assert len(diags) == 1
-        assert "closure" in diags[0].message
-
-    def test_fires_on_bound_method_initializer(self):
-        diags = run(
-            """
-            def go(ctx, helper):
-                return ctx.Pool(2, initializer=helper.setup)
-            """,
-            self.PATH,
-            select=["R002"],
-        )
-        assert len(diags) == 1
-        assert "bound method" in diags[0].message
-
-    def test_near_miss_module_level_function_passes(self):
-        diags = run(
-            """
-            def task(x):
-                return x
-
-            def go(pool, items):
-                return pool.map(task, items)
-            """,
-            self.PATH,
-            select=["R002"],
-        )
-        assert diags == []
-
-    def test_near_miss_parent_side_callback_lambda_passes(self):
-        diags = run(
-            """
-            def task(x):
-                return x
-
-            def go(pool, out):
-                pool.apply_async(task, (1,), callback=lambda r: out.append(r))
-            """,
-            self.PATH,
-            select=["R002"],
-        )
-        assert diags == []
-
-    def test_scoped_to_parallel_module_only(self):
-        diags = run(
-            "def go(pool):\n    pool.map(lambda x: x, [1])\n",
-            "src/repro/core/ordering.py",
-            select=["R002"],
-        )
-        assert diags == []
-
-    def test_fires_in_shm_module(self):
-        # the shared-memory layer is in scope: its attach helpers cross
-        # the pool boundary under spawn and must pickle by module path
-        diags = run(
-            """
-            def start(ctx, handle):
-                def attach():
-                    return handle
-                return ctx.Pool(2, initializer=attach)
-            """,
-            "src/repro/core/shm.py",
-            select=["R002"],
-        )
-        assert len(diags) == 1
-        assert "closure" in diags[0].message
-
-    def test_near_miss_module_level_attach_in_shm_passes(self):
-        diags = run(
-            """
-            def attach_graph_store(handle):
-                return handle
-
-            def start(ctx, handle):
-                return ctx.Pool(2, initializer=attach_graph_store)
-            """,
-            "src/repro/core/shm.py",
-            select=["R002"],
-        )
-        assert diags == []
+def run(source: str, relpath: str, select=None):
+    return lint_source(textwrap.dedent(source), relpath, select=select)
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +41,23 @@ class TestR003:
             select=["R003"],
         )
         assert len(diags) == 1
+
+    def test_fires_on_timing_stamped_into_a_cached_plan(self):
+        # The test suite misses this bug: a pool run writes its timing
+        # into the plan the matcher's cache hands to later queries.
+        diags = run(
+            """
+            def run(self, query, prepared=None):
+                plan = prepared
+                if plan is None:
+                    plan = self.matcher.prepare(query, use_cache=False)
+                plan.phase_times["enumeration"] = 0.5
+                return dict(plan.phase_times)
+            """,
+            "src/repro/core/parallel.py",
+            select=["R003"],
+        )
+        assert [d.rule for d in diags] == ["R003"]
 
     def test_near_miss_rebinding_passes(self):
         diags = run(
@@ -415,6 +222,20 @@ class TestR004:
         )
         assert len(diags) == 1
 
+    def test_fires_on_delta_events_built_from_a_set(self):
+        # The test suite misses this bug: a continuous query lists the
+        # embeddings a delta created in set order instead of sorted.
+        diags = run(
+            """
+            def refresh(before, after):
+                after_set = set(after)
+                return tuple(e for e in after_set if e not in before)
+            """,
+            "src/repro/core/dynamic.py",
+            select=["R004"],
+        )
+        assert [d.rule for d in diags] == ["R004"]
+
     def test_near_miss_sorted_wrapper_passes(self):
         diags = run(
             """
@@ -467,6 +288,23 @@ class TestR005:
         )
         assert [d.rule for d in diags] == ["R005"]
         assert "monotonic_now" in diags[0].message
+
+    def test_fires_on_a_second_clock_in_the_kernel_deadline_poll(self):
+        # The test suite misses this bug: time.monotonic() reads the same
+        # clock as monotonic_now() on Linux, so every answer stays right,
+        # but the poll no longer goes through the one clock seam.
+        diags = run(
+            """
+            import time
+
+            def poll(nodes, deadline):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise SearchTimeout
+            """,
+            "src/repro/core/kernel.py",
+            select=["R005"],
+        )
+        assert [d.rule for d in diags] == ["R005"]
 
     def test_fires_on_clock_from_import(self):
         diags = run(
@@ -536,6 +374,23 @@ class TestR006:
             select=["R006"],
         )
         assert len(diags) == 1
+
+    def test_fires_on_bare_except_with_a_body_in_the_cli(self):
+        # The test suite misses this bug: a bare except in cli.main also
+        # turns Ctrl-C and every command error into exit code 0.
+        diags = run(
+            """
+            def main(argv=None):
+                args = build_parser().parse_args(argv)
+                try:
+                    return args.func(args)
+                except:
+                    return 0
+            """,
+            "src/repro/cli.py",
+            select=["R006"],
+        )
+        assert [d.rule for d in diags] == ["R006"]
 
     def test_near_miss_specific_exception_pass_passes(self):
         diags = run(
@@ -615,7 +470,7 @@ class TestSuppression:
         diags = run(
             "import time\n\n"
             "def f():\n"
-            "    return time.perf_counter()  # repro-lint: disable=R001\n",
+            "    return time.perf_counter()  # repro-lint: disable=R004\n",
             "src/repro/core/foo.py",
             select=["R005"],
         )
