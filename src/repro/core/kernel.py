@@ -23,12 +23,19 @@ cursors:
   so validation work moves from per-candidate probes to one pre-shrunk
   stream.  Tree-anchored rows shorter than ``_INTERSECT_MIN`` use one
   C-level ``frozenset`` intersection per backward edge instead (the
-  rows are pre-frozen at compile time in ``set_rows``), and slots whose
-  anchor and backward images all live strictly above the previous depth
-  reuse the filtered stream across consecutive descends outright — only
-  the previous depth's candidate varies between them, and it plays no
-  part in the row.  Short cross-anchored rows fall back to per-candidate
-  hash probes of the mapped images' neighbor sets;
+  rows are pre-frozen at compile time in ``set_rows``).  It is spelled
+  ``row.intersection(neighbors)``, not ``row & neighbors``: on a
+  shared-memory or mmap'd ``.csr`` graph the neighbors are a
+  :class:`~repro.core.shm.SharedGraph` set facade, for which
+  ``frozenset.__and__`` returns ``NotImplemented``, so ``&`` would fall
+  to the facade's reflected operator and build the result in Python on
+  every descend, while ``.intersection`` takes any iterable and probes
+  the frozenset in C.  Slots whose anchor and backward images all live
+  strictly above the previous depth reuse the filtered stream across
+  consecutive descends outright — only the previous depth's candidate
+  varies between them, and it plays no part in the row.  Short
+  cross-anchored rows fall back to per-candidate hash probes of the
+  mapped images' neighbor sets;
 * **data-graph adjacency** is the graph's own rows (``adj_rows`` is
   ``data.adj``, sorted on every graph type), membership-checked by
   :func:`bisect.bisect_left` with a moving lower bound (the C-level
@@ -68,6 +75,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import accumulate, chain, count, repeat
 from typing import (
     AbstractSet,
     Dict,
@@ -160,6 +168,12 @@ class CompiledStage:
         "set_rows",
         "rank_of",
         "ancestors",
+        "kinds",
+        "needs_rank",
+        "template_v",
+        "template_r",
+        "base_len",
+        "cache_dep",
     )
 
     def __init__(
@@ -205,6 +219,57 @@ class CompiledStage:
         #: ``None`` for a stage without a backward edge, which never
         #: backjumps
         self.ancestors = ancestors
+        # Static per-depth dispatch for :class:`KernelBacktracker`,
+        # derived once with the stage.  ``kinds`` splits descends into
+        # the branch-free fast paths and the general ``_enter`` path;
+        # ``needs_rank`` marks depths some later tree slot anchors on —
+        # only those track ranks at all.  ``template_v``/``template_r``
+        # pre-install the fixed streams (a fast slot's stream never
+        # changes; only ``_enter`` rewrites slow slots' entries).
+        needs_rank = [False] * length
+        kinds: List[int] = []
+        template_v: List[Sequence[int]] = []
+        template_r: List[Sequence[int]] = []
+        for depth in range(length):
+            mode = modes[depth]
+            if mode == MODE_TREE:
+                needs_rank[parent_depths[depth]] = True
+                template_v.append(flat_v[depth])
+                template_r.append(flat_r[depth])
+                kinds.append(_KIND_TREE_BW if backward[depth] else _KIND_TREE)
+            elif mode == MODE_ROOT:
+                template_v.append(base_v[depth])
+                template_r.append(base_r[depth])
+                kinds.append(_KIND_SLOW if backward[depth] else _KIND_ROOT)
+            else:
+                template_v.append(_EMPTY_ROW)
+                template_r.append(_EMPTY_ROW)
+                kinds.append(_KIND_SLOW)
+        self.kinds = tuple(kinds)
+        self.needs_rank = tuple(needs_rank)
+        self.template_v = tuple(template_v)
+        self.template_r = tuple(template_r)
+        self.base_len = tuple(map(len, base_v))
+        # A backward-checked tree slot whose anchor parent and backward
+        # images all live strictly above depth-1 recomputes the exact
+        # same filtered stream on every consecutive descend (only the
+        # depth-1 candidate varies between them).  ``cache_dep`` marks
+        # such slots with the deepest depth they depend on; ``extend``
+        # reuses the previous stream while that depth's assignment stamp
+        # is unchanged.  Backward images mapped by an enclosing stage
+        # (cross-stage edges) are constant for a whole ``extend`` call
+        # and contribute depth -1.
+        depth_of = dict(zip(slot_vertices, count()))
+        cache_dep = []
+        for depth in range(length):
+            if kinds[depth] != _KIND_TREE_BW:
+                cache_dep.append(-1)
+                continue
+            deepest = max(
+                [parent_depths[depth], *(depth_of.get(w, -1) for w in backward[depth])]
+            )
+            cache_dep.append(deepest if 0 <= deepest <= depth - 2 else -1)
+        self.cache_dep = tuple(cache_dep)
 
     def with_base(
         self, depth: int, vertices: IntVector, ranks: IntVector
@@ -236,6 +301,15 @@ class CompiledStage:
         )
 
 
+def ranked_rows(
+    keys: Sequence[int], rows: Sequence[IntVector], rank: Dict[int, int]
+) -> Dict[int, Tuple[IntVector, IntVector]]:
+    """A cross-mode slot's rows keyed by parent image, each paired with
+    its members' ranks in ``candidates[u]`` (``rank``)."""
+    ranks = map(array, repeat("i"), map(map, repeat(rank.__getitem__), rows))
+    return dict(zip(keys, zip(rows, ranks)))
+
+
 def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
     """Lower one stage's :class:`OrderedVertex` slots to a
     :class:`CompiledStage`.
@@ -245,7 +319,8 @@ def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
     ``[indptr[r], indptr[r+1])`` — the dict probe of the reference path
     becomes two int32 loads.  Rows are stored verbatim (the builders keep
     them sorted ascending and subsets of ``candidates[u]``, which the
-    rank lookup below relies on).
+    rank lookup below relies on), and every per-row step runs in C
+    iterators: the loop below is per slot, not per row.
     """
     candidates = cpi.candidates
     adjacency = cpi.adjacency
@@ -259,7 +334,7 @@ def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
     indptrs: List[array[int]] = []
     flat_vs: List[array[int]] = []
     flat_rs: List[array[int]] = []
-    cross_rows: List[Dict[int, Tuple[array[int], array[int]]]] = []
+    cross_rows: List[Dict[int, Tuple[IntVector, IntVector]]] = []
     backward: List[Tuple[int, ...]] = []
     set_rows: List[Dict[int, FrozenSet[int]]] = []
     rank_of: List[Dict[int, int]] = []
@@ -283,15 +358,13 @@ def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
             set_rows.append(_EMPTY_SETS)
             rank_of.append(_EMPTY_RANKS)
         else:
-            rank_in_u = {v: i for i, v in enumerate(candidates[u])}
+            rank_in_u = dict(zip(candidates[u], count()))
             table = adjacency[u]
             parent_vertices.append(parent)
             base_v.append(_EMPTY_ROW)
             base_r.append(_EMPTY_ROW)
             if slot.backward_neighbors:
-                set_rows.append(
-                    {v_p: frozenset(row) for v_p, row in table.items()}
-                )
+                set_rows.append(dict(zip(table, map(frozenset, table.values()))))
                 rank_of.append(rank_in_u)
             else:
                 set_rows.append(_EMPTY_SETS)
@@ -299,18 +372,12 @@ def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
             if parent in depth_of:
                 modes.append(MODE_TREE)
                 parent_depths.append(depth_of[parent])
-                indptr = array("i", [0])
-                fv = array("i")
-                fr = array("i")
-                for v_p in candidates[parent]:
-                    row = table.get(v_p)
-                    if row:
-                        fv.extend(row)
-                        fr.extend([rank_in_u[v] for v in row])
-                    indptr.append(len(fv))
-                indptrs.append(indptr)
-                flat_vs.append(fv)
-                flat_rs.append(fr)
+                rows = list(map(table.get, candidates[parent], repeat(_EMPTY_ROW)))
+                # ``array`` reads a list faster than an iterator
+                flat = list(chain.from_iterable(rows))
+                indptrs.append(array("i", accumulate(map(len, rows), initial=0)))
+                flat_vs.append(array("i", flat))
+                flat_rs.append(array("i", list(map(rank_in_u.__getitem__, flat))))
                 cross_rows.append(_EMPTY_CROSS)
             else:
                 modes.append(MODE_CROSS)
@@ -318,14 +385,9 @@ def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
                 indptrs.append(_EMPTY_ROW)
                 flat_vs.append(_EMPTY_ROW)
                 flat_rs.append(_EMPTY_ROW)
-                rows: Dict[int, Tuple[array[int], array[int]]] = {}
-                for v_p in sorted(table):
-                    row = table[v_p]
-                    rows[v_p] = (
-                        array("i", row),
-                        array("i", [rank_in_u[v] for v in row]),
-                    )
-                cross_rows.append(rows)
+                keys = sorted(table)
+                arrays = list(map(array, repeat("i"), map(table.__getitem__, keys)))
+                cross_rows.append(ranked_rows(keys, arrays, rank_in_u))
         depth_of[u] = depth
 
     return CompiledStage(
@@ -528,64 +590,6 @@ class KernelBacktracker:
         self.budget = budget
         self._adj_rows = kernel_plan.adj_rows
         self._adj_sets = kernel_plan.adj_sets
-        # Static per-depth dispatch, derived once per backtracker (the
-        # stage is tiny).  ``_kinds`` splits descends into the two
-        # branch-free fast paths and the general ``_enter`` path;
-        # ``_needs_rank`` marks depths some later tree slot anchors on —
-        # only those track ranks at all.  ``_template_v``/``_template_r``
-        # pre-install the fixed streams (a fast slot's stream never
-        # changes; only ``_enter`` rewrites slow slots' entries).
-        length = stage.length
-        needs_rank = [False] * length
-        kinds: List[int] = []
-        template_v: List[Sequence[int]] = []
-        template_r: List[Sequence[int]] = []
-        for depth in range(length):
-            mode = stage.modes[depth]
-            anchored = stage.parent_depths[depth]
-            if mode == MODE_TREE and anchored >= 0:
-                needs_rank[anchored] = True
-            if mode == MODE_TREE:
-                template_v.append(stage.flat_v[depth])
-                template_r.append(stage.flat_r[depth])
-                kinds.append(
-                    _KIND_TREE_BW if stage.backward[depth] else _KIND_TREE
-                )
-            elif mode == MODE_ROOT:
-                template_v.append(stage.base_v[depth])
-                template_r.append(stage.base_r[depth])
-                kinds.append(
-                    _KIND_SLOW if stage.backward[depth] else _KIND_ROOT
-                )
-            else:
-                template_v.append(_EMPTY_ROW)
-                template_r.append(_EMPTY_ROW)
-                kinds.append(_KIND_SLOW)
-        self._kinds = tuple(kinds)
-        self._needs_rank = tuple(needs_rank)
-        self._template_v = tuple(template_v)
-        self._template_r = tuple(template_r)
-        self._base_len = tuple(len(row) for row in stage.base_v)
-        # A backward-checked tree slot whose anchor parent and backward
-        # images all live strictly above depth-1 recomputes the exact
-        # same filtered stream on every consecutive descend (only the
-        # depth-1 candidate varies between them).  ``_cache_dep`` marks
-        # such slots with the deepest depth they depend on; ``extend``
-        # reuses the previous stream while that depth's assignment stamp
-        # is unchanged.  Backward images mapped by an enclosing stage
-        # (cross-stage edges) are constant for a whole ``extend`` call
-        # and contribute depth -1.
-        depth_of = {u: d for d, u in enumerate(stage.slot_vertices)}
-        cache_dep = []
-        for depth in range(length):
-            if kinds[depth] != _KIND_TREE_BW:
-                cache_dep.append(-1)
-                continue
-            deps = [stage.parent_depths[depth]]
-            deps.extend(depth_of.get(w, -1) for w in stage.backward[depth])
-            deepest = max(deps)
-            cache_dep.append(deepest if 0 <= deepest <= depth - 2 else -1)
-        self._cache_dep = tuple(cache_dep)
 
     def _enter(
         self,
@@ -640,7 +644,7 @@ class KernelBacktracker:
                 if len(rows) > 1:
                     rows.sort(key=len)
                 survivors_v, survivors_r = _intersect(
-                    vs, rs, begin, stop, rows, self._needs_rank[depth],
+                    vs, rs, begin, stop, rows, stage.needs_rank[depth],
                 )
                 stream_v[depth] = survivors_v
                 stream_r[depth] = survivors_r
@@ -674,13 +678,13 @@ class KernelBacktracker:
         cursor reset, a tree slot *with* backward edges intersects its
         pre-frozen row against the mapped images' neighbor sets inline
         (reusing the previous stream wholesale when its dependencies are
-        unchanged — see ``_cache_dep``), and only cross probes and long
-        backward rows pay the general ``_enter`` call.  Backward edges
-        of short cross- or root-anchored rows arrive as deferred image
-        lists
-        (``deferred[depth]``) and are hash-probed per candidate right
-        here, after the occupancy check and before the budget charge —
-        the reference engine's exact validation order.
+        unchanged — see ``CompiledStage.cache_dep``), and only cross
+        probes and long backward rows pay the general ``_enter`` call.
+        Backward edges of short cross- or root-anchored rows arrive as
+        deferred image lists (``deferred[depth]``) and are hash-probed
+        per candidate right here, after the occupancy check and before
+        the budget charge — the reference engine's exact validation
+        order.
 
         A stage with a backward edge backjumps on failing sets exactly
         like :class:`~repro.core.core_match.CPIBacktracker`.  All of its
@@ -701,21 +705,21 @@ class KernelBacktracker:
         parent_depths = stage.parent_depths
         parent_vertices = stage.parent_vertices
         indptrs = stage.indptrs
-        kinds = self._kinds
-        needs_rank = self._needs_rank
-        base_len = self._base_len
+        kinds = stage.kinds
+        needs_rank = stage.needs_rank
+        base_len = stage.base_len
 
-        stream_v: List[Sequence[int]] = list(self._template_v)
-        stream_r: List[Sequence[int]] = list(self._template_r)
+        stream_v: List[Sequence[int]] = list(stage.template_v)
+        stream_r: List[Sequence[int]] = list(stage.template_r)
         pos = [0] * k
         end = [0] * k
         rank_at = [0] * k
         deferred: List[List[int]] = [_NO_CHECKS] * k
-        cache_dep = self._cache_dep
+        cache_dep = stage.cache_dep
         stamp = [0] * k
         cache_stamp = [-1] * k
-        cache_v: List[Sequence[int]] = list(self._template_v)
-        cache_r: List[Sequence[int]] = list(self._template_r)
+        cache_v: List[Sequence[int]] = list(stage.template_v)
+        cache_r: List[Sequence[int]] = list(stage.template_r)
         cache_end = [0] * k
         cache_elim = [0] * k
         adj_sets = self._adj_sets
@@ -827,7 +831,9 @@ class KernelBacktracker:
                         # the eliminated count is attributed in bulk.
                         survivors: FrozenSet[int] = row_set
                         for w in backward[depth]:
-                            survivors = survivors & adj_sets[mapping[w]]
+                            survivors = survivors.intersection(
+                                adj_sets[mapping[w]]
+                            )
                             if not survivors:
                                 break
                         eliminated = len(row_set) - len(survivors)

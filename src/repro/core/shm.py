@@ -49,9 +49,8 @@ import mmap
 import os
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable as IterableBase
 from collections.abc import Set as SetBase
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, count
 from multiprocessing import resource_tracker, shared_memory
 from operator import sub
 
@@ -80,6 +79,7 @@ from .kernel import (
     CompiledStage,
     IntVector,
     KernelPlan,
+    ranked_rows,
 )
 from .stats import monotonic_now
 
@@ -350,14 +350,20 @@ def section_sizes(buffer: object) -> Dict[str, int]:
 # ----------------------------------------------------------------------
 # Graph -> sections
 # ----------------------------------------------------------------------
-def adjacency_csr(graph: Graph) -> Tuple["array[int]", "array[int]"]:
-    """``graph``'s adjacency as one int32 CSR pair ``(indptr, flat)``:
-    row ``v`` is ``flat[indptr[v]:indptr[v + 1]]``, sorted ascending."""
-    rows = graph.adj
+def _csr(rows: Sequence[Sequence[int]]) -> Tuple["array[int]", "array[int]"]:
+    """``rows`` as one int32 CSR pair ``(indptr, flat)``: row ``i`` is
+    ``flat[indptr[i]:indptr[i + 1]]`` (``array`` reads a list faster
+    than an iterator)."""
     return (
         array("i", accumulate(map(len, rows), initial=0)),
         array("i", list(chain.from_iterable(rows))),
     )
+
+
+def adjacency_csr(graph: Graph) -> Tuple["array[int]", "array[int]"]:
+    """``graph``'s adjacency as one int32 CSR pair ``(indptr, flat)``:
+    row ``v`` is ``flat[indptr[v]:indptr[v + 1]]``, sorted ascending."""
+    return _csr(graph.adj)
 
 
 def graph_sections(graph: Graph) -> List[Section]:
@@ -435,8 +441,9 @@ class _RowSet(SetBase):
 
     ``collections.abc.Set`` supplies the operators (including the
     reflected forms, so ``frozenset & row_set`` works); results of set
-    algebra materialize as ``frozenset`` via ``_from_iterable``.  ``&``
-    with a set of ints (the kernel's short-row path) runs in C instead.
+    algebra materialize as ``frozenset`` via ``_from_iterable``.
+    ``frozenset.intersection(row_set)`` (the kernel's short-row path)
+    runs in C instead.
     """
 
     __slots__ = ("_row",)
@@ -445,6 +452,7 @@ class _RowSet(SetBase):
         self._row = row
 
     def __contains__(self, value: object) -> bool:
+        # Ints only: 1.0 must not match a 1.
         if not isinstance(value, int):
             return False
         row = self._row
@@ -459,18 +467,6 @@ class _RowSet(SetBase):
 
     def __hash__(self) -> int:
         return self._hash()
-
-    def __and__(self, other: object) -> FrozenSet[int]:
-        if not isinstance(other, IterableBase):
-            return NotImplemented
-        if isinstance(other, (set, frozenset)) and all(
-            map(isinstance, other, repeat(int))
-        ):
-            return frozenset(self._row).intersection(other)
-        # ``__contains__`` admits ints only: 1.0 must not match a 1.
-        return frozenset(value for value in other if value in self)
-
-    __rand__ = __and__
 
     @classmethod
     def _from_iterable(cls, iterable: object) -> FrozenSet[int]:
@@ -764,39 +760,23 @@ def _stage_sections(stage: CompiledStage) -> List["array[int]"]:
     ``cross_rows``/``set_rows``/``rank_of`` are *not* shipped: they are
     query-sized dict metadata derivable from the candidate and adjacency
     sections, rebuilt at decode for less than the cost of pickling them.
+    Nor is the per-depth dispatch, which every ``CompiledStage`` derives
+    from its own fields.
     """
-    meta = array("i", [stage.length])
-    backward_indptr = array("i", [0])
-    backward_flat = array("i")
-    base_indptr = array("i", [0])
-    base_v_flat = array("i")
-    base_r_flat = array("i")
-    indptr_indptr = array("i", [0])
-    indptr_flat = array("i")
-    flat_indptr = array("i", [0])
-    flat_v_flat = array("i")
-    flat_r_flat = array("i")
-    for depth in range(stage.length):
-        backward_flat.extend(stage.backward[depth])
-        backward_indptr.append(len(backward_flat))
-        base_v_flat.extend(stage.base_v[depth])
-        base_r_flat.extend(stage.base_r[depth])
-        base_indptr.append(len(base_v_flat))
-        indptr_flat.extend(stage.indptrs[depth])
-        indptr_indptr.append(len(indptr_flat))
-        flat_v_flat.extend(stage.flat_v[depth])
-        flat_r_flat.extend(stage.flat_r[depth])
-        flat_indptr.append(len(flat_v_flat))
+    backward_indptr, backward_flat = _csr(stage.backward)
+    base_indptr, base_v_flat = _csr(stage.base_v)
+    indptr_indptr, indptr_flat = _csr(stage.indptrs)
+    flat_indptr, flat_v_flat = _csr(stage.flat_v)
     return [
-        meta,
+        array("i", [stage.length]),
         array("i", stage.slot_vertices),
         array("i", stage.modes),
         array("i", stage.parent_depths),
         array("i", stage.parent_vertices),
         backward_indptr, backward_flat,
-        base_indptr, base_v_flat, base_r_flat,
+        base_indptr, base_v_flat, _csr(stage.base_r)[1],
         indptr_indptr, indptr_flat,
-        flat_indptr, flat_v_flat, flat_r_flat,
+        flat_indptr, flat_v_flat, _csr(stage.flat_r)[1],
     ]
 
 
@@ -814,25 +794,14 @@ def plan_sections(plan: "PreparedQuery") -> List["array[int]"]:
     kernel = plan.kernel
     meta = array("i", [cpi.root, n, 1 if kernel is not None else 0])
     query_labels = array("i", query.labels)
-    query_edges = array("i")
-    for u, v in query.edges():
-        query_edges.append(u)
-        query_edges.append(v)
-    cand_indptr = array("i", [0])
-    cand_flat = array("i")
-    for row in cpi.candidates:
-        cand_flat.extend(row)
-        cand_indptr.append(len(cand_flat))
-    adjkeys_indptr = array("i", [0])
-    adjkeys_flat = array("i")
-    adjrows_indptr = array("i", [0])
-    adjrows_flat = array("i")
-    for table in cpi.adjacency:
-        for parent_image in sorted(table):
-            adjkeys_flat.append(parent_image)
-            adjrows_flat.extend(table[parent_image])
-            adjrows_indptr.append(len(adjrows_flat))
-        adjkeys_indptr.append(len(adjkeys_flat))
+    query_edges = array("i", chain.from_iterable(query.edges()))
+    cand_indptr, cand_flat = _csr(cpi.candidates)
+    keys = list(map(sorted, cpi.adjacency))
+    rows: List[Sequence[int]] = []
+    for table, table_keys in zip(cpi.adjacency, keys):
+        rows.extend(map(table.__getitem__, table_keys))
+    adjkeys_indptr, adjkeys_flat = _csr(keys)
+    adjrows_indptr, adjrows_flat = _csr(rows)
     sections: List["array[int]"] = [
         meta,
         query_labels,
@@ -890,27 +859,21 @@ def _decode_stage(
         flat_r.append(fr_flat[fl_indptr[depth]:fl_indptr[depth + 1]])
         u = slot_vertices[depth]
         mode = modes[depth]
-        needs_rank = bool(backward[depth]) or mode == MODE_CROSS
+        table = adjacency[u]
         rank: Dict[int, int] = (
-            {v: i for i, v in enumerate(candidates[u])} if needs_rank else {}
+            dict(zip(candidates[u], count()))
+            if backward[depth] or mode == MODE_CROSS else {}
         )
         if mode != MODE_ROOT and backward[depth]:
-            set_rows.append(
-                {v_p: frozenset(row) for v_p, row in adjacency[u].items()}
-            )
+            set_rows.append(dict(zip(table, map(frozenset, table.values()))))
             rank_of.append(rank)
         else:
             set_rows.append({})
             rank_of.append({})
-        if mode == MODE_CROSS:
-            cross_rows.append(
-                {
-                    v_p: (row, array("i", [rank[v] for v in row]))
-                    for v_p, row in adjacency[u].items()
-                }
-            )
-        else:
-            cross_rows.append({})
+        cross_rows.append(
+            ranked_rows(list(table), list(table.values()), rank)
+            if mode == MODE_CROSS else {}
+        )
     return CompiledStage(
         length=length,
         slot_vertices=slot_vertices,

@@ -132,6 +132,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "hprd" in out and "9460" in out
 
+    @pytest.mark.parametrize("error", (RuntimeError, KeyboardInterrupt))
+    def test_command_errors_leave_main(self, monkeypatch, error):
+        """Only a closed stdout ends a command quietly: any other error
+        it raises, Ctrl-C included, leaves ``main`` (a non-zero exit)."""
+        import repro.cli as cli
+
+        def failing(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_datasets", failing)
+        with pytest.raises(error):
+            main(["datasets"])
+
     def test_experiment_writes_output(self, tmp_path, capsys, monkeypatch):
         # patch in an instant experiment to keep the test fast
         from repro.bench import experiments

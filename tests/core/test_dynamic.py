@@ -355,22 +355,24 @@ class TestContinuousQuery:
         assert watch.embeddings == ((0, 3), (1, 2), (1, 3))
 
     def test_events_agree_with_brute_recompute(self):
-        """On a fuzz case, each event's diff equals the set difference
-        of cold result sets before/after the delta."""
-        case = generate_delta_case(57, 1)
-        dynamic = DynamicGraph.from_graph(case.data)
-        watch = ContinuousQuery(IncrementalMatcher(dynamic), case.query)
-        for delta in case.deltas:
-            before = set(
-                CFLMatch(dynamic.to_static()).search(case.query)
-            )
-            event = watch.apply(delta)
-            after = set(
-                CFLMatch(dynamic.to_static()).search(case.query)
-            )
-            assert set(event.created) == after - before
-            assert set(event.destroyed) == before - after
-            assert event.total == len(after)
+        """On fuzz cases, each event's diff equals the set difference
+        of cold result sets before/after the delta, sorted (case 61's
+        created sets do not iterate in sorted order)."""
+        for seed in (57, 61):
+            case = generate_delta_case(seed, 1)
+            dynamic = DynamicGraph.from_graph(case.data)
+            watch = ContinuousQuery(IncrementalMatcher(dynamic), case.query)
+            for delta in case.deltas:
+                before = set(
+                    CFLMatch(dynamic.to_static()).search(case.query)
+                )
+                event = watch.apply(delta)
+                after = set(
+                    CFLMatch(dynamic.to_static()).search(case.query)
+                )
+                assert list(event.created) == sorted(after - before)
+                assert list(event.destroyed) == sorted(before - after)
+                assert event.total == len(after)
 
     def test_limit_tracks_enumeration_prefix(self):
         data, query = small_instance()
