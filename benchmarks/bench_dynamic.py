@@ -13,8 +13,7 @@ insertions/removals is applied twice:
   static engine pays to stay current,
 * **incremental**: one :class:`~repro.core.dynamic.IncrementalMatcher`
   synchronizes its registered plan per delta — label-disjoint deltas are
-  proved no-ops, the rest repair only the dirty region of the CPI
-  (rebuilding outright past ``--rebuild-threshold``).
+  proved no-ops, the rest repair only the dirty region of the CPI.
 
 Both sides count embeddings (``--limit``-capped) after every delta and
 the per-step count vectors must be identical (``counts_match`` — repair
@@ -92,11 +91,10 @@ def run_incremental(
     query: Graph,
     deltas: List[Delta],
     limit: Optional[int],
-    rebuild_threshold: float,
 ) -> Tuple[Dict, List[int]]:
     """One registered plan, synchronized per delta."""
     dynamic = DynamicGraph.from_graph(base)
-    matcher = IncrementalMatcher(dynamic, rebuild_threshold=rebuild_threshold)
+    matcher = IncrementalMatcher(dynamic)
     matcher.prepare(query)              # registration is not timed
     counts: List[int] = []
     sync_wall = 0.0
@@ -133,7 +131,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--query-size", type=int, default=6)
     parser.add_argument("--limit", type=int, default=1000,
                         help="per-step embedding cap")
-    parser.add_argument("--rebuild-threshold", type=float, default=0.75)
     parser.add_argument(
         "--quick", action="store_true",
         help="CI smoke: short stream, no speedup floor enforced",
@@ -167,7 +164,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     baseline, baseline_counts = run_baseline(data, query, deltas, args.limit)
     incremental, incremental_counts = run_incremental(
-        data, query, deltas, args.limit, args.rebuild_threshold
+        data, query, deltas, args.limit
     )
     counts_match = baseline_counts == incremental_counts
     speedup = (
@@ -189,7 +186,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "deltas": len(deltas),
             "query_vertices": query.num_vertices,
             "limit": args.limit,
-            "rebuild_threshold": args.rebuild_threshold,
         },
         "baseline": baseline,
         "incremental": incremental,

@@ -151,9 +151,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     query = load_graph(args.query)
     deltas = parse_delta_stream(Path(args.deltas).read_text())
     dynamic = DynamicGraph.from_graph(data)
-    matcher = IncrementalMatcher(
-        dynamic, engine=args.engine, rebuild_threshold=args.rebuild_threshold
-    )
+    matcher = IncrementalMatcher(dynamic, engine=args.engine)
     started = time.perf_counter()
     watch = ContinuousQuery(matcher, query, limit=args.limit)
     events = []
@@ -526,11 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument("--limit", type=int, default=None,
                          help="max live embeddings to track")
     p_watch.add_argument("--engine", default="kernel", choices=sorted(ENGINES))
-    p_watch.add_argument(
-        "--rebuild-threshold", type=float, default=0.75, metavar="FRAC",
-        help="rebuild the CPI outright when the dirty region exceeds this "
-             "fraction of query vertices (default 0.75)",
-    )
     p_watch.add_argument(
         "--json", nargs="?", const="-", default=None, metavar="PATH",
         help="emit the event log as JSON to PATH ('-' or bare flag: stdout)",

@@ -9,13 +9,12 @@ from .core_match import (
     validate_embedding,
 )
 from .cpi import CPI, EMPTY_CANDIDATES, QueryBFSTree
-from .cpi_builder import build_cpi, build_naive_cpi
+from .cpi_builder import RepairState, build_cpi, build_naive_cpi
 from .decomposition import CFLDecomposition, ForestTree, cfl_decompose
 from .dynamic import (
     ContinuousQuery,
     DeltaEvent,
     IncrementalMatcher,
-    RepairState,
     dirty_region,
 )
 from .filters import cand_verify, full_candidate_check, label_degree_ok, mnd_ok, nlf_ok

@@ -136,11 +136,15 @@ class CPI:
         data: Graph,
         candidates: List[Sequence[int]],
         adjacency: List[Dict[int, Sequence[int]]],
+        cand_sets: Optional[List[Set[int]]] = None,
     ) -> None:
         self.tree = tree
         self.data = data
         self.candidates = candidates                 # candidates[u] = sorted u.C
-        self.cand_sets: List[Set[int]] = [set(c) for c in candidates]
+        # cand_sets[u] = set(u.C), built here unless the builder has them
+        self.cand_sets: List[Set[int]] = (
+            [set(c) for c in candidates] if cand_sets is None else cand_sets
+        )
         # adjacency[u][v_parent] = N_u^{u.p}(v_parent); empty dict for root
         self.adjacency = adjacency
 

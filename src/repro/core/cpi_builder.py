@@ -22,7 +22,14 @@ Steps (1), (2) and Algorithm 4's candidate refinement keep the vertices
 in the *reach* (the union of the data rows of ``u'.C``) of every query
 neighbor ``u'``, which is what Lemma 5.1's gated counter computes; here
 it is one C-level ``set.intersection`` per neighbor (:func:`_reach`).
-The :mod:`repro.core.dynamic` repair sweep runs the same steps.
+
+Each step is written once.  :func:`build_cpi` runs them for a static
+build, refining its tables in place.  :func:`repair_cpi` runs the same
+two phases for :mod:`repro.core.dynamic`, with a memo (:class:`_Memo`)
+of the previous sweep's :class:`RepairState` and the labels a delta
+touched: a unit is recomputed only when something it reads may have
+changed, refinement works on copies of the tables, and the sweep
+returns the state the next repair reuses.
 
 Both builders accept an optional :class:`~repro.core.stats.SearchStats`
 (per-filter prune counts and the top-down vs bottom-up refinement delta
@@ -35,6 +42,7 @@ finishing an arbitrarily expensive build.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import chain
 from typing import (
     TYPE_CHECKING,
@@ -315,6 +323,90 @@ def _record_build_totals(cpi: CPI, stats: Optional[SearchStats]) -> None:
     )
 
 
+# ----------------------------------------------------------------------
+# Repair memo: which units a sweep recomputes
+# ----------------------------------------------------------------------
+@dataclass
+class RepairState:
+    """Every per-query-vertex intermediate of the last CPI sweep.
+
+    ``forward[u]`` is Algorithm 3's candidate list after forward
+    generation, ``topdown[u]`` after backward S-NTE pruning, and
+    ``topdown_adj[u]`` u's adjacency table before bottom-up refinement;
+    ``cpi`` is the refined result.  A sweep with a memo refines copies
+    of the tables, so the top-down values stay intact for the next one.
+    """
+
+    tree: QueryBFSTree
+    forward: List[List[int]]
+    topdown: List[List[int]]
+    topdown_adj: List[Dict[int, List[int]]]
+    cpi: CPI
+
+
+class _Memo:
+    """A repair sweep's reuse rule, and the intermediates it keeps.
+
+    A unit (one query vertex's step of Algorithm 3 or 4) is recomputed
+    when something it reads is *stale*: its vertex or a vertex it reads
+    carries a label a delta touched, or a value it reads changed in
+    this sweep.  Otherwise it takes ``prev``'s value, which is sound
+    because a unit is a pure function of what it reads.  ``stale[u]``
+    describes u's candidates at the stage the sweep has reached
+    (forward, then post-backward, then refined): the stage every later
+    unit reads them at.  A same-level neighbor is read at its forward
+    value, an upper-level one at its post-backward value and a lower
+    one at its refined value.  ``stale_adj[u]`` describes u's top-down
+    table.  Without ``prev`` every unit is stale: a full build that
+    keeps its intermediates.
+    """
+
+    def __init__(
+        self,
+        tree: QueryBFSTree,
+        prev: Optional[RepairState],
+        dirty_labels: AbstractSet[int],
+    ) -> None:
+        query = tree.query
+        self.prev = prev
+        self.dirty = [
+            prev is None or query.label(u) in dirty_labels for u in query.vertices()
+        ]
+        self.stale = list(self.dirty)
+        self.stale_adj = list(self.dirty)
+        self.forward: List[List[int]] = []
+        self.topdown: List[List[int]] = []
+        self.topdown_adj: List[Dict[int, List[int]]] = []
+
+    def settle(
+        self,
+        u: int,
+        changed: Callable[[RepairState], bool],
+        stale: Optional[List[bool]] = None,
+    ) -> None:
+        """Mark u's recomputed value (or table, with ``stale_adj``) stale
+        when u's label is dirty or ``changed(prev)`` says it differs."""
+        (self.stale if stale is None else stale)[u] = (
+            self.prev is None or self.dirty[u] or changed(self.prev)
+        )
+
+    def reusable(
+        self, u: int, reads: Iterable[int] = (), tables: Iterable[int] = ()
+    ) -> Optional[RepairState]:
+        """The previous sweep's state when u's unit may take its value
+        from it: u's candidates, the candidates of ``reads`` and the
+        top-down tables of ``tables`` are all fresh.  ``None`` means
+        recompute."""
+        stale = self.stale
+        if (
+            stale[u]
+            or any(map(stale.__getitem__, reads))
+            or any(map(self.stale_adj.__getitem__, tables))
+        ):
+            return None
+        return self.prev
+
+
 def build_cpi(
     query: Graph,
     data: Graph,
@@ -342,16 +434,58 @@ def build_cpi(
     root_candidates = _handed_root_candidates(
         query, data, root, verify, stats, root_verified
     )
+    return _sweep(tree, data, refine, verify, stats, deadline, aux, root_candidates, None)
+
+
+def repair_cpi(
+    query: Graph,
+    data: Graph,
+    root: int,
+    prev: Optional[RepairState] = None,
+    dirty: AbstractSet[int] = frozenset(),
+    verify: Optional[VerifyFn] = cand_verify,
+    stats: Optional[SearchStats] = None,
+) -> Tuple[CPI, RepairState]:
+    """:func:`build_cpi` for a plan that later deltas repair, with the
+    state the next repair reuses.
+
+    Without ``prev`` this is a full build: the same CPI and counters as
+    ``build_cpi``.  With the last sweep's state (over the same ``root``)
+    and the labels the deltas since touched in ``dirty``, only the units
+    :class:`_Memo` finds stale are recomputed, so the prune counters
+    count only recomputed work; the top-down and final totals are
+    counted on full builds only.
+    """
+    tree = QueryBFSTree.build(query, root) if prev is None else prev.tree
+    memo = _Memo(tree, prev, dirty)
+    cpi = _sweep(tree, data, True, verify, stats, None, None, None, memo)
+    return cpi, RepairState(tree, memo.forward, memo.topdown, memo.topdown_adj, cpi)
+
+
+def _sweep(
+    tree: QueryBFSTree,
+    data: Graph,
+    refine: bool,
+    verify: Optional[VerifyFn],
+    stats: Optional[SearchStats],
+    deadline: Optional[float],
+    aux: Optional["AuxAdjacencyCache"],
+    root_candidates: Optional[List[int]],
+    memo: Optional[_Memo],
+) -> CPI:
+    """Algorithm 3, then Algorithm 4 when ``refine``."""
+    full = memo is None or memo.prev is None
     cpi = _top_down_construct(
-        tree, data, verify, stats, deadline, aux, root_candidates
+        tree, data, verify, stats, deadline, aux, root_candidates, memo
     )
-    if stats is not None:
+    if stats is not None and full:
         stats.cpi_candidates_topdown += sum(len(c) for c in cpi.candidates)
     if refine:
-        _bottom_up_refine(cpi, stats, deadline, aux)
+        _bottom_up_refine(cpi, stats, deadline, aux, memo)
         if stats is not None:
             stats.refine_passes += 1
-    _record_build_totals(cpi, stats)
+    if full:
+        _record_build_totals(cpi, stats)
     return cpi
 
 
@@ -395,17 +529,25 @@ def _top_down_construct(
     deadline: Optional[float] = None,
     aux: Optional["AuxAdjacencyCache"] = None,
     root_candidates: Optional[List[int]] = None,
+    memo: Optional[_Memo] = None,
 ) -> CPI:
     query = tree.query
     n_q = query.num_vertices
     root = tree.root
 
+    forward: List[List[int]] = [[] for _ in range(n_q)]
     candidates: List[List[int]] = [[] for _ in range(n_q)]
     adjacency: List[Dict[int, List[int]]] = [dict() for _ in range(n_q)]
+    cand_sets: List[Optional[Set[int]]] = [None] * n_q
 
-    if root_candidates is None:
+    prev = None if memo is None else memo.reusable(root)
+    if prev is not None:
+        root_candidates = prev.forward[root]
+    elif root_candidates is None:
         root_candidates = _root_candidates(query, data, root, verify, stats)
-    candidates[root] = root_candidates
+    candidates[root] = forward[root] = root_candidates
+    if memo is not None and prev is None:
+        memo.settle(root, lambda last: root_candidates != last.forward[root])
 
     visited = [False] * n_q
     visited[root] = True
@@ -421,40 +563,71 @@ def _top_down_construct(
                     unvisited_same_level[u].append(u_prime)
                 elif visited[u_prime]:
                     sources.append((u_prime, candidates[u_prime]))
-            structural = sorted(_forward_reach(query, data, u, sources, aux))
-            candidates[u] = _verified(query, data, u, structural, verify, stats)
             visited[u] = True
+            if memo is not None:
+                prev = memo.reusable(u, [x for x, _ in sources])
+                if prev is not None:
+                    candidates[u] = forward[u] = prev.forward[u]
+                    continue
+            structural = sorted(_forward_reach(query, data, u, sources, aux))
+            candidates[u] = forward[u] = _verified(
+                query, data, u, structural, verify, stats
+            )
+            if memo is not None:
+                memo.settle(u, lambda last: forward[u] != last.forward[u])
 
         # ---- Backward candidate pruning (Lines 18-23) ----
+        # In reverse order each pending neighbor is already pruned.
         for u in reversed(level_vertices):
             pending = unvisited_same_level[u]
             if not pending:
                 continue
             _check_deadline(deadline)
+            if memo is not None:
+                prev = memo.reusable(u, pending)
+                if prev is not None:
+                    candidates[u] = prev.topdown[u]
+                    continue
             before = candidates[u]
             within = _reached(
                 query, data, u, set(before),
                 [(u_prime, candidates[u_prime]) for u_prime in pending], aux,
             )
-            candidates[u] = [v for v in before if v in within]
+            kept = candidates[u] = [v for v in before if v in within]
             if stats is not None:
                 stats.filter_snte_pruned += len(before) - len(within)
+            if memo is not None:
+                memo.settle(u, lambda last: kept != last.topdown[u])
 
         # ---- Adjacency list construction (Lines 24-28) ----
         for u in level_vertices:
             _check_deadline(deadline)
             u_parent = tree.parent[u]
             assert u_parent is not None
+            if memo is not None:
+                prev = memo.reusable(u, (u_parent,))
+                if prev is not None:
+                    adjacency[u] = prev.topdown_adj[u]
+                    continue
             parents = candidates[u_parent]
+            keep = cand_sets[u] = set(candidates[u])
             # With aux, every member of u's candidate set passed the
             # degree >= deg(u) gate, so the bucket-prefiltered aux row
             # keeps exactly the neighbors the raw row would keep.
-            adjacency[u] = _adjacency_table(
-                parents,
-                _rows(query, data, aux, u, u_parent, parents),
-                set(candidates[u]),
+            table = adjacency[u] = _adjacency_table(
+                parents, _rows(query, data, aux, u, u_parent, parents), keep
             )
-    return CPI(tree, data, candidates, adjacency)
+            if memo is not None:
+                memo.settle(
+                    u, lambda last: table != last.topdown_adj[u], memo.stale_adj
+                )
+    if memo is not None:
+        memo.forward = forward
+        memo.topdown, memo.topdown_adj = list(candidates), list(adjacency)
+    return CPI(
+        tree, data, candidates, adjacency,
+        [set(c) if s is None else s for c, s in zip(candidates, cand_sets)],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -465,11 +638,15 @@ def _bottom_up_refine(
     stats: Optional[SearchStats] = None,
     deadline: Optional[float] = None,
     aux: Optional["AuxAdjacencyCache"] = None,
+    memo: Optional[_Memo] = None,
 ) -> None:
+    """Algorithm 4 on ``cpi``, which it edits.  Without ``memo`` the
+    adjacency tables are edited in place; with one, a recomputed unit
+    refines copies and a fresh one takes the previous CPI's entries."""
     tree = cpi.tree
     query = tree.query
     data = cpi.data
-    candidates = cpi.candidates
+    candidates, cand_sets, adjacency = cpi.candidates, cpi.cand_sets, cpi.adjacency
     shrunk = [False] * query.num_vertices
 
     for level_vertices in reversed(tree.levels):
@@ -480,16 +657,31 @@ def _bottom_up_refine(
                 for u_prime in query.neighbors(u)
                 if tree.level[u_prime] > tree.level[u]
             ]
+            children = tree.children[u]
             before = candidates[u]
+            if memo is not None:
+                prev = memo.reusable(u, [x for x, _ in lower], children)
+                if prev is not None:
+                    final = prev.cpi
+                    for c in children:
+                        adjacency[c] = final.adjacency[c]
+                    shrunk[u] = len(final.candidates[u]) < len(before)
+                    candidates[u] = final.candidates[u]
+                    cand_sets[u] = final.cand_sets[u]
+                    continue
+                for c in children:
+                    adjacency[c] = dict(adjacency[c])
             refined = _refine_vertex(
                 query, data, u, before, lower,
                 [
-                    (cpi.adjacency[c], cpi.cand_sets[c] if shrunk[c] else None)
-                    for c in tree.children[u]
+                    (adjacency[c], cand_sets[c] if shrunk[c] else None)
+                    for c in children
                 ],
                 stats, aux,
             )
             if refined is not before:
                 candidates[u] = refined
-                cpi.cand_sets[u] = set(refined)
+                cand_sets[u] = set(refined)
                 shrunk[u] = True
+            if memo is not None:
+                memo.settle(u, lambda last: refined != last.cpi.candidates[u])

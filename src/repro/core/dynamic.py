@@ -7,16 +7,17 @@ the delta path:
 * :class:`IncrementalMatcher` keeps one prepared plan per registered
   query against a :class:`~repro.graph.dynamic.DynamicGraph` and, on
   each synchronization, *repairs* the plan's CPI instead of rebuilding
-  it.  The repair is a memoized re-run of Algorithm 3 + Algorithm 4 that
-  recomputes a per-query-vertex unit only when the unit is *dirty* —
-  reachable from the delta's touched label classes or downstream of a
-  unit whose value actually changed — and otherwise reuses the
-  previous sweep's value verbatim.  Because every data-graph read made
-  by the builder (label-index scans, label-filtered adjacency scans,
-  NLF/MND lookups) is gated on labels drawn from the query, a delta
-  whose touched labels are disjoint from the query's labels provably
-  leaves the CPI — and the compiled kernel plan — bit-identical, and is
-  absorbed with no work at all (the *label-disjoint fast path*).
+  it.  Registration, repair and rebuild all run the static builder's
+  one sweep, :func:`~repro.core.cpi_builder.repair_cpi`: a repair hands
+  it the previous sweep's state and the delta's touched labels, and
+  the sweep recomputes a per-query-vertex unit only when something it
+  reads is label-dirty or changed in this sweep, reusing the previous
+  value otherwise.  Because every data-graph read made by the builder
+  (label-index scans, label-filtered adjacency scans, NLF/MND lookups)
+  is gated on labels drawn from the query, a delta whose touched labels
+  are disjoint from the query's labels provably leaves the CPI — and
+  the compiled kernel plan — bit-identical, and is absorbed with no
+  work at all (the *label-disjoint fast path*).
 * :class:`ContinuousQuery` layers a standing-query view on top: register
   once, feed deltas, receive the per-delta stream of newly created
   embeddings and the tombstone stream of destroyed ones.
@@ -33,18 +34,16 @@ the *recomputed* units only, plus the ``cpi_repairs`` /
 ``cpi_candidates_topdown`` / ``cpi_candidates_final`` / ``cpi_edges_final``
 totals are recorded on full builds (initial and rebuild) only, so they
 describe complete CPIs rather than sums of partial sweeps.  Phase timers
-accumulate likewise, with the delta-synchronization cost itself under
+accumulate likewise, with each synchronization's whole cost also under
 the ``cpi_repair`` phase.
 
-repro-lint rule R003 (frozen plans) treats this module specially: CPI
-mutation is permitted, but only inside functions whose name contains
-``repair`` — the repair paths below.  Everywhere else the frozen-plan
-contract still holds.
+A synchronization builds a new plan and never edits a published one, so
+repro-lint rule R003 (frozen plans) holds in this module as everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -52,28 +51,14 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
-    cast,
 )
 
 from ..graph.dynamic import Delta, DynamicGraph
 from ..graph.graph import Graph, GraphError
-from .cpi import CPI, QueryBFSTree
-from .cpi_builder import (
-    _adjacency_table,
-    _check_deadline,
-    _forward_reach,
-    _reached,
-    _record_build_totals,
-    _refine_vertex,
-    _root_candidates,
-    _rows,
-    _verified,
-)
+from .cpi_builder import RepairState, repair_cpi
 from .decomposition import CFLDecomposition, cfl_decompose
-from .filters import cand_verify
 from .matcher import CFLMatch, MatchReport, PreparedQuery
 from .root_selection import select_root
 from .stats import (
@@ -88,35 +73,8 @@ __all__ = [
     "ContinuousQuery",
     "DeltaEvent",
     "IncrementalMatcher",
-    "RepairState",
     "dirty_region",
 ]
-
-
-# ----------------------------------------------------------------------
-# Repair state: the memoized intermediates of one build/repair sweep
-# ----------------------------------------------------------------------
-@dataclass
-class RepairState:
-    """Every per-query-vertex intermediate of the last CPI sweep.
-
-    ``forward[u]`` is Algorithm 3's post-forward-generation candidate
-    list, ``topdown[u]`` the post-backward (S-NTE pruned) list,
-    ``topdown_adj[u]`` a snapshot of the adjacency table *before*
-    bottom-up refinement (refinement mutates tables in place, so the
-    snapshot is what lets a later sweep re-refine from scratch), and
-    ``final_cands`` / ``final_adj`` the refined values that became the
-    CPI.  A repair sweep reuses any unit whose inputs are provably
-    untouched and recomputes the rest, so equality of recomputed values
-    with the previous sweep stops the dirtiness cascade early.
-    """
-
-    tree: QueryBFSTree
-    forward: List[List[int]]
-    topdown: List[List[int]]
-    topdown_adj: List[Dict[int, List[int]]]
-    final_cands: List[List[int]]
-    final_adj: List[Dict[int, List[int]]]
 
 
 def dirty_region(query: Graph, dirty_labels: FrozenSet[int]) -> List[int]:
@@ -135,231 +93,6 @@ def dirty_region(query: Graph, dirty_labels: FrozenSet[int]) -> List[int]:
     ]
 
 
-def _repair_sweep(
-    query: Graph,
-    data: Graph,
-    root: int,
-    dirty: Optional[FrozenSet[int]],
-    prev: Optional[RepairState],
-    stats: SearchStats,
-    verify=cand_verify,
-    deadline: Optional[float] = None,
-) -> Tuple[CPI, RepairState]:
-    """One memoized top-down + bottom-up sweep (Algorithms 3 and 4).
-
-    With ``prev is None`` (initial build or rebuild) every unit is dirty
-    and the sweep is *exactly* ``build_cpi``: same candidate values, same
-    iteration orders, same counter increments.  With a previous state
-    and a ``dirty`` label set, a unit is recomputed only when
-
-    * its own label or a read neighbor's label is dirty (its data-graph
-      reads may have changed), or
-    * a neighbor value it reads — at the same intermediate stage the
-      static builder would read it — actually changed in this sweep;
-
-    otherwise the previous value is reused, which is sound because the
-    unit's computation is a pure function of those inputs.  Per-filter
-    prune counters therefore count only recomputed work on repairs.
-
-    ``verify`` is the CandVerify callable, as in
-    :func:`~repro.core.cpi_builder.build_cpi`.
-    """
-    if prev is not None:
-        tree = prev.tree
-    else:
-        tree = QueryBFSTree.build(query, root)
-    n_q = query.num_vertices
-
-    def label_dirty(u: int) -> bool:
-        return dirty is None or query.label(u) in dirty
-
-    forward: List[List[int]] = [[] for _ in range(n_q)]
-    topdown: List[List[int]] = [[] for _ in range(n_q)]
-    topdown_adj: List[Dict[int, List[int]]] = [{} for _ in range(n_q)]
-    forward_changed = [False] * n_q
-    topdown_changed = [False] * n_q
-    adj_changed = [False] * n_q
-
-    visited = [False] * n_q
-    visited[root] = True
-    pending_same_level: List[List[int]] = [[] for _ in range(n_q)]
-
-    # ---- Root candidates (Algorithm 3, lines 1-2) ----
-    if prev is None or label_dirty(root):
-        forward[root] = _root_candidates(query, data, root, verify, stats)
-        forward_changed[root] = prev is None or forward[root] != prev.forward[root]
-    else:
-        forward[root] = prev.forward[root]
-    topdown[root] = forward[root]
-    topdown_changed[root] = forward_changed[root]
-
-    for level_vertices in tree.levels[1:]:
-        level = tree.level[level_vertices[0]]
-
-        # The static builder reads same-level earlier vertices at their
-        # *forward* value and upper-level vertices at their *topdown*
-        # (post-backward) value; mirror both the values and the
-        # change flags at exactly those stages.
-        def read_value(x: int) -> List[int]:
-            return forward[x] if tree.level[x] == level else topdown[x]
-
-        def read_changed(x: int) -> bool:
-            return forward_changed[x] if tree.level[x] == level else topdown_changed[x]
-
-        # ---- Forward candidate generation (lines 5-17) ----
-        for u in level_vertices:
-            _check_deadline(deadline)
-            pending: List[int] = []
-            sources: List[int] = []
-            for u_prime in query.neighbors(u):
-                if not visited[u_prime] and tree.level[u_prime] == level:
-                    pending.append(u_prime)
-                elif visited[u_prime]:
-                    sources.append(u_prime)
-            pending_same_level[u] = pending
-            recompute = (
-                prev is None
-                or label_dirty(u)
-                or any(label_dirty(x) or read_changed(x) for x in sources)
-            )
-            if recompute:
-                within = _forward_reach(
-                    query, data, u, [(x, read_value(x)) for x in sources], None
-                )
-                u_cands = _verified(query, data, u, sorted(within), verify, stats)
-                forward[u] = u_cands
-                forward_changed[u] = prev is None or u_cands != prev.forward[u]
-            else:
-                assert prev is not None
-                forward[u] = prev.forward[u]
-            visited[u] = True
-
-        # ---- Backward S-NTE pruning (lines 18-23) ----
-        # Reversed order means each pending neighbor is read at its
-        # already-final post-backward value, as in the static builder.
-        for u in reversed(level_vertices):
-            pending = pending_same_level[u]
-            if not pending:
-                topdown[u] = forward[u]
-                topdown_changed[u] = forward_changed[u]
-                continue
-            _check_deadline(deadline)
-            recompute = (
-                prev is None
-                or forward_changed[u]
-                or label_dirty(u)
-                or any(label_dirty(x) or topdown_changed[x] for x in pending)
-            )
-            if recompute:
-                within = _reached(
-                    query, data, u, set(forward[u]),
-                    [(x, topdown[x]) for x in pending], None,
-                )
-                kept = [v for v in forward[u] if v in within]
-                stats.filter_snte_pruned += len(forward[u]) - len(kept)
-                topdown[u] = kept
-                topdown_changed[u] = prev is None or kept != prev.topdown[u]
-            else:
-                assert prev is not None
-                topdown[u] = prev.topdown[u]
-
-        # ---- Adjacency construction (lines 24-28) ----
-        for u in level_vertices:
-            _check_deadline(deadline)
-            u_parent = tree.parent[u]
-            assert u_parent is not None
-            recompute = (
-                prev is None
-                or label_dirty(u)
-                or label_dirty(u_parent)
-                or topdown_changed[u]
-                or topdown_changed[u_parent]
-            )
-            if recompute:
-                parents = topdown[u_parent]
-                table = _adjacency_table(
-                    parents,
-                    _rows(query, data, None, u, u_parent, parents),
-                    set(topdown[u]),
-                )
-                topdown_adj[u] = table
-                adj_changed[u] = prev is None or table != prev.topdown_adj[u]
-            else:
-                assert prev is not None
-                topdown_adj[u] = prev.topdown_adj[u]
-
-    if prev is None:
-        stats.cpi_candidates_topdown += sum(len(c) for c in topdown)
-
-    # ---- Bottom-up refinement (Algorithm 4) ----
-    # refine(u) reads lower neighbors at their refined value and
-    # finalizes the adjacency tables of u's children; the root's (empty)
-    # table is final as built.
-    final_cands: List[List[int]] = list(topdown)
-    final_adj: List[Dict[int, List[int]]] = list(topdown_adj)
-    refined_changed = [False] * n_q
-
-    for level_vertices in reversed(tree.levels):
-        for u in level_vertices:
-            _check_deadline(deadline)
-            lower = [
-                u_prime
-                for u_prime in query.neighbors(u)
-                if tree.level[u_prime] > tree.level[u]
-            ]
-            children = tree.children[u]
-            recompute = (
-                prev is None
-                or label_dirty(u)
-                or topdown_changed[u]
-                or any(label_dirty(x) or refined_changed[x] for x in lower)
-                or any(adj_changed[c] for c in children)
-            )
-            if not recompute:
-                assert prev is not None
-                final_cands[u] = prev.final_cands[u]
-                for c in children:
-                    final_adj[c] = prev.final_adj[c]
-                continue
-            # Refinement mutates adjacency tables in place, so work on
-            # fresh copies and leave the top-down snapshots intact for
-            # the next sweep's RepairState.
-            work_adj = {c: dict(topdown_adj[c]) for c in children}
-            cands_u = cast(List[int], _refine_vertex(
-                query, data, u, final_cands[u],
-                [(x, final_cands[x]) for x in lower],
-                [
-                    (work_adj[c], set(final_cands[c])
-                     if len(final_cands[c]) < len(topdown[c]) else None)
-                    for c in children
-                ],
-                stats, None,
-            ))
-            final_cands[u] = cands_u
-            for c in children:
-                final_adj[c] = work_adj[c]
-            refined_changed[u] = prev is None or cands_u != prev.final_cands[u]
-
-    stats.refine_passes += 1
-    cpi = CPI(
-        tree,
-        data,
-        cast(List[Sequence[int]], final_cands),
-        cast(List[Dict[int, Sequence[int]]], final_adj),
-    )
-    if prev is None:
-        _record_build_totals(cpi, stats)
-    state = RepairState(
-        tree=tree,
-        forward=forward,
-        topdown=topdown,
-        topdown_adj=topdown_adj,
-        final_cands=final_cands,
-        final_adj=final_adj,
-    )
-    return cpi, state
-
-
 # ----------------------------------------------------------------------
 # IncrementalMatcher
 # ----------------------------------------------------------------------
@@ -374,7 +107,7 @@ class _Registration:
     root: int
     version: int
     build_stats: SearchStats
-    phase_dict: Dict[str, float] = field(default_factory=empty_phase_times)
+    phase_dict: Dict[str, float]
 
 
 class IncrementalMatcher:
@@ -384,33 +117,23 @@ class IncrementalMatcher:
     the plan is kept and, whenever the underlying
     :class:`~repro.graph.dynamic.DynamicGraph` has advanced, lazily
     synchronized by repairing its CPI against the accumulated deltas
-    (see :func:`_repair_sweep`).  A full re-preparation happens only
-    when repair is unsound or not worthwhile: the dirty region exceeds
-    ``rebuild_threshold`` × |V(q)|, the selected root changed, a
-    ``remove_vertex`` renumbered vertex ids, or the mutation log no
-    longer covers the plan's version.  Outcomes are counted in the
-    registration's lifetime ``build_stats`` (``cpi_repairs``,
-    ``cpi_rebuilds``, ``dirty_region_size``) and the synchronization
-    cost lands in the ``cpi_repair`` phase timer.
+    (see :func:`~repro.core.cpi_builder.repair_cpi`).  A full
+    re-preparation happens only when repair is unsound: the selected
+    root changed, a ``remove_vertex`` renumbered vertex ids, or the
+    mutation log no longer covers the plan's version.  Outcomes are
+    counted in the registration's lifetime ``build_stats``
+    (``cpi_repairs``, ``cpi_rebuilds``, ``dirty_region_size``) and the
+    synchronization cost lands in the ``cpi_repair`` phase timer.
     """
 
-    def __init__(
-        self,
-        data: DynamicGraph,
-        engine: str = "kernel",
-        rebuild_threshold: float = 0.75,
-        mode: str = "cfl",
-    ) -> None:
+    def __init__(self, data: DynamicGraph, engine: str = "kernel") -> None:
         if not isinstance(data, DynamicGraph):
             raise TypeError("IncrementalMatcher requires a DynamicGraph")
-        if not 0.0 <= rebuild_threshold <= 1.0:
-            raise ValueError("rebuild_threshold must be within [0, 1]")
         self.data = data
         self.engine = engine
-        self.rebuild_threshold = rebuild_threshold
         # plan_cache_size=0: this class owns plan reuse; the inner
         # matcher must never serve a stale cached plan of its own.
-        self._matcher = CFLMatch(data, mode=mode, engine=engine, plan_cache_size=0)
+        self._matcher = CFLMatch(data, engine=engine, plan_cache_size=0)
         self._plans: Dict[int, _Registration] = {}
 
     # -- plan lifecycle ------------------------------------------------
@@ -426,9 +149,11 @@ class IncrementalMatcher:
         """The synchronized plan for ``query`` (registering it first if new)."""
         reg = self._plans.get(id(query))
         if reg is None:
-            reg = self._register(query)
+            if query.num_vertices == 0:
+                raise GraphError("cannot match an empty query")
+            reg = self._plan(query, monotonic_now())
         elif reg.version != self.data.version:
-            self._repair_sync(reg)
+            reg = self._sync(reg)
         return reg.prepared
 
     def forget(self, query: Graph) -> bool:
@@ -447,21 +172,45 @@ class IncrementalMatcher:
             query, self.data, eligible=decomposition.core
         )
 
-    def _register(self, query: Graph) -> _Registration:
-        if query.num_vertices == 0:
-            raise GraphError("cannot match an empty query")
-        build_stats = SearchStats()
+    def _plan(
+        self,
+        query: Graph,
+        started: float,
+        old: Optional[_Registration] = None,
+        dirty: FrozenSet[int] = frozenset(),
+    ) -> _Registration:
+        """``query``'s registration at the graph's current version.
+
+        Synchronizing ``old`` with the (non-empty) labels ``dirty``
+        touched since its version repairs ``old``'s CPI when root
+        selection still picks ``old.root``.  Otherwise the CPI is built
+        afresh: a registration without ``old``, else a rebuild (the BFS
+        tree the repair memo is keyed on changed, or there is no touch
+        information).  ``old``'s lifetime counters and phase timers
+        carry over, and the whole synchronization since ``started`` is
+        added to ``cpi_repair``.
+        """
+        stats = SearchStats() if old is None else old.build_stats
         phase_times = empty_phase_times()
-        started = monotonic_now()
+        began = monotonic_now()
         decomposition, root = self._decompose(query)
-        phase_times["decomposition"] = monotonic_now() - started
-        cpi_started = monotonic_now()
-        cpi, state = _repair_sweep(query, self.data, root, None, None, build_stats)
-        phase_times["cpi_build"] = monotonic_now() - cpi_started
+        swept = monotonic_now()
+        phase_times["decomposition"] = swept - began
+        prev = old.state if old is not None and dirty and root == old.root else None
+        cpi, state = repair_cpi(query, self.data, root, prev, dirty, stats=stats)
+        phase_times["cpi_build"] = monotonic_now() - swept
         prepared = self._matcher._assemble_plan(
             query, decomposition, root, cpi, started,
-            phase_times=phase_times, build_stats=build_stats,
+            phase_times=phase_times, build_stats=stats,
         )
+        if old is not None:
+            merge_phase_times(phase_times, old.phase_dict)
+            phase_times["cpi_repair"] += monotonic_now() - started
+            if prev is None:
+                stats.cpi_rebuilds += 1
+            else:
+                stats.cpi_repairs += 1
+                stats.dirty_region_size += len(dirty_region(query, dirty))
         reg = _Registration(
             query=query,
             query_labels=frozenset(query.labels),
@@ -469,28 +218,22 @@ class IncrementalMatcher:
             state=state,
             root=root,
             version=self.data.version,
-            build_stats=build_stats,
+            build_stats=stats,
             phase_dict=phase_times,
         )
         self._plans[id(query)] = reg
         return reg
 
-    # -- synchronization (the R003-permitted repair path) --------------
-    def _repair_sync(self, reg: _Registration) -> None:
-        """Bring ``reg`` up to ``data.version`` by repair or rebuild."""
+    def _sync(self, reg: _Registration) -> _Registration:
+        """``reg`` brought up to ``data.version`` by repair or rebuild."""
         data = self.data
-        sync_started = monotonic_now()
+        started = monotonic_now()
         touches = data.touches_since(reg.version)
-        if touches is None:
-            # The bounded mutation log no longer reaches back to the
-            # plan's version: no touched-label information, rebuild.
-            self._rebuild_registration(reg, sync_started)
-            return
-        if any(t.renumbered for t in touches):
-            # remove_vertex renumbered ids; candidate lists would need a
-            # remap, which a rebuild performs implicitly.
-            self._rebuild_registration(reg, sync_started)
-            return
+        if touches is None or any(t.renumbered for t in touches):
+            # Either the bounded mutation log no longer reaches back to
+            # the plan's version (no touched-label information), or
+            # remove_vertex renumbered ids, which a rebuild remaps.
+            return self._plan(reg.query, started, reg)
         dirty: Set[int] = set()
         for t in touches:
             dirty.update(t.labels)
@@ -504,59 +247,9 @@ class IncrementalMatcher:
             # renumbering never reaches here: it forced a rebuild above.)
             reg.version = data.version
             reg.build_stats.cpi_repairs += 1
-            reg.phase_dict["cpi_repair"] += monotonic_now() - sync_started
-            return
-        query = reg.query
-        region = dirty_region(query, frozenset(dirty))
-        if len(region) > self.rebuild_threshold * query.num_vertices:
-            self._rebuild_registration(reg, sync_started)
-            return
-        decomposition, root = self._decompose(query)
-        if root != reg.root:
-            # The BFS tree would change shape; repair memoization is
-            # keyed on the old tree, so start over.
-            self._rebuild_registration(reg, sync_started)
-            return
-        stats = reg.build_stats
-        cpi, state = _repair_sweep(query, data, root, frozenset(dirty), reg.state, stats)
-        stats.cpi_repairs += 1
-        stats.dirty_region_size += len(region)
-        repair_elapsed = monotonic_now() - sync_started
-        scratch = empty_phase_times()
-        prepared = self._matcher._assemble_plan(
-            query, decomposition, root, cpi, sync_started,
-            phase_times=scratch, build_stats=stats,
-        )
-        merge_phase_times(scratch, reg.phase_dict)
-        scratch["cpi_repair"] += repair_elapsed
-        reg.prepared = prepared
-        reg.state = state
-        reg.phase_dict = scratch
-        reg.version = data.version
-
-    def _rebuild_registration(self, reg: _Registration, started: float) -> None:
-        """Full re-preparation, keeping the registration's lifetime stats."""
-        query = reg.query
-        stats = reg.build_stats
-        phase_times = empty_phase_times()
-        build_started = monotonic_now()
-        decomposition, root = self._decompose(query)
-        phase_times["decomposition"] = monotonic_now() - build_started
-        cpi_started = monotonic_now()
-        cpi, state = _repair_sweep(query, self.data, root, None, None, stats)
-        phase_times["cpi_build"] = monotonic_now() - cpi_started
-        prepared = self._matcher._assemble_plan(
-            query, decomposition, root, cpi, build_started,
-            phase_times=phase_times, build_stats=stats,
-        )
-        merge_phase_times(phase_times, reg.phase_dict)
-        phase_times["cpi_repair"] += monotonic_now() - started
-        stats.cpi_rebuilds += 1
-        reg.prepared = prepared
-        reg.state = state
-        reg.root = root
-        reg.phase_dict = phase_times
-        reg.version = self.data.version
+            reg.phase_dict["cpi_repair"] += monotonic_now() - started
+            return reg
+        return self._plan(reg.query, started, reg, frozenset(dirty))
 
     # -- matching ------------------------------------------------------
     def search(

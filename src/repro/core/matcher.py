@@ -177,6 +177,9 @@ class PreparedQuery:
     _nbytes: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _cpi_totals: Optional[Tuple[int, List[int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def matching_order(self) -> List[int]:
@@ -192,6 +195,16 @@ class PreparedQuery:
         if self._nbytes is None:
             self._nbytes = plan_nbytes(self.query, self.cpi, self.kernel)
         return self._nbytes
+
+    @property
+    def cpi_totals(self) -> Tuple[int, List[int]]:
+        """The CPI's size and per-vertex candidate counts, which every
+        :class:`MatchReport` of the plan carries; computed once, on
+        first use (the list is the caller's own copy)."""
+        if self._cpi_totals is None:
+            self._cpi_totals = (self.cpi.size(), self.cpi.candidate_counts())
+        size, counts = self._cpi_totals
+        return size, list(counts)
 
 
 @dataclass
@@ -963,12 +976,13 @@ class CFLMatch:
         aggregate_stage_stats(stage_stats, into=stats)
         phase_times = dict(prepared.phase_times)
         phase_times["enumeration"] = enumeration_time
+        cpi_size, candidate_counts = prepared.cpi_totals
         return MatchReport(
             embeddings=found,
             ordering_time=prepared.ordering_time,
             enumeration_time=enumeration_time,
-            cpi_size=prepared.cpi.size(),
-            candidate_counts=prepared.cpi.candidate_counts(),
+            cpi_size=cpi_size,
+            candidate_counts=candidate_counts,
             stats=stats,
             timed_out=timed_out,
             budget_exhausted=budget_exhausted,

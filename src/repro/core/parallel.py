@@ -702,12 +702,13 @@ class MatcherPool:
         enumeration_time = monotonic_now() - started
         phase_times = dict(plan.phase_times)
         phase_times["enumeration"] = enumeration_time
+        cpi_size, candidate_counts = plan.cpi_totals
         return MatchReport(
             embeddings=found,
             ordering_time=plan.ordering_time,
             enumeration_time=enumeration_time,
-            cpi_size=plan.cpi.size(),
-            candidate_counts=plan.cpi.candidate_counts(),
+            cpi_size=cpi_size,
+            candidate_counts=candidate_counts,
             stats=stats,
             results=results,
             stage_nodes={

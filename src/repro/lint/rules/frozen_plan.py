@@ -29,14 +29,6 @@ same bytes, so any post-publish write is a cross-process data race.  In
 writes through segment buffers (``buf``/``buffer``/``words``/``view``)
 anywhere outside a ``pack*`` function — packing is the single sanctioned
 write window, before the segment name (or file) is shared.
-
-The dynamic-matching layer (PR 8) gets a *scoped* exemption rather than
-a module exclusion: in ``core/dynamic.py``, plan mutation is permitted
-only inside functions whose name contains ``repair`` — the incremental
-CPI repair paths, which legitimately rewrite a registered plan between
-syncs.  Anywhere else in that module (registration, continuous-query
-bookkeeping) the frozen-plan contract still applies, so a stray plan
-write outside the repair window is still caught.
 """
 
 from __future__ import annotations
@@ -149,10 +141,6 @@ SEGMENT_MODULES = frozenset(
 )
 SEGMENT_BUFFER_NAMES = frozenset({"buf", "buffer", "words", "view"})
 
-#: modules where plan mutation is sanctioned only inside functions whose
-#: name contains "repair" (the incremental CPI repair paths of PR 8)
-REPAIR_MODULES = frozenset({"src/repro/core/dynamic.py"})
-
 
 def _subscript_buffer(target: ast.AST, names: frozenset) -> Optional[str]:
     """The first buffer-like name along a subscripted attribute chain
@@ -204,23 +192,10 @@ def _segment_writes(
     return diagnostics
 
 
-def _repair_spans(tree: ast.AST) -> List[tuple]:
-    """Line spans of every function whose name contains ``repair``."""
-    spans: List[tuple] = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if "repair" in node.name:
-                spans.append((node.lineno, node.end_lineno or node.lineno))
-    return spans
-
-
 def check(module: "ModuleContext") -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     if module.relpath in SEGMENT_MODULES:
         diagnostics.extend(_segment_writes(module, module.tree, False))
-    repair_spans = (
-        _repair_spans(module.tree) if module.relpath in REPAIR_MODULES else []
-    )
     for body, env in walk_scopes(module.tree, _infer_env):
         for node in statements_excluding_nested(body):
             if isinstance(node, ast.Assign):
@@ -240,11 +215,6 @@ def check(module: "ModuleContext") -> List[Diagnostic]:
                     if root is None or not derefs:
                         continue
                     if _is_plan_name(root, env):
-                        if any(
-                            start <= node.lineno <= end
-                            for start, end in repair_spans
-                        ):
-                            continue
                         diagnostics.append(
                             module.diagnostic(
                                 RULE.id,

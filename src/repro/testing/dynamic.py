@@ -158,7 +158,6 @@ def incremental_differential_check(
     query: Graph,
     deltas: Sequence[Delta],
     engines: Sequence[str] = DYNAMIC_ENGINES,
-    rebuild_threshold: float = 0.75,
     check_cpi: bool = True,
 ) -> List[Mismatch]:
     """Replay ``deltas`` against matchers over the live graph and cold recompute.
@@ -180,9 +179,7 @@ def incremental_differential_check(
     for engine in engines:
         dynamic = DynamicGraph.from_graph(data)
         matchers: Dict[str, Union[IncrementalMatcher, CFLMatch]] = {
-            f"incremental/{engine}": IncrementalMatcher(
-                dynamic, engine=engine, rebuild_threshold=rebuild_threshold
-            ),
+            f"incremental/{engine}": IncrementalMatcher(dynamic, engine=engine),
             f"live/{engine}": CFLMatch(dynamic, engine=engine),
         }
         for step in range(len(deltas) + 1):

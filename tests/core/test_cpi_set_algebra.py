@@ -21,8 +21,7 @@ import pytest
 
 from repro.core.batch import AuxAdjacencyCache
 from repro.core.cpi import CPI, QueryBFSTree
-from repro.core.cpi_builder import _first_reach, build_cpi
-from repro.core.dynamic import _repair_sweep
+from repro.core.cpi_builder import _first_reach, build_cpi, repair_cpi
 from repro.core.filters import VerifiedCandidates, cand_verify
 from repro.core.root_selection import select_root
 from repro.core.shm import _RowSet
@@ -256,6 +255,7 @@ def _shape(cpi: CPI):
     return (
         [list(c) for c in cpi.candidates],
         [[(k, list(row)) for k, row in table.items()] for table in cpi.adjacency],
+        cpi.cand_sets,
     )
 
 
@@ -343,10 +343,33 @@ def test_repair_sweep_build_equals_counter_oracle(name, data, query, form, kind,
     for root in _roots(query, data):
         want_stats, got_stats = SearchStats(), SearchStats()
         want = oracle_build(query, data, root, _verify(kind, query, data), want_stats)
-        got, _ = _repair_sweep(query, data, root, None, None, got_stats,
-                               verify=_verify(kind, query, data))
+        got, _ = repair_cpi(query, data, root, stats=got_stats,
+                            verify=_verify(kind, query, data))
         assert _shape(got) == _shape(want)
         assert got_stats.to_dict() == want_stats.to_dict()
+
+
+#: The totals only full builds count: they describe complete CPIs.
+_BUILD_TOTALS = ("cpi_candidates_topdown", "cpi_candidates_final", "cpi_edges_final")
+
+
+@pytest.mark.parametrize("kind", VERIFIES)
+@pytest.mark.parametrize("name,data,query", CASES, ids=[c[0] for c in CASES])
+def test_repair_with_every_label_dirty_equals_build(name, data, query, kind):
+    """A repair that finds every query label dirty recomputes every
+    unit: the CPI of a fresh build, in order, and its counters apart
+    from the totals."""
+    for root in _roots(query, data):
+        _, state = repair_cpi(query, data, root, verify=_verify(kind, query, data))
+        want_stats, got_stats = SearchStats(), SearchStats()
+        want = build_cpi(query, data, root, verify=_verify(kind, query, data),
+                         stats=want_stats)
+        got, _ = repair_cpi(query, data, root, state, frozenset(query.labels),
+                            verify=_verify(kind, query, data), stats=got_stats)
+        assert _shape(got) == _shape(want)
+        expected = want_stats.to_dict()
+        expected.update(dict.fromkeys(_BUILD_TOTALS, 0))
+        assert got_stats.to_dict() == expected
 
 
 def test_figure7_backward_pruning_is_observed():

@@ -7,7 +7,7 @@ The contract under test (see ``repro/core/dynamic.py``):
   ``SearchStats`` and CPI payload to a cold matcher prepared from
   scratch on the mutated graph — on every fuzz scenario, for both the
   reference and kernel engines;
-* the repair/rebuild decision (threshold, label-disjoint no-op,
+* the repair/rebuild decision (label-disjoint no-op, root change,
   renumbering, mutation-log gap) changes only the ``cpi_repairs`` /
   ``cpi_rebuilds`` / ``dirty_region_size`` accounting, never results;
 * the initial (traced) build produces exactly the same build counters
@@ -74,17 +74,6 @@ class TestIncrementalDifferential:
         assert case.scenario == scenario
         mismatches = incremental_differential_check(
             case.data, case.query, case.deltas
-        )
-        assert mismatches == [], [m.detail for m in mismatches]
-
-    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
-    @pytest.mark.parametrize("threshold", [0.0, 0.4, 1.0])
-    def test_thresholds_do_not_change_results(self, engine, threshold):
-        """Any repair/rebuild mix is result-invisible."""
-        case = generate_delta_case(77, 3)
-        mismatches = incremental_differential_check(
-            case.data, case.query, case.deltas,
-            engines=(engine,), rebuild_threshold=threshold,
         )
         assert mismatches == [], [m.detail for m in mismatches]
 
@@ -185,10 +174,6 @@ class TestRepairDispatch:
         data, _ = small_instance()
         with pytest.raises(TypeError):
             IncrementalMatcher(data.to_static())
-        with pytest.raises(ValueError):
-            IncrementalMatcher(data, rebuild_threshold=1.5)
-        with pytest.raises(ValueError):
-            IncrementalMatcher(data, rebuild_threshold=-0.1)
 
     def test_empty_query_rejected(self):
         data, _ = small_instance()
@@ -227,33 +212,26 @@ class TestRepairDispatch:
         """The check fails when the fast path stops keeping the plan."""
         case = generate_label_disjoint_case(19, 0)
         monkeypatch.setattr(
-            IncrementalMatcher, "_repair_sync",
-            lambda self, reg: self._rebuild_registration(reg, 0.0),
+            IncrementalMatcher, "_sync",
+            lambda self, reg: self._plan(reg.query, 0.0, reg),
         )
         found = label_disjoint_check(case.data, case.query, case.deltas)
         assert {m.kind for m in found} == {"label-disjoint-rebuilt"}
 
-    def test_dirty_delta_repairs_below_threshold(self):
+    def test_dirty_delta_covering_the_query_repairs(self):
+        """A delta whose dirty region is the whole query still repairs:
+        repair reuses every clean unit, so it never costs more than a
+        rebuild."""
         data, query = small_instance()
-        inc = IncrementalMatcher(data, rebuild_threshold=1.0)
+        inc = IncrementalMatcher(data)
         inc.prepare(query)
         data.add_edge(0, 3)
         stats = inc.prepare(query).build_stats
+        region = dirty_region(query, frozenset({0, 1}))
+        assert region == list(query.vertices())
         assert stats.cpi_repairs == 1
         assert stats.cpi_rebuilds == 0
-        assert stats.dirty_region_size == len(
-            dirty_region(query, frozenset({0, 1}))
-        )
-        assert embeddings_of(inc, query) == [(0, 2), (0, 3), (1, 3)]
-
-    def test_zero_threshold_always_rebuilds_when_dirty(self):
-        data, query = small_instance()
-        inc = IncrementalMatcher(data, rebuild_threshold=0.0)
-        inc.prepare(query)
-        data.add_edge(0, 3)
-        stats = inc.prepare(query).build_stats
-        assert stats.cpi_repairs == 0
-        assert stats.cpi_rebuilds == 1
+        assert stats.dirty_region_size == len(region)
         assert embeddings_of(inc, query) == [(0, 2), (0, 3), (1, 3)]
 
     def test_renumbering_removal_forces_rebuild(self):
@@ -265,6 +243,20 @@ class TestRepairDispatch:
         assert stats.cpi_rebuilds == 1
         cold = CFLMatch(data.to_static())
         assert embeddings_of(inc, query) == list(cold.search(query))
+
+    def test_root_change_forces_rebuild(self):
+        """The repair memo is keyed on the BFS tree: when a delta makes
+        root selection pick another vertex, the plan is rebuilt."""
+        data = DynamicGraph([0, 0, 1, 1], [(0, 2), (1, 2)])
+        query = Graph([0, 1], [(0, 1)])
+        inc = IncrementalMatcher(data)
+        assert inc.prepare(query).root == 1     # |C(u1)| = 1 < |C(u0)| = 2
+        data.add_edge(1, 3)                     # now a 2-2 tie, won by u0
+        plan = inc.prepare(query)
+        assert plan.root == 0
+        assert plan.build_stats.cpi_rebuilds == 1
+        assert plan.build_stats.cpi_repairs == 0
+        assert embeddings_of(inc, query) == [(0, 2), (1, 2), (1, 3)]
 
     def test_mutation_log_gap_forces_rebuild(self):
         data = DynamicGraph(

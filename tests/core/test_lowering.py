@@ -23,8 +23,7 @@ from repro.core import cpi_builder
 from repro.core.batch import AuxAdjacencyCache
 from repro.core.core_match import failing_set_masks
 from repro.core.cpi import CPI
-from repro.core.cpi_builder import build_cpi
-from repro.core.dynamic import _repair_sweep
+from repro.core.cpi_builder import build_cpi, repair_cpi
 from repro.core.kernel import (
     _INTERSECT_MIN,
     _KIND_ROOT,
@@ -337,15 +336,12 @@ def test_adjacency_table_equals_per_row_oracle(monkeypatch, csr_graphs):
         return got
 
     monkeypatch.setattr(cpi_builder, "_adjacency_table", spy)
-    import repro.core.dynamic as dynamic
-
-    monkeypatch.setattr(dynamic, "_adjacency_table", spy)
     for name, data, query in CASES:
         for graph in (data, csr_graphs[name]):
             root = select_root(query, graph)
             build_cpi(query, graph, root)
             build_cpi(query, graph, root, aux=AuxAdjacencyCache(graph))
-        _repair_sweep(query, data, select_root(query, data), None, None, SearchStats())
+        repair_cpi(query, data, select_root(query, data))
     kinds = set()
     dropped = 0
     for got, want, rows, parents in calls:

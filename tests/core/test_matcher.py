@@ -109,6 +109,18 @@ class TestRun:
         assert len(report.candidate_counts) == ex.query.num_vertices
         assert not report.timed_out
 
+    def test_reports_of_one_plan_carry_its_totals(self):
+        """Runs on one prepared plan report the CPI's size and candidate
+        counts, each run its own copy of the counts."""
+        ex = figure3_example()
+        matcher = CFLMatch(ex.data)
+        plan = matcher.prepare(ex.query)
+        first = matcher.run(ex.query, prepared=plan)
+        first.candidate_counts.append(-1)
+        second = matcher.run(ex.query, prepared=plan)
+        assert second.cpi_size == plan.cpi.size()
+        assert second.candidate_counts == plan.cpi.candidate_counts()
+
     def test_run_without_collect(self):
         ex = figure3_example()
         report = CFLMatch(ex.data).run(ex.query)

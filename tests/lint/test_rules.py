@@ -142,8 +142,8 @@ class TestR003:
         )
         assert diags == []
 
-    # -- the dynamic-repair carve-out (PR 8) ---------------------------
-    def test_repair_function_in_dynamic_module_is_exempt(self):
+    # -- the dynamic module has no carve-out ---------------------------
+    def test_repair_function_in_dynamic_module_fires(self):
         diags = run(
             """
             def _repair_sync(self, reg):
@@ -153,7 +153,7 @@ class TestR003:
             "src/repro/core/dynamic.py",
             select=["R003"],
         )
-        assert diags == []
+        assert [d.rule for d in diags] == ["R003"]
 
     def test_non_repair_function_in_dynamic_module_still_fires(self):
         diags = run(
