@@ -356,9 +356,17 @@ class _Memo:
     (forward, then post-backward, then refined): the stage every later
     unit reads them at.  A same-level neighbor is read at its forward
     value, an upper-level one at its post-backward value and a lower
-    one at its refined value.  ``stale_adj[u]`` describes u's top-down
-    table.  Without ``prev`` every unit is stale: a full build that
-    keeps its intermediates.
+    one at its refined value.  Without ``prev`` every unit is stale: a
+    full build that keeps its intermediates.
+
+    Refinement reuses u's refined child tables along with its refined
+    candidates without reading the top-down tables' staleness: a child
+    c's refined table holds, for each refined candidate of u, its data
+    row cut to c's refined candidates (every such row is non-empty,
+    since refinement keeps only candidates with a neighbor in each
+    child's set).  It is a function of u's and c's refined candidates
+    and of data rows under u's label, which ``stale`` and the dirty
+    labels already cover.
     """
 
     def __init__(
@@ -373,36 +381,21 @@ class _Memo:
             prev is None or query.label(u) in dirty_labels for u in query.vertices()
         ]
         self.stale = list(self.dirty)
-        self.stale_adj = list(self.dirty)
         self.forward: List[List[int]] = []
         self.topdown: List[List[int]] = []
         self.topdown_adj: List[Dict[int, List[int]]] = []
 
-    def settle(
-        self,
-        u: int,
-        changed: Callable[[RepairState], bool],
-        stale: Optional[List[bool]] = None,
-    ) -> None:
-        """Mark u's recomputed value (or table, with ``stale_adj``) stale
-        when u's label is dirty or ``changed(prev)`` says it differs."""
-        (self.stale if stale is None else stale)[u] = (
-            self.prev is None or self.dirty[u] or changed(self.prev)
-        )
+    def settle(self, u: int, changed: Callable[[RepairState], bool]) -> None:
+        """Mark u's recomputed value stale when u's label is dirty or
+        ``changed(prev)`` says it differs."""
+        self.stale[u] = self.prev is None or self.dirty[u] or changed(self.prev)
 
-    def reusable(
-        self, u: int, reads: Iterable[int] = (), tables: Iterable[int] = ()
-    ) -> Optional[RepairState]:
+    def reusable(self, u: int, reads: Iterable[int] = ()) -> Optional[RepairState]:
         """The previous sweep's state when u's unit may take its value
-        from it: u's candidates, the candidates of ``reads`` and the
-        top-down tables of ``tables`` are all fresh.  ``None`` means
-        recompute."""
+        from it: u's candidates and the candidates of ``reads`` are all
+        fresh.  ``None`` means recompute."""
         stale = self.stale
-        if (
-            stale[u]
-            or any(map(stale.__getitem__, reads))
-            or any(map(self.stale_adj.__getitem__, tables))
-        ):
+        if stale[u] or any(map(stale.__getitem__, reads)):
             return None
         return self.prev
 
@@ -614,13 +607,9 @@ def _top_down_construct(
             # With aux, every member of u's candidate set passed the
             # degree >= deg(u) gate, so the bucket-prefiltered aux row
             # keeps exactly the neighbors the raw row would keep.
-            table = adjacency[u] = _adjacency_table(
+            adjacency[u] = _adjacency_table(
                 parents, _rows(query, data, aux, u, u_parent, parents), keep
             )
-            if memo is not None:
-                memo.settle(
-                    u, lambda last: table != last.topdown_adj[u], memo.stale_adj
-                )
     if memo is not None:
         memo.forward = forward
         memo.topdown, memo.topdown_adj = list(candidates), list(adjacency)
@@ -660,7 +649,7 @@ def _bottom_up_refine(
             children = tree.children[u]
             before = candidates[u]
             if memo is not None:
-                prev = memo.reusable(u, [x for x, _ in lower], children)
+                prev = memo.reusable(u, [x for x, _ in lower])
                 if prev is not None:
                     final = prev.cpi
                     for c in children:

@@ -34,8 +34,9 @@ the *recomputed* units only, plus the ``cpi_repairs`` /
 ``cpi_candidates_topdown`` / ``cpi_candidates_final`` / ``cpi_edges_final``
 totals are recorded on full builds (initial and rebuild) only, so they
 describe complete CPIs rather than sums of partial sweeps.  Phase timers
-accumulate likewise, with each synchronization's whole cost also under
-the ``cpi_repair`` phase.
+accumulate likewise on the registration, with each synchronization's
+whole cost also under the ``cpi_repair`` phase; each new plan's
+``phase_times`` is a snapshot of them.
 
 A synchronization builds a new plan and never edits a published one, so
 repro-lint rule R003 (frozen plans) holds in this module as everywhere.
@@ -107,6 +108,8 @@ class _Registration:
     root: int
     version: int
     build_stats: SearchStats
+    #: lifetime phase timers; each plan gets a snapshot, so the
+    #: label-disjoint fast path never edits a published plan's timers
     phase_dict: Dict[str, float]
 
 
@@ -219,7 +222,7 @@ class IncrementalMatcher:
             root=root,
             version=self.data.version,
             build_stats=stats,
-            phase_dict=phase_times,
+            phase_dict=dict(phase_times),
         )
         self._plans[id(query)] = reg
         return reg

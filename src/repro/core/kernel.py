@@ -16,49 +16,39 @@ cursors:
   child row of a chosen parent is ``flat_v[indptr[rank]:indptr[rank+1]]``
   with no dict probe at all.  ``flat_r`` carries each entry's own rank in
   ``candidates[u]`` so the rank chain continues down the order;
-* **backward non-tree edges** become a per-slot flattened edge list; a
-  slot with >= 1 backward neighbor and a long candidate row generates
-  its candidates by sorted-array intersection of the anchor row with
-  the mapped neighbors' data-graph adjacency rows (smallest row first),
-  so validation work moves from per-candidate probes to one pre-shrunk
-  stream.  Tree-anchored rows shorter than ``_INTERSECT_MIN`` use one
-  C-level ``frozenset`` intersection per backward edge instead (the
-  rows are pre-frozen at compile time in ``set_rows``).  It is spelled
+* **backward non-tree edges** are checked once per descend, not once
+  per candidate.  A slot with backward neighbors keeps its anchor rows
+  as frozensets (``set_rows``: the CPI rows keyed by parent image, or,
+  for a slot without an anchor, its whole candidate set under key -1)
+  and filters the anchor row by one C-level ``frozenset.intersection``
+  per backward edge against the mapped images' neighbor sets.  Those
+  sets are the data graph's own (``adj_sets``), so a plan copies no
+  adjacency and reads the graph's current rows.  The call is spelled
   ``row.intersection(neighbors)``, not ``row & neighbors``: on a
   shared-memory or mmap'd ``.csr`` graph the neighbors are a
   :class:`~repro.core.shm.SharedGraph` set facade, for which
   ``frozenset.__and__`` returns ``NotImplemented``, so ``&`` would fall
   to the facade's reflected operator and build the result in Python on
   every descend, while ``.intersection`` takes any iterable and probes
-  the frozenset in C.  Slots whose anchor and backward images all live
-  strictly above the previous depth reuse the filtered stream across
-  consecutive descends outright — only the previous depth's candidate
-  varies between them, and it plays no part in the row.  Short
-  cross-anchored rows fall back to per-candidate hash probes of the
-  mapped images' neighbor sets;
-* **data-graph adjacency** is the graph's own rows (``adj_rows`` is
-  ``data.adj``, sorted on every graph type), membership-checked by
-  :func:`bisect.bisect_left` with a moving lower bound (the C-level
-  realization of galloping: each probe is a binary search restricted to
-  the not-yet-passed suffix).  No copy of the adjacency is taken, so a
-  plan reads the graph's current rows.
+  the frozenset in C.  Survivors are sorted back into enumeration order
+  and regain their ranks through ``rank_of``.  Slots whose anchor and
+  backward images all live strictly above the previous depth reuse the
+  filtered stream across consecutive descends outright: only the
+  previous depth's candidate varies between them, and it plays no part
+  in the row.
 
-Counter semantics match the reference exactly for complete runs:
-``nodes``, ``backtracks``, ``backjumps`` and ``embeddings`` are
-bit-identical (both engines backjump on the same failing sets, see
-:class:`~repro.core.core_match.CPIBacktracker`), and on a run without
-backjumps the *sum* ``injectivity_conflicts + edge_check_failures`` is
-identical (each rejected candidate is counted exactly once by both
-engines).  On the deferred per-candidate path the split matches the
-reference exactly (occupancy is checked first, then edges,
-short-circuiting).  On the eager path the split can differ for
-candidates that are simultaneously occupied *and* edge-failing: the
-reference checks ``used`` first, while the intersection eliminates
-edge-failing candidates without ever looking at occupancy and
-attributes them to ``edge_check_failures``.  The eager path also
-charges a whole row's eliminations when it installs the row, so after
-a backjump skips the rest of that row the kernel's sum can exceed the
-reference's, which never reached those candidates.
+Counter semantics match the reference for complete runs: ``nodes``,
+``backtracks``, ``backjumps`` and ``embeddings`` are bit-identical (both
+engines backjump on the same failing sets, see
+:class:`~repro.core.core_match.CPIBacktracker`).  A backward-checked
+slot charges its eliminations to ``edge_check_failures`` when it
+installs the row, and the enumeration loop then counts only occupied
+survivors as ``injectivity_conflicts``.  The reference checks occupancy
+first, so a candidate that is both occupied and edge-failing is a
+conflict there and an edge failure here; on a run without backjumps the
+*sum* of the two counters is identical.  After a backjump skips the
+rest of a row the kernel's sum can exceed the reference's, which never
+reached those candidates.
 On budget/deadline-truncated runs ``nodes`` (and therefore the truncation
 point) is still exact — ``WorkBudget`` is charged per accepted candidate
 at cursor-advance time, before the expansion is counted, and the deadline
@@ -114,33 +104,20 @@ MODE_TREE = 1
 MODE_CROSS = 2
 
 #: Per-depth descend dispatch inside :meth:`KernelBacktracker.extend`.
-#: ``_KIND_TREE``/``_KIND_ROOT`` are the backward-free fast paths whose
-#: streams are installed once per ``extend`` call; ``_KIND_TREE_BW`` is
-#: the inline frozenset-intersection path for tree slots with backward
-#: edges (with the consecutive-descend stream cache); everything else
-#: (cross probes, backward intersections over long root rows) routes
-#: through ``_enter``.
-_KIND_SLOW = 0
+#: ``_KIND_TREE``/``_KIND_ROOT``/``_KIND_CROSS`` install a slot's row
+#: as it stands (two ``indptr`` loads, a cursor reset, one dict probe);
+#: ``_KIND_BW`` is any slot with backward edges, which filters its
+#: anchor row through ``set_rows`` (with the consecutive-descend stream
+#: cache).
+_KIND_CROSS = 0
 _KIND_TREE = 1
 _KIND_ROOT = 2
-_KIND_TREE_BW = 3
-
-#: Minimum candidate-row size for the eager *galloping* intersection.  A
-#: sorted-array intersection amortizes only over rows long enough to
-#: skip through.  Below this, tree-anchored slots intersect the
-#: pre-frozen row with the mapped images' neighbor sets (one C call per
-#: backward edge), while cross-anchored slots install the raw row and
-#: validate each candidate against the neighbor sets in the enumeration
-#: loop (short-circuiting, occupancy checked first — the exact
-#: attribution order of the reference engine).
-_INTERSECT_MIN = 32
+_KIND_BW = 3
 
 _EMPTY_ROW: array[int] = array("i")
 _EMPTY_CROSS: Dict[int, Tuple[array[int], array[int]]] = {}
 _EMPTY_SETS: Dict[int, FrozenSet[int]] = {}
 _EMPTY_RANKS: Dict[int, int] = {}
-#: Shared "no deferred backward checks" sentinel (never mutated).
-_NO_CHECKS: List[int] = []
 
 
 class CompiledStage:
@@ -206,10 +183,11 @@ class CompiledStage:
         self.flat_r = flat_r
         self.cross_rows = cross_rows
         self.backward = backward
-        #: tree slots with backward edges additionally carry each CSR row
-        #: as a frozenset keyed by the *parent image*: short rows are
-        #: validated by one C-level set intersection against the mapped
-        #: neighbors' adjacency sets instead of per-candidate probes
+        #: slots with backward edges additionally carry each anchor row
+        #: as a frozenset keyed by the *parent image* (a slot without an
+        #: anchor: its candidate set, keyed by its ``parent_vertices``
+        #: entry, -1), filtered by one C-level set intersection per
+        #: backward edge against the mapped neighbors' adjacency sets
         self.set_rows = set_rows
         #: candidate -> rank in ``candidates[u]`` for those same slots
         #: (survivors of a set intersection lose their CSR position; the
@@ -220,12 +198,12 @@ class CompiledStage:
         #: backjumps
         self.ancestors = ancestors
         # Static per-depth dispatch for :class:`KernelBacktracker`,
-        # derived once with the stage.  ``kinds`` splits descends into
-        # the branch-free fast paths and the general ``_enter`` path;
-        # ``needs_rank`` marks depths some later tree slot anchors on —
-        # only those track ranks at all.  ``template_v``/``template_r``
-        # pre-install the fixed streams (a fast slot's stream never
-        # changes; only ``_enter`` rewrites slow slots' entries).
+        # derived once with the stage.  ``kinds`` picks each descend's
+        # install path; ``needs_rank`` marks depths some later tree slot
+        # anchors on — only those track ranks at all.
+        # ``template_v``/``template_r`` pre-install the fixed streams (a
+        # tree or root slot without backward edges never changes its
+        # stream; cross and backward-checked slots rewrite theirs).
         needs_rank = [False] * length
         kinds: List[int] = []
         template_v: List[Sequence[int]] = []
@@ -236,21 +214,22 @@ class CompiledStage:
                 needs_rank[parent_depths[depth]] = True
                 template_v.append(flat_v[depth])
                 template_r.append(flat_r[depth])
-                kinds.append(_KIND_TREE_BW if backward[depth] else _KIND_TREE)
+                kind = _KIND_TREE
             elif mode == MODE_ROOT:
                 template_v.append(base_v[depth])
                 template_r.append(base_r[depth])
-                kinds.append(_KIND_SLOW if backward[depth] else _KIND_ROOT)
+                kind = _KIND_ROOT
             else:
                 template_v.append(_EMPTY_ROW)
                 template_r.append(_EMPTY_ROW)
-                kinds.append(_KIND_SLOW)
+                kind = _KIND_CROSS
+            kinds.append(_KIND_BW if backward[depth] else kind)
         self.kinds = tuple(kinds)
         self.needs_rank = tuple(needs_rank)
         self.template_v = tuple(template_v)
         self.template_r = tuple(template_r)
         self.base_len = tuple(map(len, base_v))
-        # A backward-checked tree slot whose anchor parent and backward
+        # A backward-checked slot whose anchor parent and backward
         # images all live strictly above depth-1 recomputes the exact
         # same filtered stream on every consecutive descend (only the
         # depth-1 candidate varies between them).  ``cache_dep`` marks
@@ -262,7 +241,7 @@ class CompiledStage:
         depth_of = dict(zip(slot_vertices, count()))
         cache_dep = []
         for depth in range(length):
-            if kinds[depth] != _KIND_TREE_BW:
+            if kinds[depth] != _KIND_BW:
                 cache_dep.append(-1)
                 continue
             deepest = max(
@@ -274,13 +253,16 @@ class CompiledStage:
     def with_base(
         self, depth: int, vertices: IntVector, ranks: IntVector
     ) -> "CompiledStage":
-        """Copy of this stage with slot ``depth``'s base arrays replaced
-        (the root-restriction path); everything else is shared."""
+        """Copy of this stage with slot ``depth``'s base arrays (and, for
+        a backward-checked slot, its frozen candidate set) replaced (the
+        root-restriction path); everything else is shared."""
 
-        def swap(
-            rows: Tuple[IntVector, ...], value: IntVector
-        ) -> Tuple[IntVector, ...]:
+        def swap(rows: Tuple, value: object) -> Tuple:
             return rows[:depth] + (value,) + rows[depth + 1:]
+
+        set_rows = self.set_rows
+        if self.backward[depth]:
+            set_rows = swap(set_rows, {-1: frozenset(vertices)})
 
         return CompiledStage(
             length=self.length,
@@ -295,7 +277,7 @@ class CompiledStage:
             flat_r=self.flat_r,
             cross_rows=self.cross_rows,
             backward=self.backward,
-            set_rows=self.set_rows,
+            set_rows=set_rows,
             rank_of=self.rank_of,
             ancestors=self.ancestors,
         )
@@ -341,11 +323,17 @@ def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
 
     for depth, slot in enumerate(ordered):
         u = slot.u
+        own = candidates[u]
         parent = slot.tree_parent
+        checked = bool(slot.backward_neighbors)
+        rank_in_u = (
+            dict(zip(own, count())) if parent is not None or checked else _EMPTY_RANKS
+        )
         slot_vertices.append(u)
         backward.append(tuple(slot.backward_neighbors))
         if parent is None:
-            own = candidates[u]
+            # an unanchored slot's one row, under its parent_vertices entry
+            table: Dict[int, Sequence[int]] = {-1: own}
             modes.append(MODE_ROOT)
             parent_depths.append(-1)
             parent_vertices.append(-1)
@@ -355,20 +343,11 @@ def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
             flat_vs.append(_EMPTY_ROW)
             flat_rs.append(_EMPTY_ROW)
             cross_rows.append(_EMPTY_CROSS)
-            set_rows.append(_EMPTY_SETS)
-            rank_of.append(_EMPTY_RANKS)
         else:
-            rank_in_u = dict(zip(candidates[u], count()))
             table = adjacency[u]
             parent_vertices.append(parent)
             base_v.append(_EMPTY_ROW)
             base_r.append(_EMPTY_ROW)
-            if slot.backward_neighbors:
-                set_rows.append(dict(zip(table, map(frozenset, table.values()))))
-                rank_of.append(rank_in_u)
-            else:
-                set_rows.append(_EMPTY_SETS)
-                rank_of.append(_EMPTY_RANKS)
             if parent in depth_of:
                 modes.append(MODE_TREE)
                 parent_depths.append(depth_of[parent])
@@ -388,6 +367,12 @@ def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
                 keys = sorted(table)
                 arrays = list(map(array, repeat("i"), map(table.__getitem__, keys)))
                 cross_rows.append(ranked_rows(keys, arrays, rank_in_u))
+        if checked:
+            set_rows.append(dict(zip(table, map(frozenset, table.values()))))
+            rank_of.append(rank_in_u)
+        else:
+            set_rows.append(_EMPTY_SETS)
+            rank_of.append(_EMPTY_RANKS)
         depth_of[u] = depth
 
     return CompiledStage(
@@ -410,7 +395,8 @@ def compile_stage(cpi: CPI, ordered: Sequence[OrderedVertex]) -> CompiledStage:
 
 
 class KernelPlan:
-    """Core + forest :class:`CompiledStage` pair plus the data graph's rows.
+    """Core + forest :class:`CompiledStage` pair plus the data graph's
+    neighbor sets.
 
     Attached to a :class:`~repro.core.matcher.PreparedQuery` (its
     ``kernel`` field) by the matcher when ``engine="kernel"``.  Pool
@@ -421,26 +407,20 @@ class KernelPlan:
     repro-lint R003 enforces for the CPI itself.
     """
 
-    __slots__ = ("core", "forest", "root", "adj_rows", "adj_sets")
+    __slots__ = ("core", "forest", "root", "adj_sets")
 
     def __init__(
         self,
         core: CompiledStage,
         forest: CompiledStage,
         root: int,
-        adj_rows: Sequence[Sequence[int]],
         adj_sets: Sequence[AbstractSet[int]],
     ) -> None:
         self.core = core
         self.forest = forest
         self.root = root
-        #: the data graph's sorted adjacency rows (``data.adj``), which
-        #: the galloping intersection bisects
-        self.adj_rows = adj_rows
-        #: the data graph's per-vertex neighbor sets, borrowed for the
-        #: deferred (short-row) backward checks — point membership is a
-        #: hash probe there, while the sorted rows serve the galloping
-        #: intersection where bisect actually amortizes
+        #: the data graph's per-vertex neighbor sets (borrowed, not
+        #: copied), which the backward-edge filter intersects
         self.adj_sets = adj_sets
 
     def with_root_candidates(self, filtered: Iterable[int]) -> "KernelPlan":
@@ -474,7 +454,6 @@ class KernelPlan:
                         core=swapped if is_core else self.core,
                         forest=self.forest if is_core else swapped,
                         root=self.root,
-                        adj_rows=self.adj_rows,
                         adj_sets=self.adj_sets,
                     )
         return self
@@ -487,82 +466,15 @@ def compile_kernel_plan(
 ) -> KernelPlan:
     """Compile a prepared plan's stages into a :class:`KernelPlan`.
 
-    The plan borrows the CPI's data graph's rows and neighbor sets; it
-    copies no adjacency.
+    The plan borrows the CPI's data graph's neighbor sets; it copies no
+    adjacency.
     """
-    data = cpi.data
     return KernelPlan(
         core=compile_stage(cpi, core_slots),
         forest=compile_stage(cpi, forest_slots),
         root=cpi.root,
-        adj_rows=data.adj,
-        adj_sets=data._adj_sets,  # noqa: SLF001 - hot path, documented internal
+        adj_sets=cpi.data._adj_sets,  # noqa: SLF001 - hot path, documented internal
     )
-
-
-def _intersect(
-    base_v: Sequence[int],
-    base_r: Sequence[int],
-    begin: int,
-    stop: int,
-    rows: List[Sequence[int]],
-    want_ranks: bool,
-) -> Tuple[Sequence[int], Sequence[int]]:
-    """Intersect the sorted base slice with every backward adjacency row.
-
-    ``rows`` holds the data graph's sorted rows of the mapped backward
-    neighbors, shortest first so the most selective row shrinks the
-    stream before the wider ones see it.  Each step walks the shorter
-    side and gallops through the longer with :func:`bisect.bisect_left`
-    restricted to a moving lower bound.  The first row intersects the
-    ``[begin, stop)`` window in place (no copy of the base slice), and
-    ranks ride along only when ``want_ranks`` — a slot that anchors no
-    later tree slot never reads them.
-    """
-    cur_v: Sequence[int] = base_v
-    cur_r: Sequence[int] = base_r
-    cur_lo = begin
-    cur_hi = stop
-    for row in rows:
-        if cur_lo == cur_hi:
-            break
-        next_v: List[int] = []
-        next_r: List[int] = []
-        row_hi = len(row)
-        if row_hi * 4 < cur_hi - cur_lo:
-            # The adjacency row is much shorter: walk it, gallop the stream.
-            lo = cur_lo
-            for v in row:
-                at = bisect_left(cur_v, v, lo, cur_hi)
-                if at == cur_hi:
-                    break
-                if cur_v[at] == v:
-                    next_v.append(v)
-                    if want_ranks:
-                        next_r.append(cur_r[at])
-                    lo = at + 1
-                else:
-                    lo = at
-        else:
-            # Comparable or longer row: walk the stream, gallop the row.
-            lo = 0
-            for at in range(cur_lo, cur_hi):
-                v = cur_v[at]
-                found = bisect_left(row, v, lo, row_hi)
-                if found == row_hi:
-                    break
-                if row[found] == v:
-                    next_v.append(v)
-                    if want_ranks:
-                        next_r.append(cur_r[at])
-                    lo = found + 1
-                else:
-                    lo = found
-        cur_v = next_v
-        cur_r = next_r
-        cur_lo = 0
-        cur_hi = len(next_v)
-    return cur_v, cur_r
 
 
 class KernelBacktracker:
@@ -588,78 +500,7 @@ class KernelBacktracker:
         self.stats = stats if stats is not None else SearchStats()
         self.deadline = deadline
         self.budget = budget
-        self._adj_rows = kernel_plan.adj_rows
         self._adj_sets = kernel_plan.adj_sets
-
-    def _enter(
-        self,
-        depth: int,
-        mapping: List[int],
-        rank_at: List[int],
-        stream_v: List[Sequence[int]],
-        stream_r: List[Sequence[int]],
-        pos: List[int],
-        end: List[int],
-        deferred: List[List[int]],
-    ) -> int:
-        """Install slot ``depth``'s candidate stream.
-
-        Returns how many base-row candidates the eager backward
-        intersection eliminated (0 when the row was too short to be
-        worth intersecting — then ``deferred[depth]`` carries the mapped
-        backward images and the enumeration loop validates per candidate
-        against their neighbor sets instead).
-        """
-        stage = self.stage
-        mode = stage.modes[depth]
-        if mode == MODE_TREE:
-            indptr = stage.indptrs[depth]
-            parent_rank = rank_at[stage.parent_depths[depth]]
-            begin = indptr[parent_rank]
-            stop = indptr[parent_rank + 1]
-            vs: Sequence[int] = stage.flat_v[depth]
-            rs: Sequence[int] = stage.flat_r[depth]
-        elif mode == MODE_ROOT:
-            vs = stage.base_v[depth]
-            rs = stage.base_r[depth]
-            begin = 0
-            stop = len(vs)
-        else:
-            row = stage.cross_rows[depth].get(mapping[stage.parent_vertices[depth]])
-            if row is None:
-                stream_v[depth] = _EMPTY_ROW
-                stream_r[depth] = _EMPTY_ROW
-                pos[depth] = 0
-                end[depth] = 0
-                deferred[depth] = _NO_CHECKS
-                return 0
-            vs, rs = row
-            begin = 0
-            stop = len(vs)
-        checks = stage.backward[depth]
-        if checks and stop > begin:
-            if stop - begin >= _INTERSECT_MIN:
-                adj_rows = self._adj_rows
-                rows = [adj_rows[mapping[w]] for w in checks]
-                if len(rows) > 1:
-                    rows.sort(key=len)
-                survivors_v, survivors_r = _intersect(
-                    vs, rs, begin, stop, rows, stage.needs_rank[depth],
-                )
-                stream_v[depth] = survivors_v
-                stream_r[depth] = survivors_r
-                pos[depth] = 0
-                end[depth] = len(survivors_v)
-                deferred[depth] = _NO_CHECKS
-                return (stop - begin) - len(survivors_v)
-            deferred[depth] = [mapping[w] for w in checks]
-        else:
-            deferred[depth] = _NO_CHECKS
-        stream_v[depth] = vs
-        stream_r[depth] = rs
-        pos[depth] = begin
-        end[depth] = stop
-        return 0
 
     def extend(self, mapping: List[int], used: bytearray) -> Iterator[None]:
         """Yield once per complete assignment of this stage's vertices.
@@ -673,18 +514,14 @@ class KernelBacktracker:
         ``edge_check_failures``, ``backtracks``) are bumped in place on
         the stats object, exactly like the reference engine.
 
-        Descends dispatch on the precomputed per-depth kind: a tree slot
-        without backward edges is two ``indptr`` loads, a root slot is a
-        cursor reset, a tree slot *with* backward edges intersects its
-        pre-frozen row against the mapped images' neighbor sets inline
-        (reusing the previous stream wholesale when its dependencies are
-        unchanged — see ``CompiledStage.cache_dep``), and only cross
-        probes and long backward rows pay the general ``_enter`` call.
-        Backward edges of short cross- or root-anchored rows arrive as
-        deferred image lists (``deferred[depth]``) and are hash-probed
-        per candidate right here, after the occupancy check and before
-        the budget charge — the reference engine's exact validation
-        order.
+        Each descend (depth 0 first) installs the slot's stream by its
+        precomputed kind: a tree slot is two ``indptr`` loads, a root
+        slot a cursor reset, a cross slot one dict probe, and a slot with
+        backward edges intersects its frozen anchor row with the mapped
+        images' neighbor sets (reusing the previous stream wholesale when
+        its dependencies are unchanged — see ``CompiledStage.cache_dep``).
+        Every candidate in a stream has passed its backward checks, so
+        the enumeration loop checks occupancy only.
 
         A stage with a backward edge backjumps on failing sets exactly
         like :class:`~repro.core.core_match.CPIBacktracker`.  All of its
@@ -705,6 +542,7 @@ class KernelBacktracker:
         parent_depths = stage.parent_depths
         parent_vertices = stage.parent_vertices
         indptrs = stage.indptrs
+        cross_rows = stage.cross_rows
         kinds = stage.kinds
         needs_rank = stage.needs_rank
         base_len = stage.base_len
@@ -714,7 +552,6 @@ class KernelBacktracker:
         pos = [0] * k
         end = [0] * k
         rank_at = [0] * k
-        deferred: List[List[int]] = [_NO_CHECKS] * k
         cache_dep = stage.cache_dep
         stamp = [0] * k
         cache_stamp = [-1] * k
@@ -735,100 +572,42 @@ class KernelBacktracker:
             found = -1
 
         nodes = stats.nodes
-        enter = self._enter
         last = k - 1
         depth = 0
-        eliminated = enter(0, mapping, rank_at, stream_v, stream_r, pos, end, deferred)
-        if eliminated:
-            stats.edge_check_failures += eliminated
         while True:
-            u = slot_vertices[depth]
-            vs = stream_v[depth]
-            checks = deferred[depth]
-            p = pos[depth]
-            e = end[depth]
-            while p < e:
-                v = vs[p]
-                p += 1
-                if used[v]:
-                    stats.injectivity_conflicts += 1
-                    if ancestors is not None and found < depth:
-                        for image in checks:
-                            if image not in adj_sets[v]:
-                                break
-                        else:
-                            owner = mapping.index(v)
-                            acc[depth] |= ancestors[u] | ancestors.get(
-                                owner, 1 << owner
-                            )
-                    continue
-                if checks:
-                    ok = True
-                    for image in checks:
-                        if image not in adj_sets[v]:
-                            ok = False
-                            break
-                    if not ok:
-                        stats.edge_check_failures += 1
-                        continue
-                if budget is not None:
-                    stats.nodes = nodes
-                    budget.charge()
-                nodes += 1
-                if (
-                    deadline is not None
-                    and (nodes & 1023) == 0
-                    and monotonic_now() > deadline
-                ):
-                    stats.nodes = nodes
-                    raise SearchTimeout
-                mapping[u] = v
-                used[v] = 1
-                if depth == last:
-                    stats.nodes = nodes
-                    yield None
-                    nodes = stats.nodes
-                    used[v] = 0
-                    mapping[u] = -1
-                    continue
-                if needs_rank[depth]:
-                    rank_at[depth] = stream_r[depth][p - 1]
-                stamp[depth] = nodes
-                pos[depth] = p
-                depth += 1
-                kind = kinds[depth]
-                if kind == _KIND_TREE:
-                    indptr = indptrs[depth]
-                    parent_rank = rank_at[parent_depths[depth]]
-                    pos[depth] = indptr[parent_rank]
-                    end[depth] = indptr[parent_rank + 1]
-                elif kind == _KIND_TREE_BW:
-                    dep = cache_dep[depth]
-                    if dep >= 0 and cache_stamp[depth] == stamp[dep]:
-                        # The anchor and every backward image are mapped
-                        # above depth-1 and unchanged since the last
-                        # descend here: reuse the filtered stream.  The
-                        # eliminated count is re-charged because the
-                        # reference engine re-probes the row each time.
-                        stream_v[depth] = cache_v[depth]
-                        if needs_rank[depth]:
-                            stream_r[depth] = cache_r[depth]
-                        pos[depth] = 0
-                        end[depth] = cache_end[depth]
-                        eliminated = cache_elim[depth]
-                        if eliminated:
-                            stats.edge_check_failures += eliminated
-                        break
-                    parent_image = mapping[parent_vertices[depth]]
-                    row_set = set_rows[depth].get(parent_image)
+            # Descend: install slot ``depth``'s candidate stream.
+            kind = kinds[depth]
+            if kind == _KIND_TREE:
+                indptr = indptrs[depth]
+                parent_rank = rank_at[parent_depths[depth]]
+                pos[depth] = indptr[parent_rank]
+                end[depth] = indptr[parent_rank + 1]
+            elif kind == _KIND_BW:
+                dep = cache_dep[depth]
+                if dep >= 0 and cache_stamp[depth] == stamp[dep]:
+                    # The anchor and every backward image are mapped
+                    # above depth-1 and unchanged since the last
+                    # descend here: reuse the filtered stream.  The
+                    # eliminated count is re-charged because the
+                    # reference engine re-probes the row each time.
+                    stream_v[depth] = cache_v[depth]
+                    if needs_rank[depth]:
+                        stream_r[depth] = cache_r[depth]
+                    pos[depth] = 0
+                    end[depth] = cache_end[depth]
+                    eliminated = cache_elim[depth]
+                else:
+                    anchor = parent_vertices[depth]
+                    row_set = set_rows[depth].get(
+                        mapping[anchor] if anchor >= 0 else anchor
+                    )
+                    pos[depth] = 0
                     if row_set is None:
-                        pos[depth] = 0
                         end[depth] = 0
                         eliminated = 0
-                    elif len(row_set) < _INTERSECT_MIN:
-                        # Short row: one C-level set intersection per
-                        # backward edge replaces per-candidate probes;
-                        # the eliminated count is attributed in bulk.
+                    else:
+                        # One C-level set intersection per backward
+                        # edge; the eliminated count is charged in bulk.
                         survivors: FrozenSet[int] = row_set
                         for w in backward[depth]:
                             survivors = survivors.intersection(
@@ -837,8 +616,6 @@ class KernelBacktracker:
                             if not survivors:
                                 break
                         eliminated = len(row_set) - len(survivors)
-                        if eliminated:
-                            stats.edge_check_failures += eliminated
                         if survivors:
                             ordered_row = sorted(survivors)
                             stream_v[depth] = ordered_row
@@ -847,18 +624,9 @@ class KernelBacktracker:
                                 stream_r[depth] = [
                                     rank_map[x] for x in ordered_row
                                 ]
-                            pos[depth] = 0
                             end[depth] = len(ordered_row)
                         else:
-                            pos[depth] = 0
                             end[depth] = 0
-                    else:
-                        eliminated = enter(
-                            depth, mapping, rank_at, stream_v, stream_r,
-                            pos, end, deferred,
-                        )
-                        if eliminated:
-                            stats.edge_check_failures += eliminated
                     if dep >= 0:
                         cache_stamp[depth] = stamp[dep]
                         cache_v[depth] = stream_v[depth]
@@ -866,38 +634,87 @@ class KernelBacktracker:
                             cache_r[depth] = stream_r[depth]
                         cache_end[depth] = end[depth]
                         cache_elim[depth] = eliminated
-                elif kind == _KIND_ROOT:
-                    pos[depth] = 0
-                    end[depth] = base_len[depth]
-                else:
-                    eliminated = enter(
-                        depth, mapping, rank_at, stream_v, stream_r, pos, end,
-                        deferred,
-                    )
-                    if eliminated:
-                        stats.edge_check_failures += eliminated
-                break
+                if eliminated:
+                    stats.edge_check_failures += eliminated
+            elif kind == _KIND_ROOT:
+                pos[depth] = 0
+                end[depth] = base_len[depth]
             else:
-                if ancestors is not None:
-                    if depth == last and nodes != stamp[depth - 1]:
-                        found = depth
-                    if found >= depth:
-                        found = depth - 1
-                    else:
-                        failing = acc[depth] or ancestors[slot_vertices[depth]]
-                        if depth and found != depth - 1:
-                            if failing >> slot_vertices[depth - 1] & 1:
-                                acc[depth - 1] |= failing
-                            else:
-                                acc[depth - 1] = failing
-                                pos[depth - 1] = end[depth - 1]
-                                stats.backjumps += 1
-                    acc[depth] = 0
-                depth -= 1
-                if depth < 0:
-                    stats.nodes = nodes
-                    return
-                stats.backtracks += 1
-                unmapped = slot_vertices[depth]
-                used[mapping[unmapped]] = 0
-                mapping[unmapped] = -1
+                row = cross_rows[depth].get(mapping[parent_vertices[depth]])
+                pos[depth] = 0
+                if row is None:
+                    end[depth] = 0
+                else:
+                    stream_v[depth], stream_r[depth] = row
+                    end[depth] = len(row[0])
+            # Scan: enumerate depth's stream, backtracking upward when
+            # it runs out, until a candidate is accepted below the last
+            # depth (break to descend) or the stage is exhausted.
+            while True:
+                u = slot_vertices[depth]
+                vs = stream_v[depth]
+                p = pos[depth]
+                e = end[depth]
+                while p < e:
+                    v = vs[p]
+                    p += 1
+                    if used[v]:
+                        stats.injectivity_conflicts += 1
+                        if ancestors is not None and found < depth:
+                            owner = mapping.index(v)
+                            acc[depth] |= ancestors[u] | ancestors.get(
+                                owner, 1 << owner
+                            )
+                        continue
+                    if budget is not None:
+                        stats.nodes = nodes
+                        budget.charge()
+                    nodes += 1
+                    if (
+                        deadline is not None
+                        and (nodes & 1023) == 0
+                        and monotonic_now() > deadline
+                    ):
+                        stats.nodes = nodes
+                        raise SearchTimeout
+                    mapping[u] = v
+                    used[v] = 1
+                    if depth == last:
+                        stats.nodes = nodes
+                        yield None
+                        nodes = stats.nodes
+                        used[v] = 0
+                        mapping[u] = -1
+                        continue
+                    if needs_rank[depth]:
+                        rank_at[depth] = stream_r[depth][p - 1]
+                    stamp[depth] = nodes
+                    pos[depth] = p
+                    depth += 1
+                    break
+                else:
+                    if ancestors is not None:
+                        if depth == last and nodes != stamp[depth - 1]:
+                            found = depth
+                        if found >= depth:
+                            found = depth - 1
+                        else:
+                            failing = acc[depth] or ancestors[slot_vertices[depth]]
+                            if depth and found != depth - 1:
+                                if failing >> slot_vertices[depth - 1] & 1:
+                                    acc[depth - 1] |= failing
+                                else:
+                                    acc[depth - 1] = failing
+                                    pos[depth - 1] = end[depth - 1]
+                                    stats.backjumps += 1
+                        acc[depth] = 0
+                    depth -= 1
+                    if depth < 0:
+                        stats.nodes = nodes
+                        return
+                    stats.backtracks += 1
+                    unmapped = slot_vertices[depth]
+                    used[mapping[unmapped]] = 0
+                    mapping[unmapped] = -1
+                    continue
+                break

@@ -140,7 +140,7 @@ def plan_nbytes(
             if sets:
                 total += (
                     _DICT + len(sets) * (_DICT_ENTRY + _SET)
-                    + entries[u] * _SET_ENTRY
+                    + sum(map(len, sets.values())) * _SET_ENTRY
                 )
             if cross:
                 total += (

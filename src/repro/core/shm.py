@@ -442,7 +442,7 @@ class _RowSet(SetBase):
     ``collections.abc.Set`` supplies the operators (including the
     reflected forms, so ``frozenset & row_set`` works); results of set
     algebra materialize as ``frozenset`` via ``_from_iterable``.
-    ``frozenset.intersection(row_set)`` (the kernel's short-row path)
+    ``frozenset.intersection(row_set)`` (the kernel's backward-edge filter)
     runs in C instead.
     """
 
@@ -864,8 +864,9 @@ def _decode_stage(
             dict(zip(candidates[u], count()))
             if backward[depth] or mode == MODE_CROSS else {}
         )
-        if mode != MODE_ROOT and backward[depth]:
-            set_rows.append(dict(zip(table, map(frozenset, table.values()))))
+        if backward[depth]:
+            rows = {-1: base_v[depth]} if mode == MODE_ROOT else table
+            set_rows.append(dict(zip(rows, map(frozenset, rows.values()))))
             rank_of.append(rank)
         else:
             set_rows.append({})
@@ -948,7 +949,6 @@ def read_plan_segment(
                 views, _PLAN_FIXED + _STAGE_SECTIONS, candidates, adjacency
             ),
             root=root,
-            adj_rows=matcher.data.adj,
             adj_sets=matcher.data._adj_sets,
         )
     segment_attach = (

@@ -116,10 +116,9 @@ class TestCraftedJumps:
 
     def test_root_slot_with_backward_edge(self):
         """A slot whose tree parent comes later draws from its whole
-        candidate set and validates backward edges per candidate (the
-        kernel's deferred path, occupancy checked first, so a conflict
-        is classified by its edge checks): both engines still agree
-        with the model."""
+        candidate set, which the kernel filters by its backward edges
+        before it checks occupancy and the reference checks per
+        candidate after it: both engines still agree with the model."""
         case = _jumping_case()
         root = CFLMatch(case.data, mode="match").prepare(case.query).root
         order = [5, 4, 3, 6, 2, 0, 1]

@@ -135,10 +135,10 @@ class TestLiveMatcher:
         assert matcher.prepare_count == 2
 
     def test_kernel_reads_patched_csr(self):
-        """Dense enough (rows over the kernel's galloping threshold) that
-        backward-edge checks bisect the data CSR: each flip is patched
-        into the graph's CSR, and the reused kernel matcher agrees with
-        the reference engine on a cold copy."""
+        """Dense enough that the backward-checked rows hold 29 to 39
+        candidates: each flip changes the graph's rows and neighbor sets
+        in place, and the reused kernel matcher agrees with the
+        reference engine on a cold copy."""
         rng = random.Random("dense-flips")
         n = 40
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9]
@@ -193,6 +193,27 @@ class TestRepairDispatch:
         assert before.build_stats.cpi_rebuilds == 0
         assert before.build_stats.dirty_region_size == 0
         assert embeddings_of(inc, query) == [(0, 2), (1, 3)]
+
+    def test_label_disjoint_deltas_leave_the_plan_timers_alone(self):
+        """The fast path's time goes to the registration's lifetime
+        timers: a kept plan's ``phase_times`` stay as ``prepare``
+        returned them, and the next plan's snapshot carries that time."""
+        data, query = small_instance()
+        inc = IncrementalMatcher(data)
+        plan = inc.prepare(query)
+        timers = dict(plan.phase_times)
+        for _ in range(3):
+            data.remove_edge(4, 5)
+            assert inc.prepare(query) is plan
+            data.add_edge(4, 5)
+            assert inc.prepare(query) is plan
+        assert plan.phase_times == timers
+        data.add_edge(0, 3)
+        repaired = inc.prepare(query)
+        assert repaired is not plan
+        assert repaired.phase_times["cpi_repair"] > 0.0
+        assert repaired.phase_times["cpi_build"] >= timers["cpi_build"]
+        assert plan.phase_times == timers
 
     def test_label_disjoint_flips_keep_the_plan_and_its_answers(self):
         """Flips outside the query's labels keep the plan object, whose

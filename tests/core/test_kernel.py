@@ -254,15 +254,15 @@ class TestCompiledPlanStructure:
             )
 
     def test_kernel_plan_borrows_the_graph_rows(self):
-        """The kernel bisects the data graph's own rows: a compiled plan,
-        from the matcher or standalone, holds ``data.adj`` itself."""
+        """The kernel filters against the data graph's own neighbor
+        sets: a compiled plan, from the matcher or standalone, holds
+        ``data._adj_sets`` itself."""
         case = generate_case(0, 0, DENSE_SPEC)
         plan = CFLMatch(case.data, engine="kernel").prepare(case.query)
         standalone = compile_kernel_plan(
             plan.cpi, plan.core_slots, plan.forest_slots
         )
         for kernel in (plan.kernel, standalone):
-            assert kernel.adj_rows is case.data.adj
             assert kernel.adj_sets is case.data._adj_sets
 
     def test_plan_cache_reuses_compiled_kernel(self):

@@ -5,16 +5,18 @@ C-level iterators, and ``_adjacency_table`` filters each row without a
 Python call per row.  This file keeps the per-row versions they replaced
 as small oracles and checks that every :class:`CompiledStage` field
 (arrays, dicts in key order, the per-depth dispatch) and every adjacency
-table are identical, over root, tree and cross slots, backward slots,
-empty rows and tuple rows.  It also checks that a plan segment decodes
-to the same stage, and that the kernel answers and counts the same on a
-mmap'd ``.csr`` graph as on its in-process copy, short-row backward
-intersections included.
+table are identical, over root, tree and cross slots, backward slots
+(anchored and unanchored), empty rows and tuple rows.  It also checks
+that a plan segment decodes to the same stage, and that the kernel
+answers and counts the same on a mmap'd ``.csr`` graph as on its
+in-process copy and as the reference engine, backward-edge filters
+included.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import product
 from typing import Dict, FrozenSet, List, Tuple
 
 import pytest
@@ -25,11 +27,10 @@ from repro.core.core_match import failing_set_masks
 from repro.core.cpi import CPI
 from repro.core.cpi_builder import build_cpi, repair_cpi
 from repro.core.kernel import (
-    _INTERSECT_MIN,
+    _KIND_BW,
+    _KIND_CROSS,
     _KIND_ROOT,
-    _KIND_SLOW,
     _KIND_TREE,
-    _KIND_TREE_BW,
     MODE_CROSS,
     MODE_ROOT,
     MODE_TREE,
@@ -49,11 +50,18 @@ from repro.testing.workloads import (
 )
 from repro.workloads.paper_graphs import figure1_example, figure3_example
 
-#: Small dense graphs: core slots carry backward edges over rows shorter
-#: than ``_INTERSECT_MIN`` (the kernel's short-row path).
+#: Small dense graphs: core slots carry backward edges.
 DENSE_SPEC = WorkloadSpec(
     scenarios=("dense",), data_vertices=(60, 60), query_vertices=(7, 7)
 )
+STRATEGIES = ("paths", "hierarchical")
+#: A case of that stream whose hierarchical core order has a slot
+#: without an anchor that carries backward edges.
+ROOT_BACKWARD_CASE = (0, 0)
+#: test_backjump's jumping case and its hand order over the whole
+#: query, whose sixth slot has no anchor and two backward edges.
+HAND_ORDER_CASE = (3, 1)
+HAND_ORDER = [5, 4, 3, 6, 2, 0, 1]
 
 
 # ----------------------------------------------------------------------
@@ -88,8 +96,12 @@ def oracle_compile_stage(cpi: CPI, ordered) -> CompiledStage:
             flat_vs.append(_EMPTY)
             flat_rs.append(_EMPTY)
             cross_rows.append({})
-            set_rows.append({})
-            rank_of.append({})
+            if slot.backward_neighbors:
+                set_rows.append({-1: frozenset(own)})
+                rank_of.append({v: i for i, v in enumerate(own)})
+            else:
+                set_rows.append({})
+                rank_of.append({})
         else:
             rank_in_u = {v: i for i, v in enumerate(candidates[u])}
             table = adjacency[u]
@@ -175,19 +187,20 @@ def oracle_dispatch(stage: CompiledStage):
         if mode == MODE_TREE:
             template_v.append(stage.flat_v[depth])
             template_r.append(stage.flat_r[depth])
-            kinds.append(_KIND_TREE_BW if stage.backward[depth] else _KIND_TREE)
+            kind = _KIND_TREE
         elif mode == MODE_ROOT:
             template_v.append(stage.base_v[depth])
             template_r.append(stage.base_r[depth])
-            kinds.append(_KIND_SLOW if stage.backward[depth] else _KIND_ROOT)
+            kind = _KIND_ROOT
         else:
             template_v.append(_EMPTY)
             template_r.append(_EMPTY)
-            kinds.append(_KIND_SLOW)
+            kind = _KIND_CROSS
+        kinds.append(_KIND_BW if stage.backward[depth] else kind)
     depth_of = {u: d for d, u in enumerate(stage.slot_vertices)}
     cache_dep = []
     for depth in range(length):
-        if kinds[depth] != _KIND_TREE_BW:
+        if kinds[depth] != _KIND_BW:
             cache_dep.append(-1)
             continue
         deps = [stage.parent_depths[depth]]
@@ -267,8 +280,8 @@ def _with_odd_rows(cpi: CPI) -> CPI:
 
 def test_compile_stage_equals_per_row_oracle():
     seen = set()
-    for name, data, query in CASES:
-        plan = CFLMatch(data, engine="reference").prepare(query)
+    for (name, data, query), strategy in product(CASES, STRATEGIES):
+        plan = CFLMatch(data, engine="reference", core_strategy=strategy).prepare(query)
         for cpi in (plan.cpi, _with_odd_rows(plan.cpi)):
             for slots in (plan.core_slots, plan.forest_slots):
                 got = compile_stage(cpi, slots)
@@ -279,8 +292,8 @@ def test_compile_stage_equals_per_row_oracle():
                         name, field)
                 for mode, checks in zip(got.modes, got.backward):
                     seen.add((mode, bool(checks)))
-    assert {(MODE_ROOT, False), (MODE_TREE, False), (MODE_TREE, True),
-            (MODE_CROSS, False)} <= seen, seen
+    assert {(MODE_ROOT, False), (MODE_ROOT, True), (MODE_TREE, False),
+            (MODE_TREE, True), (MODE_CROSS, False)} <= seen, seen
 
 
 def test_restricted_stage_dispatch_follows_its_base():
@@ -294,9 +307,51 @@ def test_restricted_stage_dispatch_follows_its_base():
             assert _plain(getattr(stage, field), True) == _plain(want, True), field
 
 
+def test_restricting_an_unanchored_backward_root_filters_its_set():
+    """An order that puts the CPI root after one of its neighbors gives
+    its slot no anchor and a backward edge: restriction swaps its
+    frozen candidate set too, and the restricted runs partition the
+    full run, equally on both engines."""
+    case = generate_case(*HAND_ORDER_CASE, DENSE_SPEC)
+    runs = {}
+    for engine in ("kernel", "reference"):
+        matcher = CFLMatch(case.data, mode="match", engine=engine)
+        root = matcher.prepare(case.query).root
+        first = min(case.query.neighbors(root))
+        order = [first, root]
+        order += [u for u in case.query.vertices() if u not in order]
+        plan = matcher.prepare_from_cpi(
+            case.query, build_cpi(case.query, case.data, root), core_order=order
+        )
+        candidates = plan.cpi.candidates[root]
+        halves = (candidates[::2], candidates[1::2])
+        runs[engine] = [
+            list(matcher.search(case.query, prepared=plan, root_candidates=half))
+            for half in halves
+        ]
+        full = list(matcher.search(case.query, prepared=plan))
+        assert sorted(runs[engine][0] + runs[engine][1]) == sorted(full)
+        if engine == "kernel":
+            depth = plan.kernel.core.slot_vertices.index(root)
+            assert plan.kernel.core.modes[depth] == MODE_ROOT
+            assert plan.kernel.core.backward[depth]
+            restricted = plan.kernel.with_root_candidates(halves[0]).core
+            assert restricted.set_rows[depth] == {-1: frozenset(halves[0])}
+    assert runs["kernel"] == runs["reference"]
+
+
 def test_decoded_stage_equals_compiled_stage():
-    for name, data, query in CASES[::3]:
-        sent = CFLMatch(data).prepare(query)
+    unanchored = generate_case(*ROOT_BACKWARD_CASE, DENSE_SPEC)
+    plans = [CFLMatch(data).prepare(query) for _, data, query in CASES[::3]]
+    plans.append(
+        CFLMatch(unanchored.data, core_strategy="hierarchical").prepare(unanchored.query)
+    )
+    assert any(
+        mode == MODE_ROOT and checks
+        for mode, checks in zip(plans[-1].kernel.core.modes, plans[-1].kernel.core.backward)
+    )
+    for sent in plans:
+        data = sent.cpi.data
         segment = PlanSegment.create(sent)
         try:
             plan, attached = attach_plan_segment(CFLMatch(data), segment.name)
@@ -364,20 +419,14 @@ def test_kernel_on_csr_graph_matches_in_process_copy(monkeypatch, csr_graphs):
         intersected.append(len(self))
         return real_iter(self)
 
-    short_bw = 0
+    filtered = 0
     for name, data, query in CASES:
         mapped = csr_graphs[name]
         results = []
         for graph in (data, mapped):
             matcher = CFLMatch(graph)
             plan = matcher.prepare(query)
-            stage = plan.kernel.core
-            short_bw += sum(
-                1
-                for depth, kind in enumerate(stage.kinds)
-                if kind == _KIND_TREE_BW
-                and any(len(row) < _INTERSECT_MIN for row in stage.set_rows[depth].values())
-            )
+            filtered += plan.kernel.core.kinds.count(_KIND_BW)
             stats = SearchStats()
             if graph is mapped:
                 monkeypatch.setattr(_RowSet, "__iter__", counting_iter)
@@ -387,6 +436,65 @@ def test_kernel_on_csr_graph_matches_in_process_copy(monkeypatch, csr_graphs):
             monkeypatch.setattr(_RowSet, "__iter__", real_iter)
             results.append((embeddings, stats.to_dict(), count, count_stats.to_dict()))
         assert results[0] == results[1], name
-    assert short_bw > 0
-    # the short-row path intersected frozen rows with the graph's facades
+    assert filtered > 0
+    # the backward filter intersected frozen rows with the graph's facades
     assert intersected
+
+
+def _unanchored_run(graph, query, hand: bool, engine: str):
+    """One search whose core has a slot without an anchor that carries
+    backward edges: the hand order over the whole query, or the
+    hierarchical core order."""
+    if hand:
+        matcher = CFLMatch(graph, mode="match", engine=engine)
+        root = matcher.prepare(query).root
+        plan = matcher.prepare_from_cpi(
+            query, build_cpi(query, graph, root), core_order=HAND_ORDER
+        )
+    else:
+        matcher = CFLMatch(graph, engine=engine, core_strategy="hierarchical")
+        plan = matcher.prepare(query)
+    stats = SearchStats()
+    return plan, list(matcher.search(query, stats=stats, prepared=plan)), stats
+
+
+def test_unanchored_backward_slots_on_csr_graph(monkeypatch, tmp_path):
+    """An unanchored backward-checked slot filters its whole candidate
+    set; on an mmap'd ``.csr`` graph the filter iterates the graph's
+    ``_RowSet`` facades.  The kernel gives the reference engine's
+    embeddings in order and its ``nodes``, ``backtracks``, ``backjumps``
+    and ``embeddings``, and every counter of its in-process run."""
+    iterated = []
+    real_iter = _RowSet.__iter__
+
+    def counting_iter(self):
+        iterated.append(len(self))
+        return real_iter(self)
+
+    cases = [(generate_case(*HAND_ORDER_CASE, DENSE_SPEC), True)]
+    cases += [
+        (generate_case(seed, index, DENSE_SPEC), False)
+        for seed in range(3) for index in range(20)
+    ]
+    checked = 0
+    for n, (case, hand) in enumerate(cases):
+        path = tmp_path / f"case-{n}.csr"
+        write_graph_csr(case.data, path)
+        mapped = load_graph(path)
+        plan, got, got_stats = _unanchored_run(mapped, case.query, hand, "kernel")
+        core = plan.kernel.core
+        if not any(m == MODE_ROOT and b for m, b in zip(core.modes, core.backward)):
+            continue
+        checked += 1
+        before = len(iterated)
+        monkeypatch.setattr(_RowSet, "__iter__", counting_iter)
+        again = _unanchored_run(mapped, case.query, hand, "kernel")[1]
+        monkeypatch.setattr(_RowSet, "__iter__", real_iter)
+        assert again == got and len(iterated) > before
+        _, want, want_stats = _unanchored_run(mapped, case.query, hand, "reference")
+        assert got == want, n
+        for name in ("nodes", "backtracks", "backjumps", "embeddings"):
+            assert getattr(got_stats, name) == getattr(want_stats, name), (n, name)
+        _, local, local_stats = _unanchored_run(case.data, case.query, hand, "kernel")
+        assert (local, local_stats.to_dict()) == (got, got_stats.to_dict()), n
+    assert checked >= 5

@@ -283,24 +283,24 @@ class TestSharedGraphStore:
                 row[0] = 99
 
     def test_kernel_plans_borrow_the_shared_rows(self, tmp_path):
-        """A kernel plan over a segment- or file-backed graph bisects
-        that graph's own rows, also when decoded from a plan segment."""
+        """A kernel plan over a segment- or file-backed graph filters
+        against that graph's own neighbor sets, also when decoded from a
+        plan segment."""
         case = generate_case(SWEEP_SEED, 0, WorkloadSpec(scenarios=("dense",)))
         path = tmp_path / "data.csr"
         write_graph_csr(case.data, path)
         mapped = load_graph_csr(path)
         assert isinstance(mapped, SharedGraph)
         kernel = CFLMatch(mapped).prepare(case.query).kernel
-        assert kernel.adj_rows is mapped.adj
         assert kernel.adj_sets is mapped._adj_sets
         with SharedGraphStore.create(case.data) as store:
             plan = CFLMatch(store.graph).prepare(case.query)
-            assert plan.kernel.adj_rows is store.graph.adj
+            assert plan.kernel.adj_sets is store.graph._adj_sets
             segment = PlanSegment.create(plan)
             try:
                 attacher = CFLMatch(store.graph)
                 decoded, attached = attach_plan_segment(attacher, segment.name)
-                assert decoded.kernel.adj_rows is store.graph.adj
+                assert decoded.kernel.adj_sets is store.graph._adj_sets
                 attached.close()
             finally:
                 segment.unlink()

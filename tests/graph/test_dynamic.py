@@ -18,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
-import repro.core.kernel as kernel_module
 import repro.graph.dynamic as dynamic_module
 from repro.core import CFLMatch, IncrementalMatcher
+from repro.core.kernel import MODE_TREE
 from repro.core.stats import SearchStats
 from repro.graph.dynamic import (
     DELTA_OPS,
@@ -214,7 +214,7 @@ class TestTouchLog:
 def long_row_instance(seed: int):
     """A labeled data graph whose label-1 vertices have ~40 label-2
     neighbors, and a K4 query over labels 0, 1, 2, 2: its backward
-    checks run the kernel's galloping intersection over two rows."""
+    checks filter rows of 32 or more candidates by two edges."""
     rng = random.Random(seed)
     labels = [0] * 6 + [1] * 40 + [2] * 60
     p = {(0, 1): 0.9, (1, 2): 0.7, (0, 2): 0.3, (1, 1): 0.05, (2, 2): 0.05}
@@ -237,28 +237,24 @@ class TestKernelReadsLiveRows:
     def test_kernel_plan_borrows_the_dynamic_rows(self):
         dynamic, query = long_row_instance(0)
         kernel = CFLMatch(dynamic).prepare(query).kernel
-        assert kernel.adj_rows is dynamic.adj
         assert kernel.adj_sets is dynamic._adj_sets
         for delta in generate_delta_stream(dynamic, random.Random("rows"), 12):
             dynamic.apply(delta)
-        assert dynamic.adj is kernel.adj_rows  # mutated in place
-        assert IncrementalMatcher(dynamic).prepare(query).kernel.adj_rows \
-            is dynamic.adj
+        assert dynamic._adj_sets is kernel.adj_sets  # mutated in place
+        assert IncrementalMatcher(dynamic).prepare(query).kernel.adj_sets \
+            is dynamic._adj_sets
 
-    def test_kernel_equals_reference_after_every_delta(self, monkeypatch):
+    def test_kernel_equals_reference_after_every_delta(self):
         """A mixed add/remove edge/vertex stream: after each delta the
         live kernel matcher yields the reference engine's embeddings in
         order with its exact node, backtrack, backjump and rejection
         counts, and a cold kernel matcher's full counters."""
-        intersections = []
-        original = kernel_module._intersect
-
-        def counting(*args):
-            intersections.append(len(args[4]))
-            return original(*args)
-
-        monkeypatch.setattr(kernel_module, "_intersect", counting)
         dynamic, query = long_row_instance(1)
+        core = CFLMatch(dynamic).prepare(query).kernel.core
+        assert any(
+            mode == MODE_TREE and checks and max(map(len, rows.values())) >= 32
+            for mode, checks, rows in zip(core.modes, core.backward, core.set_rows)
+        )
         deltas = generate_delta_stream(dynamic, random.Random("stream"), 24)
         assert {d.op for d in deltas} == set(DELTA_OPS)
         kernel = CFLMatch(dynamic, engine="kernel")
@@ -279,7 +275,6 @@ class TestKernelReadsLiveRows:
             )
             assert got == cold
             assert got_stats.to_dict() == cold_stats.to_dict()
-        assert 2 in intersections  # rows sorted by length, then galloped
 
 
 class TestNoNumpy:
