@@ -314,6 +314,20 @@ def _refine_vertex(
     return cands
 
 
+def _differs(
+    last: CPI, u: int, refined: Sequence[int], adjacency: Sequence[Dict[int, List[int]]]
+) -> bool:
+    """Whether u's refined candidates or its children's tables differ
+    from ``last``'s, in order (key order included)."""
+    if refined != last.candidates[u]:
+        return True
+    for c in last.tree.children[u]:
+        table, old = adjacency[c], last.adjacency[c]
+        if table != old or list(table) != list(old):
+            return True
+    return False
+
+
 def _record_build_totals(cpi: CPI, stats: Optional[SearchStats]) -> None:
     if stats is None:
         return
@@ -381,6 +395,9 @@ class _Memo:
             prev is None or query.label(u) in dirty_labels for u in query.vertices()
         ]
         self.stale = list(self.dirty)
+        #: whether a recomputed unit's refined candidates or child
+        #: tables differ from ``prev``'s (a reused unit's cannot)
+        self.changed = False
         self.forward: List[List[int]] = []
         self.topdown: List[List[int]] = []
         self.topdown_adj: List[Dict[int, List[int]]] = []
@@ -447,11 +464,16 @@ def repair_cpi(
     and the labels the deltas since touched in ``dirty``, only the units
     :class:`_Memo` finds stale are recomputed, so the prune counters
     count only recomputed work; the top-down and final totals are
-    counted on full builds only.
+    counted on full builds only.  When every refined candidate list and
+    adjacency table equals ``prev``'s, in order, the result is
+    ``prev.cpi`` itself, so a caller can tell an unchanged CPI by
+    identity.
     """
     tree = QueryBFSTree.build(query, root) if prev is None else prev.tree
     memo = _Memo(tree, prev, dirty)
     cpi = _sweep(tree, data, True, verify, stats, None, None, None, memo)
+    if prev is not None and not memo.changed:
+        cpi = prev.cpi
     return cpi, RepairState(tree, memo.forward, memo.topdown, memo.topdown_adj, cpi)
 
 
@@ -674,3 +696,5 @@ def _bottom_up_refine(
                 shrunk[u] = True
             if memo is not None:
                 memo.settle(u, lambda last: refined != last.cpi.candidates[u])
+                if memo.prev is not None and not memo.changed:
+                    memo.changed = _differs(memo.prev.cpi, u, refined, adjacency)

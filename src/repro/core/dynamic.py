@@ -17,7 +17,12 @@ the delta path:
   is gated on labels drawn from the query, a delta whose touched labels
   are disjoint from the query's labels provably leaves the CPI — and
   the compiled kernel plan — bit-identical, and is absorbed with no
-  work at all (the *label-disjoint fast path*).
+  work at all (the *label-disjoint fast path*).  Any other sync does
+  work only where the deltas could change the answer: root selection
+  re-judges only the touched data vertices of its kept shortlist
+  passing sets (:class:`~repro.core.root_selection.ShortlistState`),
+  the decomposition is kept while the root stays, and a repair that
+  leaves the CPI unchanged keeps the published plan.
 * :class:`ContinuousQuery` layers a standing-query view on top: register
   once, feed deltas, receive the per-delta stream of newly created
   embeddings and the tombstone stream of destroyed ones.
@@ -25,7 +30,7 @@ the delta path:
 Soundness is enforced empirically, not just argued: the differential
 harness in :mod:`repro.testing.dynamic` replays every delta stream
 against a cold re-preparation and demands bit-identical embeddings,
-enumeration order, and enumeration counters.
+enumeration order, enumeration counters, root, matching orders and CPI.
 
 Accounting: the registration's ``build_stats`` accumulates over the
 plan's lifetime — the initial build totals, then per-repair counters for
@@ -36,10 +41,12 @@ totals are recorded on full builds (initial and rebuild) only, so they
 describe complete CPIs rather than sums of partial sweeps.  Phase timers
 accumulate likewise on the registration, with each synchronization's
 whole cost also under the ``cpi_repair`` phase; each new plan's
-``phase_times`` is a snapshot of them.
+``phase_times`` is a snapshot of them.  A kept plan's ``phase_times``
+and ``ordering_time`` stay as published.
 
-A synchronization builds a new plan and never edits a published one, so
-repro-lint rule R003 (frozen plans) holds in this module as everywhere.
+A synchronization builds a new plan or keeps one as it is, and never
+edits a published one, so repro-lint rule R003 (frozen plans) holds in
+this module as everywhere.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from ..graph.graph import Graph, GraphError
 from .cpi_builder import RepairState, repair_cpi
 from .decomposition import CFLDecomposition, cfl_decompose
 from .matcher import CFLMatch, MatchReport, PreparedQuery
-from .root_selection import select_root
+from .root_selection import ShortlistState, select_root
 from .stats import (
     SearchStats,
     WorkBudget,
@@ -106,6 +113,8 @@ class _Registration:
     prepared: PreparedQuery
     state: RepairState
     root: int
+    #: root selection's kept CandVerify passing sets
+    shortlist: ShortlistState
     version: int
     build_stats: SearchStats
     #: lifetime phase timers; each plan gets a snapshot, so the
@@ -120,10 +129,13 @@ class IncrementalMatcher:
     the plan is kept and, whenever the underlying
     :class:`~repro.graph.dynamic.DynamicGraph` has advanced, lazily
     synchronized by repairing its CPI against the accumulated deltas
-    (see :func:`~repro.core.cpi_builder.repair_cpi`).  A full
-    re-preparation happens only when repair is unsound: the selected
-    root changed, a ``remove_vertex`` renumbered vertex ids, or the
-    mutation log no longer covers the plan's version.  Outcomes are
+    (see :func:`~repro.core.cpi_builder.repair_cpi`).  The root is
+    re-selected from the registration's kept shortlist passing sets,
+    updated with the deltas' touched vertices; a repair that leaves
+    the CPI unchanged keeps the plan object.  A full re-preparation
+    happens only when repair is unsound: the selected root changed, a
+    ``remove_vertex`` renumbered vertex ids, or the mutation log no
+    longer covers the plan's version.  Outcomes are
     counted in the registration's lifetime ``build_stats``
     (``cpi_repairs``, ``cpi_rebuilds``, ``dirty_region_size``) and the
     synchronization cost lands in the ``cpi_repair`` phase timer.
@@ -163,16 +175,32 @@ class IncrementalMatcher:
         """Drop ``query``'s registration; ``True`` if one existed."""
         return self._plans.pop(id(query), None) is not None
 
-    def _decompose(self, query: Graph) -> Tuple[CFLDecomposition, int]:
-        """The CFL decomposition and the CPI root, chosen once: a tree
-        query's root is the core vertex the decomposition picked."""
-        decomposition = cfl_decompose(
-            query, root_chooser=lambda q: select_root(q, self.data)
-        )
-        if decomposition.is_tree_query:
-            return decomposition, decomposition.core[0]
+    def _decompose(
+        self,
+        query: Graph,
+        shortlist: ShortlistState,
+        old: Optional[_Registration] = None,
+    ) -> Tuple[CFLDecomposition, int]:
+        """The CFL decomposition and the CPI root: a tree query's root is
+        the core vertex the decomposition picked.  ``old``'s decomposition
+        is kept while the root stays, since it is a function of the query
+        and, for a tree query, of the root."""
+        data = self.data
+        if old is None:
+            decomposition = cfl_decompose(
+                query, root_chooser=lambda q: select_root(q, data, state=shortlist)
+            )
+            if decomposition.is_tree_query:
+                return decomposition, decomposition.core[0]
+        elif old.prepared.decomposition.is_tree_query:
+            root = select_root(query, data, state=shortlist)
+            if root == old.root:
+                return old.prepared.decomposition, root
+            return cfl_decompose(query, tree_root=root), root
+        else:
+            decomposition = old.prepared.decomposition
         return decomposition, select_root(
-            query, self.data, eligible=decomposition.core
+            query, data, eligible=decomposition.core, state=shortlist
         )
 
     def _plan(
@@ -185,27 +213,35 @@ class IncrementalMatcher:
         """``query``'s registration at the graph's current version.
 
         Synchronizing ``old`` with the (non-empty) labels ``dirty``
-        touched since its version repairs ``old``'s CPI when root
-        selection still picks ``old.root``.  Otherwise the CPI is built
-        afresh: a registration without ``old``, else a rebuild (the BFS
-        tree the repair memo is keyed on changed, or there is no touch
-        information).  ``old``'s lifetime counters and phase timers
-        carry over, and the whole synchronization since ``started`` is
-        added to ``cpi_repair``.
+        touched since its version re-selects the root from ``old``'s
+        shortlist passing sets, and repairs ``old``'s CPI when the root
+        is still ``old.root``.  Otherwise the CPI is built afresh: a
+        registration without ``old``, else a rebuild (the BFS tree the
+        repair memo is keyed on changed, or there is no touch
+        information).  A repair that leaves the CPI unchanged keeps
+        ``old``'s plan, whose orders and kernel are functions of the
+        query, the root and the CPI.  ``old``'s lifetime counters and
+        phase timers carry over, and the whole synchronization since
+        ``started`` is added to ``cpi_repair``.
         """
         stats = SearchStats() if old is None else old.build_stats
         phase_times = empty_phase_times()
         began = monotonic_now()
-        decomposition, root = self._decompose(query)
+        base = old if dirty else None
+        shortlist = ShortlistState() if base is None else base.shortlist
+        decomposition, root = self._decompose(query, shortlist, base)
         swept = monotonic_now()
         phase_times["decomposition"] = swept - began
-        prev = old.state if old is not None and dirty and root == old.root else None
+        prev = base.state if base is not None and root == base.root else None
         cpi, state = repair_cpi(query, self.data, root, prev, dirty, stats=stats)
         phase_times["cpi_build"] = monotonic_now() - swept
-        prepared = self._matcher._assemble_plan(
-            query, decomposition, root, cpi, started,
-            phase_times=phase_times, build_stats=stats,
-        )
+        if base is not None and cpi is base.prepared.cpi:
+            prepared = base.prepared
+        else:
+            prepared = self._matcher._assemble_plan(
+                query, decomposition, root, cpi, started,
+                phase_times=phase_times, build_stats=stats,
+            )
         if old is not None:
             merge_phase_times(phase_times, old.phase_dict)
             phase_times["cpi_repair"] += monotonic_now() - started
@@ -220,6 +256,7 @@ class IncrementalMatcher:
             prepared=prepared,
             state=state,
             root=root,
+            shortlist=shortlist,
             version=self.data.version,
             build_stats=stats,
             phase_dict=dict(phase_times),
@@ -248,10 +285,13 @@ class IncrementalMatcher:
             # only its two endpoints' rows; both endpoints carry touched
             # labels, so no candidate's row changed either.  (Vertex
             # renumbering never reaches here: it forced a rebuild above.)
+            # A vertex whose degree, NLF or MND changed carries a touched
+            # label, not a query label, so no shortlist verdict moved.
             reg.version = data.version
             reg.build_stats.cpi_repairs += 1
             reg.phase_dict["cpi_repair"] += monotonic_now() - started
             return reg
+        reg.shortlist.touch(data, touches)
         return self._plan(reg.query, started, reg, frozenset(dirty))
 
     # -- matching ------------------------------------------------------

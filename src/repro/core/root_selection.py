@@ -16,8 +16,9 @@ winner's verified candidates can be handed to the CPI builder
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
+from ..graph.dynamic import TouchSet
 from ..graph.graph import Graph, GraphError
 from .filters import VerifiedCandidates, verify_candidates
 
@@ -38,6 +39,66 @@ def _verified_candidates(query: Graph, data: Graph, u: int) -> VerifiedCandidate
     return verified
 
 
+class ShortlistState:
+    """The CandVerify passing sets of the last shortlist of one query.
+
+    ``touched`` collects the data vertices whose degree, NLF or MND may
+    have changed since the sets were computed (see :meth:`touch`).  Every
+    other vertex is judged as before, so a kept set needs only its
+    touched members re-judged.
+    """
+
+    def __init__(self) -> None:
+        self.passing: Dict[int, Set[int]] = {}
+        self.touched: Set[int] = set()
+
+    def touch(self, data: Graph, touches: Iterable[TouchSet]) -> None:
+        """Record the mutations ``touches``, which brought the graph to
+        ``data``: their edge endpoints and the endpoints' neighbors in
+        ``data``, which include every vertex whose degree, NLF or MND
+        they changed.  A vertex delta (``vertices`` is ``None``) drops
+        every kept set."""
+        if not self.passing:
+            return
+        endpoints: Set[int] = set()
+        for t in touches:
+            if t.vertices is None:
+                self.passing.clear()
+                self.touched.clear()
+                return
+            endpoints.update(t.vertices)
+        touched, adj = self.touched, data.adj
+        touched.update(endpoints)
+        for v in sorted(endpoints):
+            touched.update(adj[v])
+
+    def passing_sets(
+        self, query: Graph, data: Graph, shortlist: List[int]
+    ) -> Dict[int, Set[int]]:
+        """CandVerify's passing set for each vertex of ``shortlist``,
+        which become the kept sets: a new vertex's is computed over its
+        label and degree survivors, a kept one has its touched members
+        re-judged."""
+        touched = self.touched
+        labels, adj = data.labels, data.adj
+        sets: Dict[int, Set[int]] = {}
+        for u in shortlist:
+            passing = self.passing.get(u)
+            if passing is None:
+                passing = set(_verified_candidates(query, data, u).passed)
+            elif touched:
+                passing.difference_update(touched)
+                label, degree = query.label(u), query.degree(u)
+                survivors = [
+                    v for v in touched if labels[v] == label and len(adj[v]) >= degree
+                ]
+                passing.update(verify_candidates(query, data, u, survivors).passed)
+            sets[u] = passing
+        self.passing = sets
+        self.touched = set()
+        return sets
+
+
 def select_root(
     query: Graph,
     data: Graph,
@@ -45,13 +106,17 @@ def select_root(
     top_k: int = 3,
     *,
     verified: Optional[Dict[int, VerifiedCandidates]] = None,
+    state: Optional[ShortlistState] = None,
 ) -> int:
     """Pick the BFS root as ``arg min |C(u)| / d(u)`` (Section A.6).
 
     ``eligible`` restricts the pool (the CFL framework passes the
     core-set); by default all query vertices compete.  When the
     CandVerify step runs and ``verified`` is given, the chosen root's
-    verification outcome is stored in it under the root's id.
+    verification outcome is stored in it under the root's id.  With a
+    ``state`` the CandVerify counts come from its kept passing sets
+    instead (:meth:`ShortlistState.passing_sets`); the root is the same,
+    and ``verified`` is left alone.
     """
     pool: List[int] = list(eligible) if eligible is not None else list(query.vertices())
     if not pool:
@@ -65,6 +130,12 @@ def select_root(
     if len(shortlist) == 1:
         return shortlist[0]
 
+    if state is not None:
+        passing = state.passing_sets(query, data, shortlist)
+        return min(
+            shortlist,
+            key=lambda u: (len(passing[u]) / max(query.degree(u), 1), u),
+        )
     outcomes = {u: _verified_candidates(query, data, u) for u in shortlist}
     root = min(
         shortlist,

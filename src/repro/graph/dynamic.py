@@ -24,7 +24,11 @@ whose vertices may have changed candidacy or adjacency.  For an edge
 delta ``(u, v)`` that is ``l(u)``, ``l(v)`` and the labels of both
 endpoints' neighbors (their MND can change when an endpoint's degree
 does); vertex removal additionally touches two-hop labels (its incident
-edge removals change its neighbors' degrees).  Consumers such as
+edge removals change its neighbors' degrees).  An edge delta also
+records its two endpoints: every vertex whose degree, NLF or MND a run
+of edge deltas changed is an endpoint of one of them or, after the run,
+a neighbor of such an endpoint (a neighbor since cut off is an endpoint
+of the removal that cut it).  Consumers such as
 :class:`~repro.core.dynamic.IncrementalMatcher` replay the log lazily to
 decide which label classes their candidate structures must be repaired
 for — and fall back to a full rebuild when the log no longer covers
@@ -155,12 +159,16 @@ class TouchSet:
     changed adjacency, degree, NLF or MND — the dirty label classes an
     incremental consumer must re-examine.  ``renumbered`` marks a
     swap-remove that moved a vertex id, which invalidates any cache
-    keyed by vertex ids outright.
+    keyed by vertex ids outright.  ``vertices`` is an edge delta's two
+    endpoints, so a vertex whose degree, NLF or MND it changed is one of
+    them or a neighbor of one; a vertex delta carries ``None``, meaning
+    any vertex may have changed.
     """
 
     version: int
     labels: FrozenSet[int]
     renumbered: bool = False
+    vertices: Optional[FrozenSet[int]] = None
 
 
 class DynamicGraph(Graph):
@@ -300,7 +308,7 @@ class DynamicGraph(Graph):
             for w in adj[v]:
                 if mnd[w] < dv:
                     mnd[w] = dv
-        self._commit(touched)
+        self._commit(touched, vertices=frozenset((u, v)))
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete edge ``(u, v)``; rejects missing edges."""
@@ -310,7 +318,7 @@ class DynamicGraph(Graph):
             raise GraphError(f"edge ({u}, {v}) does not exist")
         touched = self._edge_touch_labels(u, v)
         self._remove_edge_inner(u, v)
-        self._commit(touched)
+        self._commit(touched, vertices=frozenset((u, v)))
 
     def remove_vertex(self, v: int) -> None:
         """Delete vertex ``v`` and its incident edges (swap-remove).
@@ -433,9 +441,14 @@ class DynamicGraph(Graph):
         if not row:
             del index[label]
 
-    def _commit(self, labels: FrozenSet[int], renumbered: bool = False) -> None:
+    def _commit(
+        self,
+        labels: FrozenSet[int],
+        renumbered: bool = False,
+        vertices: Optional[FrozenSet[int]] = None,
+    ) -> None:
         """Invalidate snapshot caches, bump the version, log the touch."""
         self._signature = None
         self._version += 1
-        self._log.append(TouchSet(self._version, labels, renumbered))
+        self._log.append(TouchSet(self._version, labels, renumbered, vertices))
 

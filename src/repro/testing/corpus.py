@@ -55,8 +55,12 @@ def reproducer_dict(
     scenario: Optional[str] = None,
     seed: Optional[str] = None,
     deltas: Optional[Sequence[Delta]] = None,
+    sync_every: Optional[int] = None,
 ) -> Dict:
-    """The canonical JSON payload for one minimized reproducer."""
+    """The canonical JSON payload for one minimized reproducer.
+
+    A delta entry records ``sync_every``, the interval between the
+    differential's compared steps it was found with."""
     payload = {
         "format": CORPUS_FORMAT,
         "kind": kind,
@@ -70,6 +74,8 @@ def reproducer_dict(
     }
     if deltas is not None:
         payload["deltas"] = [delta.format() for delta in deltas]
+    if sync_every is not None:
+        payload["sync_every"] = sync_every
     return payload
 
 
@@ -77,7 +83,7 @@ def _digest(payload: Dict) -> str:
     key = json.dumps(
         {
             k: payload[k]
-            for k in ("kind", "matcher", "query", "data", "deltas")
+            for k in ("kind", "matcher", "query", "data", "deltas", "sync_every")
             if k in payload
         },
         sort_keys=True,
@@ -96,13 +102,14 @@ def save_reproducer(
     scenario: Optional[str] = None,
     seed: Optional[str] = None,
     deltas: Optional[Sequence[Delta]] = None,
+    sync_every: Optional[int] = None,
 ) -> Path:
     """Write (idempotently) one reproducer file; returns its path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     payload = reproducer_dict(
         data, query, kind=kind, matcher=matcher, detail=detail,
-        scenario=scenario, seed=seed, deltas=deltas,
+        scenario=scenario, seed=seed, deltas=deltas, sync_every=sync_every,
     )
     path = directory / f"repro-{_digest(payload)}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -128,7 +135,9 @@ def replay_entry(
     Forces the brute-force oracle (corpus entries are minimized, hence
     tiny); an empty return means the recorded bug is fixed/absent.
     Entries carrying a ``deltas`` stream replay through the
-    incremental-vs-recompute differential instead.
+    incremental-vs-recompute differential instead, synchronizing every
+    ``sync_every`` deltas as recorded (every delta for entries that
+    record none).
     """
     data = graph_from_dict(entry["data"])
     query = graph_from_dict(entry["query"])
@@ -136,5 +145,7 @@ def replay_entry(
         from .dynamic import incremental_differential_check
 
         deltas = [Delta.parse(line) for line in entry["deltas"]]
-        return incremental_differential_check(data, query, deltas)
+        return incremental_differential_check(
+            data, query, deltas, sync_every=entry.get("sync_every", 1)
+        )
     return differential_check(data, query, matchers=matchers, oracle="brute")

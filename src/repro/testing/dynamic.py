@@ -7,11 +7,15 @@ recomputation: after every delta, an
 produce exactly what a cold :class:`~repro.core.matcher.CFLMatch` over
 a from-scratch copy of the mutated graph produces — the same
 embeddings, in the same enumeration order, with the same enumeration
-counters, and (stronger still) the same CPI contents.  This module
+counters, and (stronger still) the same root, core and forest orders
+and CPI contents.  This module
 packages that oracle as
 
 * :func:`incremental_differential_check` — one ``(data, query, stream)``
-  instance, replayed step-by-step under every requested engine;
+  instance, replayed under every requested engine and compared every
+  ``sync_every``-th delta (the fuzz loop draws that interval from the
+  case seed, :func:`sync_interval`, so one synchronization also absorbs
+  several deltas, and its reproducers record it);
 * :func:`generate_delta_case` — the seeded workload: a base fuzz case
   from :mod:`repro.testing.workloads` plus a seeded delta stream;
 * :func:`run_incremental_fuzz` — the budgeted loop CI runs, with
@@ -52,6 +56,10 @@ from .workloads import (
 
 #: Engines whose incremental path the differential harness exercises.
 DYNAMIC_ENGINES: Tuple[str, ...] = ("reference", "kernel")
+
+#: Mutation-log length of the harness's graphs: a sync over more deltas
+#: than this (a ``sync_every`` of 4) finds a log gap and rebuilds.
+_LOG_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,14 @@ def generate_delta_case(
     )
 
 
+def sync_interval(seed: str) -> int:
+    """How many deltas the differential applies between two compared
+    steps for the fuzz case ``seed``: 1 to 4, drawn from the seed, so a
+    rerun of the case synchronizes at the same steps.  An interval of 4
+    outruns the harness's mutation log."""
+    return random.Random(f"{seed}:sync").randint(1, 4)
+
+
 def _cpi_payload(prepared) -> Tuple[List[List[int]], List[Dict[int, List[int]]]]:
     cpi = prepared.cpi
     return (
@@ -146,9 +162,12 @@ def _divergence(
     if got != want:
         diffs = {name: (got[name], want[name]) for name in got if got[name] != want[name]}
         return f"enumeration counters diverge: {diffs}"
-    if check_cpi and _cpi_payload(matcher.prepare(query)) != _cpi_payload(
-        cold.prepare(query, use_cache=False)
-    ):
+    plan, cold_plan = matcher.prepare(query), cold.prepare(query, use_cache=False)
+    for name in ("root", "core_order", "forest_order"):
+        served, rebuilt = getattr(plan, name), getattr(cold_plan, name)
+        if served != rebuilt:
+            return f"served {name} differs from rebuilt {name} (got={served}, cold={rebuilt})"
+    if check_cpi and _cpi_payload(plan) != _cpi_payload(cold_plan):
         return "served CPI differs from rebuilt CPI"
     return None
 
@@ -159,6 +178,7 @@ def incremental_differential_check(
     deltas: Sequence[Delta],
     engines: Sequence[str] = DYNAMIC_ENGINES,
     check_cpi: bool = True,
+    sync_every: int = 1,
 ) -> List[Mismatch]:
     """Replay ``deltas`` against matchers over the live graph and cold recompute.
 
@@ -167,17 +187,21 @@ def incremental_differential_check(
     repairs its plans, and one plain :class:`CFLMatch` with its plan
     cache on (tag ``live/{engine}``), which must notice every mutation
     through the data version and recompile over the graph's current
-    rows.  At every step (initial state plus one per delta) each is
-    compared with a freshly constructed :class:`CFLMatch` over a
-    from-scratch copy: embeddings, enumeration order, full enumeration
-    ``SearchStats`` and (with ``check_cpi``) CPI candidates + adjacency
-    must be identical.  Queries both sides reject (e.g. disconnected)
+    rows.  At the initial state, after every ``sync_every``-th delta and
+    after the last one, each is compared with a freshly constructed
+    :class:`CFLMatch` over a from-scratch copy: embeddings, enumeration
+    order, full enumeration ``SearchStats``, the plan's root, core and
+    forest orders and (with ``check_cpi``) CPI candidates + adjacency
+    must be identical.  The matchers are not asked in between, so each
+    compared step synchronizes every delta since the last one at once;
+    the graph's mutation log keeps 3 entries, so a sync over more deltas
+    finds a log gap.  Queries both sides reject (e.g. disconnected)
     count as agreement.  Returns one :class:`Mismatch` per divergence;
     a matcher stops being compared after its first.
     """
     mismatches: List[Mismatch] = []
     for engine in engines:
-        dynamic = DynamicGraph.from_graph(data)
+        dynamic = DynamicGraph.from_graph(data, log_limit=_LOG_LIMIT)
         matchers: Dict[str, Union[IncrementalMatcher, CFLMatch]] = {
             f"incremental/{engine}": IncrementalMatcher(dynamic, engine=engine),
             f"live/{engine}": CFLMatch(dynamic, engine=engine),
@@ -187,6 +211,8 @@ def incremental_differential_check(
                 break
             if step > 0:
                 dynamic.apply(deltas[step - 1])
+                if step % sync_every and step < len(deltas):
+                    continue
             at = "initial" if step == 0 else f"after delta {step - 1} ({deltas[step - 1].format()})"
             cold = CFLMatch(dynamic.to_static(), engine=engine)
             cold_run = _run(cold, query)
@@ -385,7 +411,8 @@ def run_incremental_fuzz(
     """Fuzz the incremental path until the budget or case cap runs out.
 
     Every case replays its seeded delta stream through
-    :func:`incremental_differential_check`; failures are shrunk with
+    :func:`incremental_differential_check`, synchronizing every
+    :func:`sync_interval`-th delta; failures are shrunk with
     :func:`~repro.testing.shrinker.shrink_delta_case` (minimizing the
     *stream* as well as both graphs) and written to ``corpus_dir``.
     """
@@ -411,8 +438,10 @@ def run_incremental_fuzz(
         report.scenario_counts[case.scenario] = (
             report.scenario_counts.get(case.scenario, 0) + 1
         )
+        sync_every = sync_interval(case.seed)
         mismatches = incremental_differential_check(
-            case.data, case.query, case.deltas, engines=engines
+            case.data, case.query, case.deltas, engines=engines,
+            sync_every=sync_every,
         )
         for mismatch in mismatches:
             record = MismatchRecord(
@@ -429,7 +458,7 @@ def run_incremental_fuzz(
 
                 def failing(d: Graph, q: Graph, s: Sequence[Delta]) -> bool:
                     found = incremental_differential_check(
-                        d, q, s, engines=(engine,)
+                        d, q, s, engines=(engine,), sync_every=sync_every
                     )
                     return any(m.kind == mismatch.kind for m in found)
 
@@ -449,7 +478,7 @@ def run_incremental_fuzz(
                     Path(corpus_dir), data, query,
                     kind=mismatch.kind, matcher=mismatch.matcher,
                     detail=mismatch.detail, scenario=case.scenario,
-                    seed=case.seed, deltas=deltas,
+                    seed=case.seed, deltas=deltas, sync_every=sync_every,
                 )
                 record.reproducer = str(path)
             report.mismatches.append(record)

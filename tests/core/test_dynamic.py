@@ -7,24 +7,31 @@ The contract under test (see ``repro/core/dynamic.py``):
   ``SearchStats`` and CPI payload to a cold matcher prepared from
   scratch on the mutated graph — on every fuzz scenario, for both the
   reference and kernel engines;
-* the repair/rebuild decision (label-disjoint no-op, root change,
-  renumbering, mutation-log gap) changes only the ``cpi_repairs`` /
-  ``cpi_rebuilds`` / ``dirty_region_size`` accounting, never results;
+* the repair/rebuild decision (label-disjoint no-op, kept plan, root
+  change, renumbering, mutation-log gap) changes only the
+  ``cpi_repairs`` / ``cpi_rebuilds`` / ``dirty_region_size`` accounting
+  and which plan object is served, never results;
+* root re-selection from the kept shortlist passing sets picks the root
+  a from-scratch selection picks;
 * the initial (traced) build produces exactly the same build counters
   as the production CPI builder;
 * :class:`ContinuousQuery` reports exact created/tombstone streams.
 """
 
 import random
+from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 
+import repro.core.root_selection as root_selection
 from repro.core.dynamic import (
     ContinuousQuery,
     IncrementalMatcher,
     dirty_region,
 )
 from repro.core.matcher import CFLMatch
+from repro.core.root_selection import ShortlistState, select_root
 from repro.core.stats import SearchStats
 from repro.graph.dynamic import Delta, DynamicGraph
 from repro.graph.graph import Graph, GraphError
@@ -254,6 +261,128 @@ class TestRepairDispatch:
         assert stats.cpi_rebuilds == 0
         assert stats.dirty_region_size == len(region)
         assert embeddings_of(inc, query) == [(0, 2), (0, 3), (1, 3)]
+
+    def test_dirty_delta_leaving_the_cpi_unchanged_keeps_the_plan(self):
+        """``add_edge(0, 4)`` touches label 0, but vertex 0 still passes
+        CandVerify and gains no label-1 neighbor: the repaired CPI is
+        the old one, so the plan object, and its timers, are kept."""
+        data, query = small_instance()
+        inc = IncrementalMatcher(data)
+        plan = inc.prepare(query)
+        timers = dict(plan.phase_times)
+        data.add_edge(0, 4)
+        assert inc.prepare(query) is plan
+        assert plan.phase_times == timers
+        assert plan.build_stats.cpi_repairs == 1
+        assert plan.build_stats.cpi_rebuilds == 0
+        assert plan.build_stats.dirty_region_size == len(query.vertices())
+        assert embeddings_of(inc, query) == [(0, 2), (1, 3)]
+
+    def test_dirty_delta_changing_the_cpi_makes_a_new_plan(self):
+        data, query = small_instance()
+        inc = IncrementalMatcher(data)
+        plan = inc.prepare(query)
+        data.add_edge(0, 3)
+        repaired = inc.prepare(query)
+        assert repaired is not plan
+        assert repaired.cpi is not plan.cpi
+        assert repaired.root == plan.root
+        assert repaired.build_stats.cpi_repairs == 1
+        assert embeddings_of(inc, query) == [(0, 2), (0, 3), (1, 3)]
+
+    def test_reselection_equals_select_root_after_every_delta(self):
+        """Runs of one to three edge flips: after each run, the kept
+        passing sets, updated from the run's touches, equal CandVerify
+        run from scratch and pick the root a from-scratch selection
+        picks.  The flips change some passing set, and on the
+        skewed-label cases some only through a neighbor's degree (the
+        two-hop MND case)."""
+        changed = 0
+        for index in range(4):
+            case = generate_case(
+                23, index, WorkloadSpec(scenarios=("skewed-labels", "dense"))
+            )
+            query = case.query
+            dynamic = DynamicGraph.from_graph(case.data)
+            state = ShortlistState()
+            select_root(query, dynamic, state=state)
+            rng = random.Random(f"reselect:{index}")
+            for _ in range(15):
+                version = dynamic.version
+                for _ in range(rng.randint(1, 3)):
+                    u, v = rng.sample(range(dynamic.num_vertices), 2)
+                    dynamic.apply(
+                        Delta.remove_edge(u, v) if dynamic.has_edge(u, v)
+                        else Delta.add_edge(u, v)
+                    )
+                before = {w: set(kept) for w, kept in state.passing.items()}
+                state.touch(dynamic, dynamic.touches_since(version))
+                static = dynamic.to_static()
+                assert select_root(query, dynamic, state=state) == select_root(query, static)
+                for w, kept in state.passing.items():
+                    fresh = root_selection._verified_candidates(query, static, w)
+                    assert kept == set(fresh.passed)
+                    changed += w in before and before[w] != kept
+        assert changed
+
+    def test_differential_catches_a_reselection_missing_two_hop_vertices(
+        self, monkeypatch
+    ):
+        """``ae 12 0`` raises vertex 0's degree, so its neighbor 5's MND
+        changes too.  If the shortlist recorded only the endpoints, not
+        their neighbors, vertex 5 would keep its stale verdict in a
+        passing set, and the differential reports the wrong root."""
+        data = Graph(
+            [1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0], [(0, 5), (5, 6), (5, 9)]
+        )
+        query = Graph([0, 0, 1, 1, 0], [(0, 1), (0, 3), (0, 4), (1, 2)])
+        deltas = [Delta.add_vertex(0), Delta.add_edge(12, 0)]
+        assert incremental_differential_check(data, query, deltas) == []
+        touch = ShortlistState.touch
+        no_rows = SimpleNamespace(adj=defaultdict(list))
+        monkeypatch.setattr(
+            ShortlistState, "touch",
+            lambda self, data, touches: touch(self, no_rows, touches),
+        )
+        found = incremental_differential_check(data, query, deltas)
+        assert {m.matcher for m in found} == {"incremental/reference", "incremental/kernel"}
+        assert all("served root differs" in m.detail for m in found)
+
+    def test_log_gap_and_renumbering_fall_back_to_full_selection(self, monkeypatch):
+        """A dirty delta in the log re-judges only touched vertices; a
+        log gap or a renumbering ``remove_vertex`` runs CandVerify on
+        every shortlisted vertex's label bucket again."""
+        full = []
+        verified = root_selection._verified_candidates
+
+        def spy(query, data, u):
+            full.append(u)
+            return verified(query, data, u)
+
+        monkeypatch.setattr(root_selection, "_verified_candidates", spy)
+        data = DynamicGraph(
+            [0, 0, 1, 1, 2, 2], [(0, 2), (1, 3), (4, 5)], log_limit=2
+        )
+        query = Graph([0, 1], [(0, 1)])
+        inc = IncrementalMatcher(data)
+        inc.prepare(query)
+        assert sorted(full) == [0, 1]
+        data.add_edge(0, 3)
+        inc.prepare(query)
+        assert sorted(full) == [0, 1]                   # kept sets updated
+        data.add_edge(1, 2)
+        data.remove_edge(0, 3)
+        data.remove_edge(1, 2)          # the log keeps only the last 2
+        assert data.touches_since(1) is None
+        inc.prepare(query)
+        assert sorted(full) == [0, 0, 1, 1]             # the gap: full
+        data.remove_vertex(0)           # vertex 5 is renumbered to 0
+        plan = inc.prepare(query)
+        assert sorted(full) == [0, 0, 0, 1, 1, 1]       # renumbered: full
+        assert plan.build_stats.cpi_rebuilds == 2
+        cold = CFLMatch(data.to_static())
+        assert plan.root == cold.prepare(query).root
+        assert embeddings_of(inc, query) == list(cold.search(query))
 
     def test_renumbering_removal_forces_rebuild(self):
         data, query = small_instance()

@@ -185,6 +185,52 @@ class TestTouchLog:
         assert dynamic.touches_since(0) is None
         assert dynamic.touches_since(1) is not None
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edge_touch_vertices_cover_every_changed_vertex(self, seed):
+        """Over random add/remove edge streams, each delta's ``vertices``
+        is its two endpoints, and every vertex whose degree, NLF or MND
+        differs from a from-scratch rebuild at an earlier version is an
+        endpoint of a delta since then or a current neighbor of one."""
+        case = generate_case(seed, seed, WorkloadSpec())
+        dynamic = DynamicGraph.from_graph(case.data)
+        rng = random.Random(f"touch-vertices:{seed}")
+        n = dynamic.num_vertices
+
+        def profile():
+            static = dynamic.to_static()
+            return [(static.degree(w), static.nlf(w), static.mnd(w)) for w in range(n)]
+
+        profiles = {dynamic.version: profile()}
+        while len(profiles) <= 30 and n >= 2:
+            u, v = rng.sample(range(n), 2)
+            dynamic.apply(
+                Delta.remove_edge(u, v) if dynamic.has_edge(u, v) else Delta.add_edge(u, v)
+            )
+            (touch,) = dynamic.touches_since(dynamic.version - 1)
+            assert touch.vertices == {u, v}
+            near = {u, v}.union(dynamic.adj[u], dynamic.adj[v])
+            assert touch.labels == {dynamic.labels[w] for w in near}
+            now = profiles[dynamic.version] = profile()
+            since = rng.choice(sorted(profiles))
+            endpoints = set()
+            for t in dynamic.touches_since(since):
+                endpoints |= t.vertices
+            covered = endpoints.union(*(dynamic.adj[w] for w in endpoints))
+            changed = {w for w in range(n) if profiles[since][w] != now[w]}
+            assert changed <= covered
+
+    def test_vertex_deltas_carry_no_touched_vertices(self):
+        """A vertex delta's ``vertices`` is ``None``, which makes a
+        consumer treat every vertex as changed."""
+        dynamic = DynamicGraph([0, 1, 2], [(0, 1), (1, 2)])
+        dynamic.add_vertex(5)
+        dynamic.remove_vertex(3)        # the last vertex: no renumbering
+        dynamic.remove_vertex(0)        # renumbers vertex 2 into slot 0
+        dynamic.remove_edge(0, 1)
+        touches = dynamic.touches_since(0)
+        assert [t.vertices for t in touches[:3]] == [None, None, None]
+        assert touches[3].vertices == frozenset({0, 1})
+
     def test_apply_matches_can_apply_on_random_streams(self):
         """``can_apply`` exactly predicts whether ``apply`` succeeds."""
         rng = random.Random("agreement")

@@ -6,6 +6,7 @@ here forever as a regression test: replay re-runs every registered
 matcher on the stored instance against the brute-force oracle.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from repro.testing.corpus import (
     save_reproducer,
 )
 from repro.graph import Graph
+from repro.graph.dynamic import Delta
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -75,3 +77,28 @@ class TestCorpusIO:
         entries = load_corpus(tmp_path)
         assert [p for p, _ in entries] == [path]
         assert replay_entry(entries[0][1]) == []
+
+    def test_delta_entries_replay_at_their_recorded_interval(self, tmp_path, monkeypatch):
+        """A fuzz-found delta entry records the interval between compared
+        steps it failed at, and replay uses it; an entry without one
+        (hand-written reproducers) is compared after every delta."""
+        import repro.testing.dynamic as dynamic_harness
+
+        intervals = []
+        monkeypatch.setattr(
+            dynamic_harness, "incremental_differential_check",
+            lambda data, query, deltas, sync_every: intervals.append(sync_every) or [],
+        )
+        data = Graph([0, 1, 0], [(0, 1)])
+        query = Graph([0, 1], [(0, 1)])
+        deltas = [Delta.add_edge(1, 2), Delta.remove_edge(0, 1)]
+        found = save_reproducer(
+            tmp_path, data, query, kind="differential", matcher="incremental/kernel",
+            detail="d", deltas=deltas, sync_every=3,
+        )
+        entry = json.loads(found.read_text())
+        assert entry["sync_every"] == 3
+        assert replay_entry(entry) == []
+        del entry["sync_every"]
+        assert replay_entry(entry) == []
+        assert intervals == [3, 1]
