@@ -26,6 +26,15 @@ exactly for any number of embeddings consumed.  A block is held in
 memory, so it is built only when a bound taken from the candidate
 counts fits the caller's allowance; otherwise the caller streams that
 mapping through the oracle.
+
+A search meets the same block many times: by Lemma 4.3 a block depends
+only on its NECs' parent images and on which of its candidates the
+core+forest mapping uses.  Every candidate of a leaf carries the leaf's
+label, so only the images of non-leaf query vertices with a leaf-class
+label can be used ones.  ``LeafPlan.key`` reads those two groups of
+images from a mapping, and :class:`BlockMemo` keeps each key's block
+for the rest of one search, so a block is built once however many
+mappings reach it (until the memo fills up).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from functools import partial
 from itertools import combinations, permutations, product
 from math import comb, factorial, perm
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cpi import CPI, EMPTY_CANDIDATES
 from .stats import SearchStats, WorkBudget
@@ -46,6 +55,11 @@ from .stats import SearchStats, WorkBudget
 #: the search's deadline polls; a larger block streams through
 #: :func:`enumerate_leaf_matches`.
 BLOCK_NODE_CAP = 1 << 14
+
+#: Most keys a :class:`BlockMemo` holds.  A search whose keys rarely
+#: repeat fills it early and then builds every block afresh, as without
+#: a memo.
+MEMO_ENTRIES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -68,7 +82,10 @@ class LeafPlan:
     class order, to the embedding in query-vertex order (``None`` when
     there are no leaves).  ``flat`` lists ``(parent, leaf)`` per class
     when every class is a single one-leaf NEC (then an assignment is a
-    bare vertex), and is empty otherwise.
+    bare vertex), and is empty otherwise.  ``key`` maps a core+forest
+    mapping to the images its leaf block depends on: every NEC's parent
+    image and the image of every non-leaf query vertex whose label is a
+    leaf-class label (the only images a leaf row can hold).
     """
 
     classes: Tuple[Tuple[LeafNEC, ...], ...]
@@ -78,6 +95,9 @@ class LeafPlan:
         default=None, compare=False, repr=False
     )
     flat: Tuple[Tuple[int, int], ...] = field(default=(), compare=False, repr=False)
+    key: Optional[Callable[[List[int]], Any]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def build_leaf_plan(cpi: CPI, leaves: Sequence[int]) -> LeafPlan:
@@ -113,14 +133,20 @@ def build_leaf_plan(cpi: CPI, leaves: Sequence[int]) -> LeafPlan:
     flat: Tuple[Tuple[int, int], ...] = ()
     if len(slots) == len(classes):
         flat = tuple((cls[0].parent, cls[0].members[0]) for cls in classes)
+    keyed = {nec.parent for cls in classes for nec in cls}
+    keyed.update(
+        w for w in query.vertices() if w not in slots and query.label(w) in by_label
+    )
     # A leaf has a parent, so the layout has at least two indices and the
-    # getter returns a tuple (a one-index itemgetter returns a scalar).
+    # getter returns a tuple (a one-index itemgetter returns a scalar,
+    # which ``key`` may do: a bare image is a key all the same).
     return LeafPlan(
         classes=classes,
         leaf_vertices=tuple(sorted(leaves)),
         slots=slots,
         getter=itemgetter(*layout),
         flat=flat,
+        key=itemgetter(*sorted(keyed)),
     )
 
 
@@ -220,9 +246,11 @@ class LeafBlock:
     without assignments, so ``size`` is 0 and later classes are absent.
     ``nodes`` is the oracle's leaf ``nodes`` for the whole block: each
     class is traversed once per assignment of the classes before it.
+    ``bound`` is the cost bound the block was built under (see
+    :func:`build_leaf_block`).
     """
 
-    __slots__ = ("rows", "cum", "totals", "flat", "size", "nodes")
+    __slots__ = ("rows", "cum", "totals", "flat", "bound", "size", "nodes")
 
     def __init__(
         self,
@@ -230,11 +258,13 @@ class LeafBlock:
         cum: Optional[List[Sequence[int]]],
         totals: List[int],
         flat: bool,
+        bound: int,
     ) -> None:
         self.rows = rows
         self.cum = cum
         self.totals = totals
         self.flat = flat
+        self.bound = bound
         size = 1
         nodes = 0
         for assignments, total in zip(reversed(rows), reversed(totals)):
@@ -288,14 +318,6 @@ def _class_assignments(
     within a class (permutations per NEC, the ``used`` filter), writing
     images at the plan's slots.  ``used`` is restored on return.
     """
-    if len(rows) == 1:
-        # One NEC: its candidates already exclude every used vertex, and
-        # its slots are 0..m-1 in member order.
-        nec, candidates = rows[0]
-        m = len(nec.members)
-        assignments = list(permutations(candidates, m))
-        total = m * len(assignments)
-        return assignments, range(m, total + 1, m), total
     assignments: List[Tuple[int, ...]] = []
     cum: List[int] = []
     scratch = [0] * sum(len(nec.members) for nec, _ in rows)
@@ -357,9 +379,10 @@ def build_leaf_block(
                 return None
             rows.append(candidates)
         totals = [len(candidates) for candidates in rows]
-        if sum(totals) > allowance:
+        bound = sum(totals)
+        if bound > allowance:
             return None
-        return LeafBlock(rows, None, totals, True)
+        return LeafBlock(rows, None, totals, True, bound)
     prepared = _prepared_classes(cpi, plan, mapping, used)
     if prepared is None:
         return None
@@ -385,7 +408,53 @@ def build_leaf_block(
         totals.append(total)
         if not assignments:
             break
-    return LeafBlock(rows, cum, totals, False)
+    return LeafBlock(rows, cum, totals, False, bound)
+
+
+class BlockMemo:
+    """One search's leaf blocks by ``LeafPlan.key``: what
+    :func:`build_leaf_block` returns, built once per key.
+
+    A key fixes the block (see the module docstring), so a lookup that
+    finds its key returns the stored block, provided its ``bound`` fits
+    the current allowance; otherwise it returns ``None`` and the caller
+    streams the mapping through the oracle.  A key stored as ``None``
+    short-circuits, or its bound did not fit the allowance it was first
+    met with; a search's allowance never grows, so it stays ``None``.
+    The memo holds at most :data:`MEMO_ENTRIES` keys and blocks whose
+    bounds sum to at most :data:`BLOCK_NODE_CAP`.  The first block that
+    does not fit drops it (``entries`` becomes ``None``); the caller
+    then stops consulting it and builds every later block of the search
+    with :func:`build_leaf_block`.
+    """
+
+    __slots__ = ("entries", "nodes")
+
+    def __init__(self) -> None:
+        self.entries: Optional[Dict[Any, Optional[LeafBlock]]] = {}
+        #: summed ``bound`` of the blocks held
+        self.nodes = 0
+
+    def block(
+        self, cpi: CPI, plan: LeafPlan, mapping: List[int], used: bytearray,
+        allowance: int,
+    ) -> Optional[LeafBlock]:
+        """:func:`build_leaf_block` of the same arguments, while
+        ``entries`` is not ``None``."""
+        entries = self.entries
+        assert entries is not None and plan.key is not None
+        key = plan.key(mapping)
+        if key in entries:
+            block = entries[key]
+            return None if block is None or block.bound > allowance else block
+        block = build_leaf_block(cpi, plan, mapping, used, allowance)
+        nodes = self.nodes if block is None else self.nodes + block.bound
+        if len(entries) == MEMO_ENTRIES or nodes > BLOCK_NODE_CAP:
+            self.entries = None
+        else:
+            entries[key] = block
+            self.nodes = nodes
+        return block
 
 
 def count_leaf_matches(

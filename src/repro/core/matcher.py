@@ -46,6 +46,7 @@ from .filters import VerifiedCandidates
 from .kernel import KernelBacktracker, KernelPlan, compile_kernel_plan
 from .leaf_match import (
     BLOCK_NODE_CAP,
+    BlockMemo,
     LeafPlan,
     build_leaf_block,
     build_leaf_plan,
@@ -704,7 +705,12 @@ class CFLMatch:
         through the reference path, so the truncation point is exact).
         Between two yields inside a block, ``embeddings`` and the leaf
         ``nodes`` lag: they are added when the block ends or the
-        generator closes.
+        generator closes.  Each call owns a
+        :class:`~repro.core.leaf_match.BlockMemo`, so core+forest
+        mappings that agree on every image a block depends on (Lemma
+        4.3) share one build of it; the allowance is checked on every
+        use, and a memoized block is charged and counted as a fresh
+        one would be.
         """
         if limit is not None and limit <= 0:
             return
@@ -727,7 +733,7 @@ class CFLMatch:
         mapping = [-1] * query.num_vertices
         used = bytearray(self.data.num_vertices)
         emitted = 0
-        blocks = self.engine == "kernel"
+        memo = BlockMemo() if self.engine == "kernel" else None
         core_bt, forest_bt = self._backtrackers(
             plan, core_stats, forest_stats, deadline, budget
         )
@@ -736,7 +742,7 @@ class CFLMatch:
         for _ in core_bt.extend(mapping, used):
             for _ in forest_bt.extend(mapping, used):
                 block = None
-                if blocks and leaf_plan.classes:
+                if memo is not None and leaf_plan.classes:
                     # Build no more than the consumer may take: the
                     # oracle expands at least one leaf node per
                     # embedding, so the remaining ``limit`` and
@@ -746,7 +752,11 @@ class CFLMatch:
                         allowance = min(allowance, limit - emitted)
                     if budget is not None:
                         allowance = min(allowance, budget.remaining)
-                    block = build_leaf_block(cpi, leaf_plan, mapping, used, allowance)
+                    if memo.entries is None:
+                        # the memo filled up and was dropped
+                        block = build_leaf_block(cpi, leaf_plan, mapping, used, allowance)
+                    else:
+                        block = memo.block(cpi, leaf_plan, mapping, used, allowance)
                     if block is not None and budget is not None:
                         if budget.remaining < block.nodes:
                             # The budget runs out inside this block:

@@ -13,8 +13,15 @@ from repro.core import (
     enumerate_leaf_matches,
 )
 from repro.core import leaf_match
+from repro.core import matcher as matcher_module
 from repro.core.core_match import CPIBacktracker
-from repro.core.leaf_match import BLOCK_NODE_CAP, build_leaf_block
+from repro.core.leaf_match import (
+    BLOCK_NODE_CAP,
+    MEMO_ENTRIES,
+    BlockMemo,
+    LeafBlock,
+    build_leaf_block,
+)
 from repro.core.stats import BudgetExhausted, SearchStats, WorkBudget
 from repro.graph import Graph
 from repro.workloads.paper_graphs import figure4_query
@@ -467,6 +474,245 @@ class TestBlockAllowance:
         assert reports[0].results == reports[1].results
         assert reports[0].counters() == reports[1].counters()
         assert reports[1].budget_exhausted
+
+
+# ----------------------------------------------------------------------
+# Blocks memoized per search by the images that determine them
+# ----------------------------------------------------------------------
+def _memo_case(name):
+    """``(query, data)`` of a crafted memo case.
+
+    "moving-image": the core is the 4-cycle r=0, a=1, w=2, b=3 (labels
+    0, 2, 1, 2) and leaf 4 (label 1) hangs off r.  In the data, r has
+    one candidate h=0, whose label-1 neighbors p=3, q=4, t=6 form the
+    leaf's row; w maps to p (inside the row) or s=5 (outside it), each
+    under both orders of a1=1 and a2=2.  So every key repeats, and two
+    keys share the parent image h.  "moving-nec" makes the leaf the NEC
+    {4, 5}.  "repeat": the core is the triangle r=0, a=1, b=2 (labels
+    0, 3, 4) with the NEC {3, 4} (label 1) under r.  In the data, h=0
+    is adjacent to everything, and each of x=1..3 (label 3) to each of
+    y=4, 5 (label 4); the six core mappings share one key, and each
+    block's bound is 2 * P(3, 2) = 12 over the row p=6, q=7, t=8.
+    """
+    if name.startswith("moving"):
+        labels = [0, 2, 1, 2, 1]
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]
+        if name == "moving-nec":
+            labels.append(1)
+            edges.append((0, 5))
+        data = Graph(
+            [0, 2, 2, 1, 1, 1, 1],
+            [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6),
+             (1, 3), (2, 3), (1, 5), (2, 5)],
+        )
+        return Graph(labels, edges), data
+    query = Graph([0, 3, 4, 1, 1], [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
+    data = Graph(
+        [0, 3, 3, 3, 4, 4, 1, 1, 1],
+        [(0, v) for v in range(1, 9)] + [(x, y) for x in (1, 2, 3) for y in (4, 5)],
+    )
+    return query, data
+
+
+MEMO_CASES = ("moving-image", "moving-nec", "repeat")
+
+
+def _hub_case(hubs):
+    """``(query, data)``: a hub per key, each with a label-3 neighbor
+    adjacent to two label-4 ones (two consecutive core mappings per
+    key) and two label-1 leaf candidates."""
+    labels, edges = [], []
+    for hub in range(hubs):
+        base = 6 * hub
+        labels += [0, 3, 4, 4, 1, 1]
+        edges += [(base, base + i) for i in range(1, 6)]
+        edges += [(base + 1, base + 2), (base + 1, base + 3)]
+    query = Graph([0, 3, 4, 1], [(0, 1), (0, 2), (1, 2), (0, 3)])
+    return query, Graph(labels, edges)
+
+
+def _assert_parity(query, data):
+    """Kernel = reference in embeddings, order, every counter and the
+    budget left, exhausted, under every ``limit``, ``close_after`` and
+    ``max_expansions``, and under a covering budget with a ``limit`` or
+    a close inside a block."""
+    for split in (True, False):
+        full = _observe("reference", query, data, split=split)
+        assert _observe("kernel", query, data, split=split) == full
+    total = len(full[0])
+    nodes = full[2]["nodes"]
+    assert total > 0 and nodes > 0
+    for k in range(1, total + 2):
+        for kwargs in ({"limit": k}, {"close_after": k}):
+            expected = _observe("reference", query, data, **kwargs)
+            assert _observe("kernel", query, data, **kwargs) == expected
+            expected = _observe(
+                "reference", query, data, max_expansions=nodes + 5, **kwargs
+            )
+            assert _observe(
+                "kernel", query, data, max_expansions=nodes + 5, **kwargs
+            ) == expected
+    for budget in range(nodes + 2):
+        expected = _observe("reference", query, data, max_expansions=budget)
+        assert _observe("kernel", query, data, max_expansions=budget) == expected
+
+
+def _count_calls(monkeypatch, name, *owners):
+    """Wrap ``owner.name`` of each owner so that their calls are
+    counted in one list."""
+    calls = []
+    for owner in owners:
+        original = getattr(owner, name)
+
+        def counted(*args, original=original, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestBlockMemo:
+    """A search builds each leaf block once per key: the NECs' parent
+    images and the images of the non-leaf vertices with a leaf-class
+    label (Lemma 4.3)."""
+
+    def test_key_reads_parents_and_same_label_images(self):
+        query, data = _memo_case("moving-image")
+        plan = CFLMatch(data).prepare(query).leaf_plan
+        # parent r=0 and the label-1 core vertex w=2
+        assert plan.key([10, 11, 12, 13, -1]) == (10, 12)
+        query, data = _memo_case("repeat")
+        plan = CFLMatch(data).prepare(query).leaf_plan
+        assert plan.key([10, 11, 12, -1, -1]) == 10
+
+    @pytest.mark.parametrize("name", MEMO_CASES)
+    def test_search_matches_reference(self, name):
+        _assert_parity(*_memo_case(name))
+
+    def test_same_parent_image_with_a_used_vertex_inside_or_outside_the_row(self):
+        """Both keys of "moving-image" share the parent image h, and
+        their blocks differ: w's image p is in the leaf row or it is
+        not."""
+        query, data = _memo_case("moving-image")
+        blocks = {}
+        for cpi, plan, mapping, used in _leaf_states(query, data):
+            block = build_leaf_block(cpi, plan, mapping, used, BLOCK_NODE_CAP)
+            blocks.setdefault(plan.key(mapping), block.rows)
+        assert blocks == {(0, 3): [[4, 6]], (0, 5): [[3, 4, 6]]}
+
+    @pytest.mark.parametrize("name", MEMO_CASES)
+    def test_builds_are_fewer_than_blocks(self, name, monkeypatch):
+        query, data = _memo_case(name)
+        keys = {
+            plan.key(mapping) for _, plan, mapping, _ in _leaf_states(query, data)
+        }
+        lookups = _count_calls(monkeypatch, "block", BlockMemo)
+        builds = _count_calls(monkeypatch, "build_leaf_block", leaf_match, matcher_module)
+        embeddings = list(CFLMatch(data).search(query))
+        assert len(lookups) == len(list(_leaf_states(query, data)))
+        assert len(builds) == len(keys) < len(lookups)
+        assert embeddings == list(CFLMatch(data, engine="reference").search(query))
+
+    def test_allowance_is_checked_on_every_lookup(self, monkeypatch):
+        states = _leaf_states(*_memo_case("repeat"))
+        cpi, plan, mapping, used = next(states)
+        memo = BlockMemo()
+        block = memo.block(cpi, plan, mapping, used, 12)
+        assert block.bound == 12 and block.size == 6
+        assert memo.block(cpi, plan, mapping, used, 11) is None
+        assert memo.block(cpi, plan, mapping, used, 12) is block
+        cpi, plan, mapping, used = next(states)
+        assert memo.block(cpi, plan, mapping, used, 11) is None
+        assert memo.block(cpi, plan, mapping, used, BLOCK_NODE_CAP) is block
+        # a key first met with an allowance below its bound is never
+        # built: a search's allowance only shrinks
+        builds = _count_calls(monkeypatch, "_class_assignments", leaf_match)
+        memo = BlockMemo()
+        assert memo.block(cpi, plan, mapping, used, 11) is None
+        assert memo.block(cpi, plan, mapping, used, BLOCK_NODE_CAP) is None
+        assert memo.entries == {0: None} and not builds
+
+    def test_repeated_key_over_the_allowance_streams(self, monkeypatch):
+        """Under ``limit`` k every block streamed fits the ``limit``
+        left when it starts, although its key's block was built under
+        a larger one; the rest stream through the oracle."""
+        query, data = _memo_case("repeat")
+        streamed = []
+        found = []
+        stream = LeafBlock.stream
+
+        def spy(block, prefix, getter):
+            streamed.append((block.bound, len(found)))
+            return stream(block, prefix, getter)
+
+        monkeypatch.setattr(LeafBlock, "stream", spy)
+        for k in range(12, 40):
+            del streamed[:], found[:]
+            found.extend(CFLMatch(data).search(query, limit=k))
+            assert found == list(
+                CFLMatch(data, engine="reference").search(query, limit=k)
+            )
+            assert streamed and all(bound <= k - at for bound, at in streamed)
+            if k < 36:
+                # the oracle streams a block the memo holds
+                assert len(streamed) < -(-k // 6)
+
+    @pytest.mark.parametrize("cap", ["entries", "nodes"])
+    def test_full_memo_is_dropped(self, cap, monkeypatch):
+        """Once its entries or the summed bounds reach their cap, the
+        memo is dropped and later blocks are built afresh."""
+        if cap == "entries":
+            monkeypatch.setattr(leaf_match, "MEMO_ENTRIES", 1)
+        else:
+            # "moving-nec" bounds: 4 for key (h, p), 12 for (h, s)
+            monkeypatch.setattr(leaf_match, "BLOCK_NODE_CAP", 10)
+        query, data = _memo_case("moving-nec")
+        _assert_parity(query, data)
+        lookups = _count_calls(monkeypatch, "block", BlockMemo)
+        builds = _count_calls(monkeypatch, "build_leaf_block", leaf_match, matcher_module)
+        list(CFLMatch(data).search(query))
+        # the keys alternate; the second one fills the memo, which is
+        # dropped and not consulted again, so both repeats are built
+        # again (2 builds otherwise)
+        keys = [plan.key(mapping) for _, plan, mapping, _ in _leaf_states(query, data)]
+        assert keys == [(0, 3), (0, 5)] * 2
+        assert len(lookups) == 2 and len(builds) == 4
+
+    def test_more_keys_than_the_cap(self, monkeypatch):
+        """The keys outnumber :data:`MEMO_ENTRIES`, so later keys are
+        built once per mapping."""
+        hubs = MEMO_ENTRIES + 40
+        query, data = _hub_case(hubs)
+        lookups = _count_calls(monkeypatch, "block", BlockMemo)
+        builds = _count_calls(monkeypatch, "build_leaf_block", leaf_match, matcher_module)
+        full = _observe("kernel", query, data)
+        assert len(full[0]) == 4 * hubs
+        # a hub's two mappings are consecutive: the first MEMO_ENTRIES
+        # keys are built once and hit once, the next key drops the
+        # memo, and each later mapping builds its block unconsulted
+        assert len(lookups) == 2 * MEMO_ENTRIES + 1
+        assert len(builds) == MEMO_ENTRIES + 1 + (2 * hubs - len(lookups))
+        assert full == _observe("reference", query, data)
+        for kwargs in (
+            {"limit": 2 * MEMO_ENTRIES + 1}, {"close_after": 4 * MEMO_ENTRIES + 3},
+            {"max_expansions": 9 * MEMO_ENTRIES}, {"max_expansions": full[2]["nodes"]},
+        ):
+            assert _observe("kernel", query, data, **kwargs) == _observe(
+                "reference", query, data, **kwargs
+            )
+
+    def test_more_keys_than_a_small_cap_under_every_truncation(self, monkeypatch):
+        """The same shape with the cap lowered to 3 and 5 hubs, small
+        enough for every ``limit``, ``close_after`` and budget."""
+        monkeypatch.setattr(leaf_match, "MEMO_ENTRIES", 3)
+        query, data = _hub_case(5)
+        builds = _count_calls(monkeypatch, "build_leaf_block", leaf_match, matcher_module)
+        list(CFLMatch(data).search(query))
+        # 3 keys built once each, the 4th drops the memo, and the 3
+        # mappings after it build unconsulted
+        assert len(builds) == 3 + 1 + 3
+        _assert_parity(query, data)
 
 
 # ----------------------------------------------------------------------
